@@ -45,12 +45,23 @@ class IntegratorConfig:
     constraint_tol: float = 1e-6    # pre-projection residual limit
 
     def __post_init__(self):
+        # written as not (valid) so that NaN fails every check
         if not (0.0 < self.rel_tol <= 1e-3 and 0.0 < self.abs_tol <= 1e-3):
             raise ConfigError("integrator tolerances must lie in (0, 1e-3]")
+        if not self.max_step > 0.0:
+            raise ConfigError("max_step must be positive")
         if not (0.0 < self.collision_switch_radius <= 0.2):
             raise ConfigError("collision_switch_radius must lie in (0, 0.2]")
-        if self.max_time <= 0:
+        if not self.max_time > 0.0:
             raise ConfigError("max_time must be positive")
+        if not isinstance(self.switching, bool):
+            raise ConfigError("switching must be True or False")
+        if not (0.0 < self.reg_chunk < math.inf):
+            raise ConfigError("reg_chunk must be positive and finite")
+        if not (0.0 < self.max_reg_time < math.inf):
+            raise ConfigError("max_reg_time must be positive and finite")
+        if not self.constraint_tol > 0.0:
+            raise ConfigError("constraint_tol must be positive")
 
 
 class FlowEvent:
@@ -159,18 +170,22 @@ class Trajectory:
         return worst / scale
 
     def min_over(self, fn, n_per_segment=60):
-        """Minimum of fn(physical state) over a dense sampling of the flight."""
+        """Minimum of fn(physical states) over a dense sampling of the flight.
+
+        fn is called once per segment on a (6, n) array of states (one
+        column per sample) and must return n values.  Samples on the
+        collision fiber have no physical image and are skipped.
+        """
         best = math.inf
         for seg in self.segments:
-            for s in np.linspace(seg.nodes[0], seg.nodes[-1], n_per_segment):
-                z = seg.sol(s)
-                if seg.chart == "rot":
-                    st = z
-                else:
-                    if 1.0 - z[0] < 1e-9:
-                        continue
-                    st = seg.moser.to_physical(z[:4], z[4:8])
-                best = min(best, fn(st))
+            z = seg.sol(np.linspace(seg.nodes[0], seg.nodes[-1],
+                                    n_per_segment))
+            if seg.chart != "rot":
+                keep = 1.0 - z[0] >= 1e-9
+                if not keep.any():
+                    continue
+                z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
+            best = min(best, float(np.min(fn(z))))
         return best
 
     def to_jsonl(self, path, config_hash=""):
@@ -204,17 +219,27 @@ class Trajectory:
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _which_terminal(sol, n_events):
-    """Index of the terminal event that stopped solve_ivp, or None."""
+def _which_terminal(sol, ivp_events):
+    """Index of the terminal event that stopped solve_ivp, or None.
+
+    A terminal event ends the solve at its first root, so the one that
+    stopped it is the only terminal event with a recorded root.
+    """
     if sol.status != 1:
         return None
-    t_stop = sol.t[-1]
-    for idx in range(n_events):
-        te = sol.t_events[idx]
-        if te.size and math.isclose(te[-1], t_stop, rel_tol=0.0,
-                                    abs_tol=1e-9 * max(1.0, abs(t_stop))):
+    for idx, ev in enumerate(ivp_events):
+        if ev.terminal and sol.t_events[idx].size:
             return idx
     return None
+
+
+def _user_hits(sol, first):
+    """(solver time, user event index) of every user-event root of a solve,
+    in flight order; user events start at ivp event index ``first``."""
+    hits = [(float(te), k) for k, tes in enumerate(sol.t_events[first:])
+            for te in tes]
+    hits.sort(reverse=bool(sol.t[-1] < sol.t[0]))
+    return hits
 
 
 def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
@@ -320,10 +345,9 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
                           nodes=sol.t)
             segments.append(seg)
             n_sw = len(sw_evs)
-            for k, ev in enumerate(events):
-                for te in sol.t_events[n_sw + k]:
-                    hits.append((k, float(te), sol.sol(te).copy()))
-            cause = _which_terminal(sol, len(ivp_events))
+            for te, k in _user_hits(sol, n_sw):
+                hits.append((k, te, sol.sol(te).copy()))
+            cause = _which_terminal(sol, ivp_events)
             t = sol.t[-1]
             if cause is None:
                 if sol.status == 0 and t_stop < t_final - 1e-13:
@@ -342,7 +366,7 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
             return build_traj(t)
         else:
             ch = MoserChart(mu, chart_name.split("-")[1])
-            xi, eta, t, reason, info = _run_moser_visit(
+            xi, eta, t, reason, info, stopped_by = _run_moser_visit(
                 ch, xi, eta, t, t_stop, c, cfg, events, segments, hits)
             res_max = max(res_max, info)
             if reason == "exit":
@@ -351,7 +375,6 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
                 switches += 1
                 continue
             if reason == "user":
-                stopped_by = hits[-1][0] if hits else None
                 return build_traj(t)
             if reason == "time":
                 if t_stop < t_final - 1e-13:
@@ -368,15 +391,15 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     """Integrate one stay inside a Moser chart; returns on exit/stop.
 
     The regularized flow is advanced in chunks with constraint projection
-    between chunks (residual recorded).  Returns (xi, eta, t, reason, info)
-    where reason is 'exit' | 'time' | 'user' | 'budget' and info is the max
-    pre-projection residual.
+    between chunks (residual recorded).  Returns (xi, eta, t, reason, info,
+    stopped) where reason is 'exit' | 'time' | 'user' | 'budget', info is
+    the max pre-projection residual and stopped is the index of the
+    terminal user event when reason is 'user' (else None).
     """
     r2 = 2.0 * cfg.collision_switch_radius
 
     def rhs(s, z):
-        xid, etad = ch.field(z[:4], z[4:8], c)
-        return np.concatenate([xid, etad, [ch.time_factor(z[:4], z[4:8])]])
+        return ch.field(z, c)
 
     def exit_ev(s, z):
         return ch.physical_radius(z[:4], z[4:8]) - r2
@@ -420,22 +443,20 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
             raise ConstraintDriftError(
                 f"constraint residual {res:.3e} exceeds tolerance")
         res_max = max(res_max, res)
-        for k, ev in enumerate(events):
-            for te in sol.t_events[2 + k]:
-                ze = sol.sol(te)
-                hits.append((k, float(ze[8]),
-                             _safe_physical(ch, ze)))
-        cause = _which_terminal(sol, len(ivp_events))
+        for te, k in _user_hits(sol, 2):
+            ze = sol.sol(te)
+            hits.append((k, float(ze[8]), _safe_physical(ch, ze)))
+        cause = _which_terminal(sol, ivp_events)
         xi, eta = project_constraints(z_end[:4], z_end[4:8])
         if cause == 0:
-            return xi, eta, t, "exit", res_max
+            return xi, eta, t, "exit", res_max, None
         if cause == 1:
-            return xi, eta, t, "time", res_max
+            return xi, eta, t, "time", res_max, None
         if cause is not None:
-            return xi, eta, t, "user", res_max
+            return xi, eta, t, "user", res_max, cause - 2
         s = sol.t[-1]
         z = np.concatenate([xi, eta, [t]])
-    return xi, eta, t, "budget", res_max
+    return xi, eta, t, "budget", res_max, None
 
 
 def _safe_physical(ch, z):
@@ -465,11 +486,8 @@ def _integrate_backward(state, mu, cfg, t_final, c, events, t0):
     t_end = sol.t[-1]
     seg = Segment(chart="rot", sol=sol.sol, t0=t_end, t1=t0,
                   nodes=sol.t[::-1].copy())
-    hits = []
-    for k, ev in enumerate(events):
-        for te in sol.t_events[k]:
-            hits.append((k, float(te), sol.sol(te).copy()))
-    stopped = _which_terminal(sol, len(ivp_events))
+    hits = [(k, te, sol.sol(te).copy()) for te, k in _user_hits(sol, 0)]
+    stopped = _which_terminal(sol, ivp_events)
     return Trajectory(mu=mu, energy=c, t0=t0, t_end=t_end, segments=[seg],
                       chart_switches=0, event_hits=hits,
                       constraint_residual_max=0.0, stopped_by=stopped)

@@ -32,11 +32,14 @@ def stereo_to_chart(xi, eta):
     """Regularized (xi, eta) -> chart (x, y) = (-p, q).
 
     Works for any sphere dimension: inputs in R^{n+1}, outputs in R^n.
+    Inputs of shape (n+1, m) map column by column to outputs of shape
+    (n, m).
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
     s = 1.0 - xi[0]
-    if abs(s) < NORTH_POLE_TOL:
+    on_fiber = abs(s) < NORTH_POLE_TOL
+    if on_fiber.any() if xi.ndim > 1 else on_fiber:
         raise NorthPoleError("state on the collision fiber xi0 = 1")
     x = xi[1:] / s
     y = eta[0] * xi[1:] + s * eta[1:]
@@ -98,11 +101,16 @@ def _fbM(xi, eta, c, nu):
     return f, b, M
 
 
+def _regularized_mass(mu, primary):
+    """nu: mu for the Moon chart, 1 - mu for the relabeled Earth chart."""
+    validate_mu(mu)
+    return float(mu) if primary == "moon" else 1.0 - float(mu)
+
+
 def moser_fbM(xi, eta, c, mu, primary="moon"):
     """(f, b, M) of the Moon (or relabeled Earth) chart at energy c."""
-    validate_mu(mu)
-    nu = float(mu) if primary == "moon" else 1.0 - float(mu)
-    return _fbM(np.asarray(xi, float), np.asarray(eta, float), c, nu)
+    return _fbM(np.asarray(xi, float), np.asarray(eta, float), c,
+                _regularized_mass(mu, primary))
 
 
 def regularized_hamiltonian(xi, eta, c, mu, primary="moon"):
@@ -113,68 +121,85 @@ def regularized_hamiltonian(xi, eta, c, mu, primary="moon"):
     return 0.5 * f * f * float(eta @ eta)
 
 
-def _f_and_grad(xi, eta, c, nu):
-    """f together with its analytic gradient in the ambient R^4 x R^4."""
+def _q_gradient(v, c, nu):
+    """Ambient gradient of Q = f^2 |eta|^2 / 2 at v = [xi0..xi3, eta0..eta3].
+
+    v is a list of 8 floats; returns the 8 floats (dQ/dxi, dQ/deta) and
+    |eta|^2.  Scalar arithmetic throughout: this is the inner loop of
+    every Moser-chart flight.
+    """
+    x0, x1, x2, x3, e0, e1, e2, e3 = v
     other = 1.0 - nu
-    s = 1.0 - xi[0]
-    w = xi[2] * eta[1] - xi[1] * eta[2]
-    u = s * eta[1:] + eta[0] * xi[1:] + _K_OFFSET
-    d2 = float(u @ u)
+    s = 1.0 - x0
+    w = x2 * e1 - x1 * e2
+    u1 = s * e1 + e0 * x1 - 1.0    # _K_OFFSET = (-1, 0, 0)
+    u2 = s * e2 + e0 * x2
+    u3 = s * e3 + e0 * x3
+    d2 = u1 * u1 + u2 * u2 + u3 * u3
     d = math.sqrt(d2)
     if d < 1e-12:
         raise SecondaryCollisionError(
             "regularized chart reached the other primary"
         )
-    d3 = d * d2
-    f = 1.0 + s * (-(c + 0.5) + w) - xi[2] * other - other * s / d
+    f = 1.0 + s * (-(c + 0.5) + w) - x2 * other - other * s / d
+    # gradient of f: angular part s*w, -xi2*other, and T = -other*s/d
+    coef = other * s / (d * d2)
+    ce0 = coef * e0
+    cs = coef * s
+    fx0 = (c + 0.5) - w + (other / d - coef * (u1 * e1 + u2 * e2 + u3 * e3))
+    fx1 = -s * e2 + ce0 * u1
+    fx2 = s * e1 - other + ce0 * u2
+    fx3 = ce0 * u3
+    fe0 = coef * (u1 * x1 + u2 * x2 + u3 * x3)
+    fe1 = s * x2 + cs * u1
+    fe2 = -s * x1 + cs * u2
+    fe3 = cs * u3
+    nsq = e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3
+    a = f * nsq
+    ff = f * f
+    return ([a * fx0, a * fx1, a * fx2, a * fx3,
+             a * fe0 + ff * e0, a * fe1 + ff * e1, a * fe2 + ff * e2,
+             a * fe3 + ff * e3], nsq)
 
-    dfxi = np.zeros(4)
-    dfeta = np.zeros(4)
-    # angular part s*w
-    dfxi[0] = (c + 0.5) - w
-    dfxi[1] += -s * eta[2]
-    dfxi[2] += s * eta[1]
-    dfeta[1] += s * xi[2]
-    dfeta[2] += -s * xi[1]
-    # -xi2 * other
-    dfxi[2] += -other
-    # T = -other * s / d
-    coef = other * s / d3
-    dfxi[0] += other / d - coef * float(u @ eta[1:])
-    dfxi[1:] += coef * eta[0] * u
-    dfeta[0] += coef * float(u @ xi[1:])
-    dfeta[1:] += coef * s * u
-    return f, dfxi, dfeta
+
+def _q_field(z, c, nu):
+    """Packed Moser right-hand side on z = (xi, eta, t): a 9-vector.
+
+    Rows 0-7 are the Hamiltonian field of Q on T*S^3 (Dirac projection):
+    the ambient field (dQ/deta, -dQ/dxi) corrected with the multipliers of
+    the constraints phi1 = (|xi|^2-1)/2, phi2 = <xi,eta> so that both are
+    conserved; Q itself is conserved exactly by the corrected field.
+    Row 8 is the clock dt/ds = nu (1 - xi0) |eta|.
+    """
+    v = z[:8].tolist()
+    (qx0, qx1, qx2, qx3, qe0, qe1, qe2, qe3), nsq = _q_gradient(v, c, nu)
+    x0, x1, x2, x3, e0, e1, e2, e3 = v
+    lam1 = -(qe0 * x0 + qe1 * x1 + qe2 * x2 + qe3 * x3)
+    lam2 = ((qx0 * x0 + qx1 * x1 + qx2 * x2 + qx3 * x3)
+            - (qe0 * e0 + qe1 * e1 + qe2 * e2 + qe3 * e3))
+    return np.array([
+        qe0 + lam1 * x0, qe1 + lam1 * x1, qe2 + lam1 * x2, qe3 + lam1 * x3,
+        -qx0 - lam1 * e0 + lam2 * x0, -qx1 - lam1 * e1 + lam2 * x1,
+        -qx2 - lam1 * e2 + lam2 * x2, -qx3 - lam1 * e3 + lam2 * x3,
+        nu * ((1.0 - x0) * math.sqrt(nsq)),
+    ])
 
 
 def regularized_gradient(xi, eta, c, mu, primary="moon"):
     """Ambient gradient (dQ/dxi, dQ/deta) of Q = f^2 |eta|^2 / 2."""
-    validate_mu(mu)
-    nu = float(mu) if primary == "moon" else 1.0 - float(mu)
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    f, dfxi, dfeta = _f_and_grad(xi, eta, c, nu)
-    nsq = float(eta @ eta)
-    qxi = f * nsq * dfxi
-    qeta = f * nsq * dfeta + f * f * eta
-    return qxi, qeta
+    nu = _regularized_mass(mu, primary)
+    g, _ = _q_gradient(np.concatenate([xi, eta]).tolist(), c, nu)
+    return np.array(g[:4]), np.array(g[4:])
 
 
 def regularized_vector_field(xi, eta, c, mu, primary="moon"):
     """Hamiltonian field of Q constrained to T*S^3 (Dirac projection).
 
-    The ambient field (dQ/deta, -dQ/dxi) is corrected with the multipliers
-    of the constraints phi1 = (|xi|^2-1)/2, phi2 = <xi,eta> so that both
-    are conserved; Q itself is conserved exactly by the corrected field.
+    See _q_field; returns (dxi/ds, deta/ds).
     """
-    qxi, qeta = regularized_gradient(xi, eta, c, mu, primary)
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    lam1 = -float(qeta @ xi)
-    lam2 = float(qxi @ xi) - float(qeta @ eta)
-    xidot = qeta + lam1 * xi
-    etadot = -qxi - lam1 * eta + lam2 * xi
-    return xidot, etadot
+    out = _q_field(np.concatenate([xi, eta]), c,
+                   _regularized_mass(mu, primary))
+    return out[:4], out[4:8]
 
 
 class MoserChart:
@@ -216,9 +241,12 @@ class MoserChart:
         return chart_to_stereo(-p, q - self._center)
 
     def to_physical(self, xi, eta):
-        """(xi, eta) -> rotating-frame (q, p); north pole has no image."""
+        """(xi, eta) -> rotating-frame (q, p); north pole has no image.
+
+        (4,) inputs give a (6,) state; (4, m) inputs give (6, m) states.
+        """
         x, y = stereo_to_chart(xi, eta)
-        q = self._to_relabeled(y + self._center)
+        q = self._to_relabeled((y.T + self._center).T)
         p = self._to_relabeled(-x)
         return np.concatenate([q, p])
 
@@ -237,12 +265,9 @@ class MoserChart:
         """Value of Q corresponding to H = c: g^2 / 2."""
         return 0.5 * self.nu ** 2
 
-    def field(self, xi, eta, c):
-        return regularized_vector_field(xi, eta, c, self.mu, self.primary)
-
-    def time_factor(self, xi, eta):
-        """dt_physical/ds along the Q-flow on its physical level: g |q_loc|."""
-        return self.nu * self.physical_radius(xi, eta)
+    def field(self, z, c):
+        """Packed right-hand side (dxi/ds, deta/ds, dt/ds) at z = (xi, eta, t)."""
+        return _q_field(z, c, self.nu)
 
 
 # --- Levi-Civita ---

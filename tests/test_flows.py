@@ -26,6 +26,23 @@ def test_config_validation():
         IntegratorConfig(collision_switch_radius=0.5)
 
 
+@pytest.mark.parametrize("field,bad", [
+    ("rel_tol", 0.0),
+    ("abs_tol", -1e-12),
+    ("max_step", 0.0),
+    ("collision_switch_radius", math.nan),
+    ("max_time", -1.0),
+    ("switching", "yes"),
+    ("reg_chunk", 0.0),
+    ("max_reg_time", -1.0),
+    ("constraint_tol", -1.0),
+])
+def test_config_rejects_each_bad_field(field, bad):
+    # construction only: a bad reg_chunk used to hang integrate()
+    with pytest.raises(ConfigError):
+        IntegratorConfig(**{field: bad})
+
+
 def test_circular_orbit_closes_no_switches():
     # mu=0 circular orbit is a rotating-frame equilibrium: ten periods
     s0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
@@ -147,3 +164,61 @@ def test_trajectory_jsonl_roundtrip(tmp_path):
     assert recs[0]["record"] == "header"
     charts = {r["chart"] for r in recs if r["record"] == "sample"}
     assert "rot" in charts and len(charts) > 1
+
+
+def _oracle_min_over(traj, fn, n_per_segment=60):
+    """Per-sample reference for Trajectory.min_over: one dense-output call,
+    one chart map and one fn call per sample."""
+    best = math.inf
+    for seg in traj.segments:
+        for s in np.linspace(seg.nodes[0], seg.nodes[-1], n_per_segment):
+            z = seg.sol(s)
+            if seg.chart == "rot":
+                st = z
+            else:
+                if 1.0 - z[0] < 1e-9:
+                    continue
+                st = seg.moser.to_physical(z[:4], z[4:8])
+            best = min(best, fn(st))
+    return best
+
+
+def test_min_over_matches_per_sample_oracle():
+    # start on the collision fiber of the Earth chart at mu = 0 (the first
+    # Moser sample has no physical image), fly out through the rotating
+    # chart and back into the collision
+    c = C_TEST
+    xi = np.array([1.0, 0.0, 0.0, 0.0])
+    eta = np.array([0.0, 0.0, 0.0, 1.0])  # Q = g^2/2 with g = 1
+    cfg = IntegratorConfig(max_time=5.0)
+    traj = integrate((xi, eta), 0.0, cfg, 1.2, c=c, start_chart="earth")
+    charts = [seg.chart for seg in traj.segments]
+    assert "rot" in charts and "moser-earth" in charts
+    first = traj.segments[0]
+    assert first.chart == "moser-earth"
+    assert 1.0 - first.sol(first.nodes[0])[0] < 1e-9
+    fns = [lambda s, k=k, sign=sign: sign * s[k]
+           for k in range(6) for sign in (1.0, -1.0)]
+    fns.append(lambda s: s[2] ** 2 + s[5] ** 2)
+    for fn in fns:
+        assert traj.min_over(fn) == _oracle_min_over(traj, fn)
+
+
+@pytest.mark.parametrize("r", [0.03, 0.04])
+def test_return_inside_chart_blames_page_event(r):
+    # a tight circular Kepler orbit at mu = 0 returns to the page without
+    # leaving the Earth chart; a non-terminal antipage hit falls in the
+    # same regularized chunk as the terminal page hit
+    from sectionscope.sections import return_map
+    q = r * np.array([0.0, math.cos(0.6), math.sin(0.6)])
+    p = np.array([-math.sqrt(1.0 / r), 0.0, 0.0]) + \
+        np.array([-q[1], q[0], 0.0])
+    x = np.concatenate([q, p])
+    c = hamiltonian(x, 0.0)
+    sample, (_, traj) = return_map(x, 0.0, c=c, return_traj=True)
+    assert traj.stopped_by == 0
+    times = [h[1] for h in traj.event_hits]
+    assert times == sorted(times)
+    assert any(h[0] == 1 for h in traj.event_hits)
+    assert abs(sample.energy - c) < 1e-9 * abs(c)
+    assert np.linalg.norm(sample.fx[:3]) == pytest.approx(r, rel=1e-9)

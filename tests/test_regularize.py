@@ -5,11 +5,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points, \
     sample_shell_states
-from sectionscope.errors import ConfigError, NorthPoleError, ZeroVError
+from sectionscope.errors import (ConfigError, NorthPoleError,
+                                 SecondaryCollisionError, ZeroVError)
 from sectionscope.regularize import (MoserChart, chart_to_stereo,
                                      constraint_residual, kepler_oracles,
                                      lc_hamiltonian, levi_civita, moser_fbM,
@@ -145,23 +148,32 @@ def test_zero_eta_gives_zero_q():
     assert regularized_hamiltonian(xi, eta, -1.7, 0.3) == 0.0
 
 
+def fd_gradient_q(xi, eta, c, mu, primary="moon", h=1e-6):
+    """Central finite-difference ambient gradient (dQ/dxi, dQ/deta)."""
+    gx = np.empty(4)
+    ge = np.empty(4)
+    for i in range(4):
+        d = np.zeros(4)
+        d[i] = h
+        gx[i] = (regularized_hamiltonian(xi + d, eta, c, mu, primary)
+                 - regularized_hamiltonian(xi - d, eta, c, mu, primary)
+                 ) / (2 * h)
+        ge[i] = (regularized_hamiltonian(xi, eta + d, c, mu, primary)
+                 - regularized_hamiltonian(xi, eta - d, c, mu, primary)
+                 ) / (2 * h)
+    return gx, ge
+
+
 def test_regularized_gradient_vs_fd():
     from sectionscope.regularize import regularized_gradient
     rng = np.random.default_rng(6)
-    h = 1e-6
     mu, c = EARTH_MOON_MU, -1.7
     for xi, eta in random_moser_states(rng, 50):
         gx, ge = regularized_gradient(xi, eta, c, mu)
         scale = max(1.0, np.linalg.norm(gx), np.linalg.norm(ge))
-        for i in range(4):
-            d = np.zeros(4)
-            d[i] = h
-            fd = (regularized_hamiltonian(xi + d, eta, c, mu)
-                  - regularized_hamiltonian(xi - d, eta, c, mu)) / (2 * h)
-            assert abs(gx[i] - fd) < 1e-6 * scale
-            fd = (regularized_hamiltonian(xi, eta + d, c, mu)
-                  - regularized_hamiltonian(xi, eta - d, c, mu)) / (2 * h)
-            assert abs(ge[i] - fd) < 1e-6 * scale
+        fx, fe = fd_gradient_q(xi, eta, c, mu)
+        assert np.max(np.abs(gx - fx)) < 1e-6 * scale
+        assert np.max(np.abs(ge - fe)) < 1e-6 * scale
 
 
 def test_constrained_flow_preserves_constraints_and_level():
@@ -271,3 +283,130 @@ def test_massless_chart_rejected():
     with pytest.raises(ConfigError):
         MoserChart(0.0, "moon")
     MoserChart(0.0, "earth")  # heavy primary keeps full mass at mu=0
+
+
+# --- the packed Moser field, property-based ---
+
+_unit = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def ts3_states(draw, eta_scale=2.0, off_fiber=False):
+    """(xi, eta) on T*S^3; off_fiber keeps xi0 <= 0.99 (away from the
+    collision fiber xi0 = 1, which has no physical image)."""
+    xi = np.array(draw(st.tuples(_unit, _unit, _unit, _unit)))
+    if np.linalg.norm(xi) < 0.1:
+        xi[1] += 0.5
+    xi /= np.linalg.norm(xi)
+    if off_fiber and xi[0] > 0.99:
+        xi = np.array([0.0, 1.0, 0.0, 0.0])
+    eta = eta_scale * np.array(draw(st.tuples(_unit, _unit, _unit, _unit)))
+    eta -= (eta @ xi) * xi
+    return xi, eta
+
+
+def _chart_field(primary, mu, c, xi, eta):
+    """(chart, packed field) -- None where the state sits on the other
+    primary's singularity."""
+    ch = MoserChart(mu, primary)
+    try:
+        return ch, ch.field(np.concatenate([xi, eta, [0.0]]), c)
+    except SecondaryCollisionError:
+        return ch, None
+
+
+FIELD_CASES = dict(
+    state=ts3_states(),
+    primary=st.sampled_from(["moon", "earth"]),
+    mu=st.sampled_from([EARTH_MOON_MU, 0.1, 0.3]),
+    c=st.sampled_from([-2.0, -1.7, -1.5, -1.2]),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FIELD_CASES)
+def test_field_tangent_to_constraints(state, primary, mu, c):
+    xi, eta = state
+    _, z = _chart_field(primary, mu, c, xi, eta)
+    if z is None:
+        return
+    scale = max(1.0, np.linalg.norm(z[:8]))
+    # d/ds |xi|^2/2 and d/ds <xi, eta>
+    assert abs(xi @ z[:4]) < 1e-13 * scale
+    assert abs(z[:4] @ eta + xi @ z[4:8]) < 1e-13 * scale * max(
+        1.0, np.linalg.norm(eta))
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FIELD_CASES)
+def test_field_conserves_q_and_matches_dirac(state, primary, mu, c):
+    xi, eta = state
+    # central differences lose their accuracy next to the other primary's
+    # singularity at chart position y = (1, 0, 0); flights use the chart
+    # only within 0.1 of its own primary, where that distance is near 1
+    y = eta[0] * xi[1:] + (1.0 - xi[0]) * eta[1:]
+    assume(np.linalg.norm(y - [1.0, 0.0, 0.0]) > 0.5)
+    _, z = _chart_field(primary, mu, c, xi, eta)
+    gx, ge = fd_gradient_q(xi, eta, c, mu, primary)
+    scale = np.linalg.norm(z[:8]) * max(1.0, np.linalg.norm(gx),
+                                       np.linalg.norm(ge))
+    assert abs(gx @ z[:4] + ge @ z[4:8]) < 1e-7 * max(1.0, scale)
+    # the Dirac-constrained field built from the finite-difference gradient
+    lam1 = -(ge @ xi)
+    lam2 = gx @ xi - ge @ eta
+    dirac = np.concatenate([ge + lam1 * xi, -gx - lam1 * eta + lam2 * xi])
+    assert np.linalg.norm(z[:8] - dirac) <= 1e-9 * max(
+        np.linalg.norm(dirac), 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**FIELD_CASES)
+def test_field_clock_row(state, primary, mu, c):
+    xi, eta = state
+    ch, z = _chart_field(primary, mu, c, xi, eta)
+    if z is None:
+        return
+    clock = ch.nu * (1.0 - xi[0]) * np.linalg.norm(eta)
+    assert z[8] == pytest.approx(clock, rel=1e-14, abs=1e-300)
+    assert z[8] == pytest.approx(ch.g * ch.physical_radius(xi, eta),
+                                 rel=1e-14, abs=1e-300)
+    dxi, deta = regularized_vector_field(xi, eta, c, mu, primary)
+    assert np.array_equal(np.concatenate([dxi, deta]), z[:8])
+
+
+@settings(max_examples=100, deadline=None)
+@given(x=st.tuples(*[st.floats(-10.0, 10.0)] * 3),
+       primary=st.sampled_from(["moon", "earth"]),
+       mu=st.sampled_from([EARTH_MOON_MU, 0.3]),
+       c=st.sampled_from([-1.7, -1.5]))
+def test_field_raises_at_other_primary(x, primary, mu, c):
+    # the other primary sits at chart position y = (1, 0, 0)
+    xi, eta = chart_to_stereo(np.array(x), np.array([1.0, 0.0, 0.0]))
+    ch = MoserChart(mu, primary)
+    with pytest.raises(SecondaryCollisionError):
+        ch.field(np.concatenate([xi, eta, [0.0]]), c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(states=st.lists(ts3_states(eta_scale=5.0, off_fiber=True),
+                       min_size=1, max_size=8),
+       primary=st.sampled_from(["moon", "earth"]))
+def test_array_to_physical_matches_columns(states, primary):
+    ch = MoserChart(EARTH_MOON_MU, primary)
+    xi = np.column_stack([s[0] for s in states])
+    eta = np.column_stack([s[1] for s in states])
+    out = ch.to_physical(xi, eta)
+    assert out.shape == (6, len(states))
+    cols = np.column_stack([ch.to_physical(a, b) for a, b in states])
+    assert np.array_equal(out, cols)
+    assert ch.to_physical(xi[:, 0], eta[:, 0]).shape == (6,)
+
+
+def test_array_to_physical_rejects_fiber_column():
+    ch = MoserChart(EARTH_MOON_MU, "moon")
+    xi = np.array([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]])
+    eta = np.array([[0.0, 0.0], [0.0, 0.5], [0.5, 0.0], [0.0, 0.0]])
+    with pytest.raises(NorthPoleError):
+        ch.to_physical(xi, eta)
+    with pytest.raises(NorthPoleError):
+        ch.to_physical(xi[:, 1], eta[:, 1])
