@@ -9,7 +9,8 @@ from .cr3bp import (EARTH_MOON_MU, LagrangePointSet, StarkZeemanSystem,
                     hill_membership, lagrange_points, primaries,
                     sample_page_states, sample_shell_states, vector_field)
 from .errors import SectionScopeError
-from .flows import FlowEvent, IntegratorConfig, Trajectory, integrate
+from .flows import (FlowEvent, IntegratorConfig, Trajectory, integrate,
+                    integrate_many)
 from .orbits import (PeriodicOrbit, continue_family, find_periodic_point,
                      find_symmetric_planar_orbit, floquet_multipliers,
                      reciprocal_pair_residual)
@@ -19,4 +20,5 @@ from .sections import (ReturnSample, SectionSpec, ellipsoid_flow,
                        ellipsoid_page_rotation, exactness_loop_check,
                        geodesic_angle, hopf_map, involution, leaf_label,
                        leaf_label_physical, physical_angle, return_map,
-                       return_map_jacobian, transversality_value)
+                       return_map_jacobian, return_map_many,
+                       transversality_value)

@@ -10,9 +10,7 @@ significant digits so files are byte-stable for a fixed seed.
 import argparse
 import hashlib
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,8 +29,10 @@ from .orbits import (continue_family, find_periodic_point,
                      reciprocal_pair_residual, vertical_seed)
 from .regularize import MoserChart, kepler_oracles, stereo_to_chart, \
     chart_to_stereo
+# return_map stays bound here: perfbench/tracer.py wraps cli.return_map
 from .sections import (SectionSpec, ellipsoid_page_rotation, leaf_label,
-                       leaf_label_physical, return_map, transversality_value)
+                       leaf_label_physical, return_map, return_map_many,
+                       transversality_value)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -106,21 +106,6 @@ def write_csv(path, header, rows):
     else:
         with open(path, "w") as fh:
             fh.write(text)
-
-
-def n_threads():
-    try:
-        return max(1, int(os.environ.get("SECTIONSCOPE_THREADS", "1")))
-    except ValueError:
-        raise ConfigError("SECTIONSCOPE_THREADS must be an integer")
-
-
-def _pmap(fn, items):
-    nt = n_threads()
-    if nt == 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=nt) as ex:
-        return list(ex.map(fn, items))
 
 
 # --- commands ---
@@ -232,21 +217,33 @@ def cmd_section_scan(args):
     pts = sample_page_states(args.mu, args.c, args.n, rng,
                              component=component)
 
-    def one(idx_x):
-        idx, x = idx_x
-        try:
-            z0 = leaf_label_physical(x, args.mu)
-            s = return_map(x, args.mu, c=args.c, cfg=cfg, spec=spec)
-            z1 = leaf_label_physical(s.fx, args.mu)
-            return (idx, *x, *s.fx, s.tau, s.crossings,
-                    s.energy - args.c, abs(z1 - z0), s.binding_min,
-                    int(s.binding_warning), "ok")
-        except SectionScopeError as exc:
-            return (idx, *x, *([float("nan")] * 6), float("nan"), 0,
-                    float("nan"), float("nan"), float("nan"), 0,
-                    type(exc).__name__)
+    def failed(idx, exc):
+        return (idx, *pts[idx], *([float("nan")] * 6), float("nan"), 0,
+                float("nan"), float("nan"), float("nan"), 0,
+                type(exc).__name__)
 
-    rows = _pmap(one, list(enumerate(pts)))
+    # a row's status is the first error of its point: z0, return, z1
+    rows = [None] * len(pts)
+    z0 = {}
+    for idx, x in enumerate(pts):
+        try:
+            z0[idx] = leaf_label_physical(x, args.mu)
+        except SectionScopeError as exc:
+            rows[idx] = failed(idx, exc)
+    ids = list(z0)
+    samples = return_map_many([pts[i] for i in ids], args.mu, c=args.c,
+                              cfg=cfg, spec=spec)
+    for idx, s in zip(ids, samples):
+        try:
+            if isinstance(s, SectionScopeError):
+                raise s
+            z1 = leaf_label_physical(s.fx, args.mu)
+        except SectionScopeError as exc:
+            rows[idx] = failed(idx, exc)
+        else:
+            rows[idx] = (idx, *pts[idx], *s.fx, s.tau, s.crossings,
+                         s.energy - args.c, abs(z1 - z0[idx]),
+                         s.binding_min, int(s.binding_warning), "ok")
     header = (["index"] + [f"x{i}" for i in range(6)]
               + [f"fx{i}" for i in range(6)]
               + ["tau", "crossings", "energy_error", "leaf_delta",

@@ -1,35 +1,45 @@
 """Adaptive integration of CR3BP flows with collision-chart switching.
 
 The unregularized rotating-frame flow is integrated with an embedded
-high-order Runge-Kutta pair (dense output for event location).  When the
-satellite comes within ``collision_switch_radius`` of a massive primary,
-the state is pushed through the Moser chart of that primary and the
-regularized flow of Q is integrated instead; the physical time is
+high-order Runge-Kutta pair (DOP853, dense output for event location).
+When the satellite comes within ``collision_switch_radius`` of a massive
+primary, the state is pushed through the Moser chart of that primary and
+the regularized flow of Q is integrated instead; the physical time is
 accumulated alongside (dt/ds = g |q_loc|).  The chart is left again at
 twice the radius (hysteresis).
+
+``integrate_many`` flies a batch of independent flights in rounds.  In
+each round the rotating-chart legs of all live flights advance together:
+two or more legs run in one lockstep, numpy-vectorized DOP853 on an array
+of states (each member with its own step control, events and
+retirement); a single leg runs on scipy's ``solve_ivp``.  Moser-chart
+visits run one flight at a time between rounds.  ``integrate`` is the
+one-flight case.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolver, solve_ivp
+from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq
 
-from . import cr3bp
-from .cr3bp import hamiltonian, primaries, vector_field_ode
+from . import __version__
+from .cr3bp import COLLISION_THRESHOLD, hamiltonian, primaries, \
+    vector_field_ode
 from .errors import (
+    CollisionError,
     ConfigError,
     ConstraintDriftError,
     MaxTimeExceeded,
     NoCrossingError,
+    SectionScopeError,
     StepSizeUnderflow,
 )
 from .regularize import MoserChart, constraint_residual, project_constraints
-
-_VERSION = "0.1.0"
 
 
 @dataclass
@@ -67,9 +77,11 @@ class IntegratorConfig:
 class FlowEvent:
     """Event function usable in both charts.
 
-    fn(state6) evaluates on rotating-frame states.  chart_fn(chart, xi, eta),
-    when given, is used inside Moser segments (needed for quantities that
-    stay bounded across collisions where the physical momenta blow up).
+    fn(states) evaluates on rotating-frame states: a 6-state, or a (6, n)
+    array of states (one column per state) for which it returns n values
+    computed column by column.  chart_fn(chart, xi, eta), when given, is
+    used inside Moser segments (needed for quantities that stay bounded
+    across collisions where the physical momenta blow up).
     """
 
     def __init__(self, fn, direction=0.0, terminal=True, chart_fn=None,
@@ -81,10 +93,73 @@ class FlowEvent:
         self.name = name
 
 
+def _dop853_value(x, F, y_old):
+    """DOP853 interpolant at normalized step times x, in the operation
+    order of scipy's Dop853DenseOutput.  F is indexed by power first."""
+    y = np.zeros_like(F[0])
+    for i, f in enumerate(F[::-1]):
+        y += f
+        if i % 2 == 0:
+            y *= x
+        else:
+            y *= 1 - x
+    y += y_old
+    return y
+
+
+class DenseOutput:
+    """Array-backed DOP853 dense output of one segment.
+
+    Step k covers the node interval [ts[k], ts[k+1]] and interpolates from
+    t_old[k] over its whole solver step h[k] (a step cut short by a
+    terminal event keeps its full interpolant), with coefficients
+    F[k] (7, d) around y_old[k].  Steps are picked the way scipy's
+    OdeSolution picks them and evaluated in its operation order, so values
+    are bit-identical to it; an array of times is evaluated in one pass.
+    """
+
+    def __init__(self, ts, t_old, h, y_old, F):
+        self.ts = np.asarray(ts, dtype=float)
+        self.t_old = t_old
+        self.h = h
+        self.y_old = y_old
+        self.F = F
+        self._descending = bool(self.ts[-1] < self.ts[0])
+        self._sorted = self.ts[::-1] if self._descending else self.ts
+        self._side = "right" if self._descending else "left"
+
+    @classmethod
+    def from_ode_solution(cls, sol):
+        ips = sol.interpolants
+        return cls(sol.ts, np.array([ip.t_old for ip in ips]),
+                   np.array([ip.h for ip in ips]),
+                   np.array([ip.y_old for ip in ips]),
+                   np.array([ip.F for ip in ips]))
+
+    def __call__(self, t):
+        """State at t (shape (d,)) or at each of an array of times (d, m)."""
+        t = np.asarray(t)
+        last = len(self.h) - 1
+        if t.ndim == 0:
+            k = int(np.searchsorted(self._sorted, t, side=self._side)) - 1
+            k = min(max(k, 0), last)
+            if self._descending:
+                k = last - k
+            return _dop853_value((t - self.t_old[k]) / self.h[k], self.F[k],
+                                 self.y_old[k])
+        k = np.searchsorted(self._sorted, t, side=self._side) - 1
+        np.clip(k, 0, last, out=k)
+        if self._descending:
+            k = last - k
+        x = ((t - self.t_old[k]) / self.h[k])[:, None]
+        y = _dop853_value(x, self.F[k].transpose(1, 0, 2), self.y_old[k])
+        return np.ascontiguousarray(y.T)
+
+
 @dataclass
 class Segment:
     chart: str                    # 'rot' | 'moser-moon' | 'moser-earth'
-    sol: object                   # OdeSolution in the segment variable
+    sol: DenseOutput              # dense output in the segment variable
     t0: float
     t1: float
     nodes: np.ndarray             # solver accept times (segment variable)
@@ -139,16 +214,6 @@ class Trajectory:
     def final_state(self):
         return self.segments[-1].state_at(self.t_end, self.mu)
 
-    def sample_times(self):
-        """Physical times of all solver nodes."""
-        out = []
-        for seg in self.segments:
-            if seg.chart == "rot":
-                out.extend(seg.nodes.tolist())
-            else:
-                out.extend(float(seg.sol(s)[8]) for s in seg.nodes)
-        return np.asarray(out)
-
     def energy_drift(self, n_per_segment=30):
         """Max relative deviation of the conserved quantity along the flight.
 
@@ -192,7 +257,7 @@ class Trajectory:
         """One record per solver node: t, chart, state, H, constraint residual."""
         with open(path, "w") as fh:
             header = {
-                "record": "header", "version": _VERSION, "mu": self.mu,
+                "record": "header", "version": __version__, "mu": self.mu,
                 "energy": self.energy, "config_hash": config_hash,
                 "chart_switches": self.chart_switches,
             }
@@ -219,46 +284,106 @@ class Trajectory:
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _which_terminal(sol, ivp_events):
-    """Index of the terminal event that stopped solve_ivp, or None.
+# --- one leg of a flight: the request and its outcome ---
 
-    A terminal event ends the solve at its first root, so the one that
+
+@dataclass
+class _LegRequest:
+    """A rotating-chart leg from (t0, y0) towards t_bound."""
+    y0: np.ndarray
+    t0: float
+    t_bound: float
+    events: list                  # FlowEvents: switch events, then user events
+
+
+@dataclass
+class _Leg:
+    """Outcome of one leg, from solve_ivp or from the lockstep stepper."""
+    status: int                   # 0 reached t_bound, 1 terminal event, -1 failed
+    message: str
+    t: np.ndarray                 # node times
+    t_events: list                # root times, one array per event
+    sol: Optional[DenseOutput]
+    y_end: Optional[np.ndarray]   # state at t[-1]
+
+    @classmethod
+    def from_ivp(cls, res):
+        if res.status == -1:
+            return cls(-1, res.message, res.t, res.t_events, None, None)
+        return cls(res.status, res.message, res.t, res.t_events,
+                   DenseOutput.from_ode_solution(res.sol), res.y[:, -1])
+
+
+def _ivp_events(events):
+    """solve_ivp event callables evaluating FlowEvent.fn on the state."""
+    out = []
+    for ev in events:
+        def event(t, y, fn=ev.fn):
+            return fn(y)
+        event.terminal = ev.terminal
+        event.direction = ev.direction
+        out.append(event)
+    return out
+
+
+def _which_terminal(leg, events):
+    """Index of the terminal event that stopped a leg, or None.
+
+    A terminal event ends the leg at its first root, so the one that
     stopped it is the only terminal event with a recorded root.
     """
-    if sol.status != 1:
+    if leg.status != 1:
         return None
-    for idx, ev in enumerate(ivp_events):
-        if ev.terminal and sol.t_events[idx].size:
+    for idx, ev in enumerate(events):
+        if ev.terminal and leg.t_events[idx].size:
             return idx
     return None
 
 
-def _user_hits(sol, first):
-    """(solver time, user event index) of every user-event root of a solve,
-    in flight order; user events start at ivp event index ``first``."""
-    hits = [(float(te), k) for k, tes in enumerate(sol.t_events[first:])
+def _user_hits(leg, first):
+    """(solver time, user event index) of every user-event root of a leg,
+    in flight order; user events start at event index ``first``."""
+    hits = [(float(te), k) for k, tes in enumerate(leg.t_events[first:])
             for te in tes]
-    hits.sort(reverse=bool(sol.t[-1] < sol.t[0]))
+    hits.sort(reverse=bool(leg.t[-1] < leg.t[0]))
     return hits
 
 
-def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
-              start_chart="rot"):
-    """Flow a state to t_final (physical time), switching charts as needed.
+def _switch_events(mu, cfg):
+    """(chart name, primary position, terminal FlowEvent entering its
+    switch radius) for each massive primary, Earth first."""
+    if not cfg.switching:
+        return []
+    e_pos, m_pos = primaries(mu)
+    r = cfg.collision_switch_radius
+    out = []
+    for name, pos, mass in (("moser-earth", e_pos, 1.0 - mu),
+                            ("moser-moon", m_pos, mu)):
+        if mass <= 0.0:
+            continue
+        def dist(y, pos=pos):
+            return np.sqrt((y[0] - pos[0]) ** 2 + y[1] ** 2
+                           + y[2] ** 2) - r
+        out.append((name, pos, FlowEvent(dist, direction=-1.0,
+                                         terminal=True, name=name)))
+    return out
 
-    start: 6-state (rot) or (xi, eta) pair when start_chart names a Moser
-    chart.  events: sequence of FlowEvent; a terminal one stops the run
-    (recorded in Trajectory.stopped_by).  Raises MaxTimeExceeded (with the
-    partial trajectory attached) when cfg.max_time elapses first, and
-    StepSizeUnderflow when the unregularized flow grinds into a collision.
+
+# --- the flight loop ---
+
+
+def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
+            leg_events):
+    """One flight as a coroutine.
+
+    Yields a _LegRequest for every rotating-chart leg and is sent back its
+    _Leg (or has the leg's error thrown in); returns the Trajectory.
+    Chart switching, Moser visits and the stop bookkeeping live here only.
+    Backward flights stay in the rotating chart and ignore max_time.
     """
-    events = list(events)
-    if t_final < t0:
-        if start_chart != "rot":
-            raise ConfigError("backward integration supports the rot chart only")
-        return _integrate_backward(np.asarray(start, float), mu, cfg,
-                                   t_final, c, events, t0)
-
+    forward = t_final >= t0
+    if not forward and start_chart != "rot":
+        raise ConfigError("backward integration supports the rot chart only")
     if start_chart == "rot":
         state = np.asarray(start, dtype=float).copy()
         chart_name = "rot"
@@ -276,8 +401,7 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
         xi, eta = (np.asarray(v, dtype=float).copy() for v in start)
         state = None
 
-    t_cap = t0 + cfg.max_time
-    t_stop = min(t_final, t_cap)
+    t_stop = min(t_final, t0 + cfg.max_time) if forward else t_final
     segments = []
     hits = []
     switches = 0
@@ -291,75 +415,50 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
                           event_hits=hits, constraint_residual_max=res_max,
                           stopped_by=stopped_by)
 
+    def time_out(t_end):
+        return MaxTimeExceeded(f"max_time={cfg.max_time} exceeded",
+                               trajectory=build_traj(t_end))
+
     while True:
-        if t >= t_stop - 1e-13:
+        if t >= t_stop - 1e-13 if forward else t <= t_stop + 1e-13:
             if t_stop < t_final - 1e-13:
-                raise MaxTimeExceeded(f"max_time={cfg.max_time} exceeded",
-                                      trajectory=build_traj(t))
+                raise time_out(t)
             return build_traj(t)
         if chart_name == "rot":
-            sw_evs = []
-            sw_names = []
-            if cfg.switching:
-                e_pos, m_pos = primaries(mu)
-                r = cfg.collision_switch_radius
-                for name, pos, mass in (("moser-earth", e_pos, 1.0 - mu),
-                                        ("moser-moon", m_pos, mu)):
-                    if mass <= 0.0:
-                        continue
-                    d_now = np.linalg.norm(state[:3] - pos)
-                    if d_now < r:
-                        sw_now = name
-                        break
-                    def dist(tt, y, pos=pos, r=r):
-                        return math.sqrt((y[0] - pos[0]) ** 2 + y[1] ** 2
-                                         + y[2] ** 2) - r
-                    dist.terminal = True
-                    dist.direction = -1.0
-                    sw_evs.append(dist)
-                    sw_names.append(name)
-                else:
-                    sw_now = None
-                if sw_now is not None:
-                    # already inside the switch radius: convert in place
-                    ch = MoserChart(mu, sw_now.split("-")[1])
-                    xi, eta = ch.from_physical(state)
-                    chart_name = sw_now
-                    switches += 1
-                    continue
-            ivp_events = list(sw_evs)
-            for k, ev in enumerate(events):
-                def wrapped(tt, y, ev=ev):
-                    return ev.fn(y)
-                wrapped.terminal = ev.terminal
-                wrapped.direction = ev.direction
-                ivp_events.append(wrapped)
-            sol = solve_ivp(lambda tt, y: vector_field_ode(tt, y, mu),
-                            (t, t_stop), state,
-                            method="DOP853", dense_output=True,
-                            rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                            max_step=cfg.max_step, events=ivp_events)
-            if sol.status == -1:
-                raise StepSizeUnderflow(sol.message)
-            seg = Segment(chart="rot", sol=sol.sol, t0=t, t1=sol.t[-1],
-                          nodes=sol.t)
+            inside = next((name for name, pos, _ in switch
+                           if np.linalg.norm(state[:3] - pos)
+                           < cfg.collision_switch_radius), None)
+            if inside is not None:
+                # already inside the switch radius: convert in place
+                ch = MoserChart(mu, inside.split("-")[1])
+                xi, eta = ch.from_physical(state)
+                chart_name = inside
+                switches += 1
+                continue
+            leg = yield _LegRequest(state, t, t_stop, leg_events)
+            if leg.status == -1:
+                raise StepSizeUnderflow(leg.message)
+            t_end = leg.t[-1]
+            if forward:
+                seg = Segment(chart="rot", sol=leg.sol, t0=t, t1=t_end,
+                              nodes=leg.t)
+            else:
+                seg = Segment(chart="rot", sol=leg.sol, t0=t_end, t1=t,
+                              nodes=leg.t[::-1].copy())
             segments.append(seg)
-            n_sw = len(sw_evs)
-            for te, k in _user_hits(sol, n_sw):
-                hits.append((k, te, sol.sol(te).copy()))
-            cause = _which_terminal(sol, ivp_events)
-            t = sol.t[-1]
+            n_sw = len(switch)
+            for te, k in _user_hits(leg, n_sw):
+                hits.append((k, te, leg.sol(te).copy()))
+            cause = _which_terminal(leg, leg_events)
+            t = t_end
             if cause is None:
-                if sol.status == 0 and t_stop < t_final - 1e-13:
-                    raise MaxTimeExceeded(
-                        f"max_time={cfg.max_time} exceeded",
-                        trajectory=build_traj(t))
+                if leg.status == 0 and t_stop < t_final - 1e-13:
+                    raise time_out(t)
                 return build_traj(t)
             if cause < n_sw:
-                chart_name = sw_names[cause]
-                state_sw = sol.sol(t)
+                chart_name = switch[cause][0]
                 ch = MoserChart(mu, chart_name.split("-")[1])
-                xi, eta = ch.from_physical(state_sw)
+                xi, eta = ch.from_physical(leg.sol(t))
                 switches += 1
                 continue
             stopped_by = cause - n_sw
@@ -378,13 +477,99 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
                 return build_traj(t)
             if reason == "time":
                 if t_stop < t_final - 1e-13:
-                    raise MaxTimeExceeded(
-                        f"max_time={cfg.max_time} exceeded",
-                        trajectory=build_traj(t))
+                    raise time_out(t)
                 return build_traj(t)
             raise MaxTimeExceeded(
                 "regularized-time budget exhausted inside the chart",
                 trajectory=build_traj(t))
+
+
+def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
+                   start_chart="rot"):
+    """Fly independent flights together; returns, per member, its
+    Trajectory or the SectionScopeError that ended it.
+
+    Member i flows starts[i] from t0s[i] (default 0) to t_finals[i] at
+    energy cs[i] (default: H of the start), as ``integrate`` would; all
+    share mu, cfg, the events and the start chart.  A member's result
+    agrees with its ``integrate`` run to integration accuracy.  Bit for
+    bit it depends only on which of its legs had company in their round,
+    never on who the company was, and a failing member leaves the others
+    unchanged.
+    """
+    n = len(starts)
+    cs = [None] * n if cs is None else list(cs)
+    t0s = [0.0] * n if t0s is None else list(t0s)
+    events = list(events)
+    switch = _switch_events(mu, cfg)
+    fwd_events = [ev for _, _, ev in switch] + events
+    results = [None] * n
+    flights = []
+    pending = {}
+
+    def resume(i, leg):
+        try:
+            if isinstance(leg, SectionScopeError):
+                pending[i] = flights[i].throw(leg)
+            else:
+                pending[i] = flights[i].send(leg)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except SectionScopeError as exc:
+            results[i] = exc
+
+    for i in range(n):
+        forward = t_finals[i] >= t0s[i]
+        flights.append(_flight(
+            starts[i], mu, cfg, t_finals[i], cs[i], events, t0s[i],
+            start_chart, switch if forward else [],
+            fwd_events if forward else events))
+        resume(i, None)
+    while pending:
+        # a lockstep evaluates one event list: forward legs carry the
+        # switch events, backward ones do not
+        rounds = {}
+        for i, req in pending.items():
+            rounds.setdefault(id(req.events), []).append(i)
+        reqs, pending = pending, {}
+        for members in rounds.values():
+            if len(members) == 1:
+                legs = [_solo_leg(reqs[members[0]], mu, cfg)]
+            else:
+                legs = _lockstep([reqs[i] for i in members], mu, cfg)
+            for i, leg in zip(members, legs):
+                resume(i, leg)
+    return results
+
+
+def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
+              start_chart="rot"):
+    """Flow a state to t_final (physical time), switching charts as needed.
+
+    start: 6-state (rot) or (xi, eta) pair when start_chart names a Moser
+    chart.  events: sequence of FlowEvent; a terminal one stops the run
+    (recorded in Trajectory.stopped_by).  Raises MaxTimeExceeded (with the
+    partial trajectory attached) when cfg.max_time elapses first, and
+    StepSizeUnderflow when the unregularized flow grinds into a collision.
+    """
+    out, = integrate_many([start], mu, cfg, [t_final], [c], events, [t0],
+                          start_chart)
+    if isinstance(out, SectionScopeError):
+        raise out
+    return out
+
+
+def _solo_leg(req, mu, cfg):
+    """A rotating-chart leg on solve_ivp; a numerical error is returned."""
+    try:
+        return _Leg.from_ivp(solve_ivp(
+            lambda tt, y: vector_field_ode(tt, y, mu),
+            (req.t0, req.t_bound), req.y0,
+            method="DOP853", dense_output=True,
+            rtol=cfg.rel_tol, atol=cfg.abs_tol,
+            max_step=cfg.max_step, events=_ivp_events(req.events)))
+    except SectionScopeError as exc:
+        return exc
 
 
 def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
@@ -401,40 +586,34 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     def rhs(s, z):
         return ch.field(z, c)
 
-    def exit_ev(s, z):
-        return ch.physical_radius(z[:4], z[4:8]) - r2
-    exit_ev.terminal = True
-    exit_ev.direction = 1.0
-
-    def time_ev(s, z):
-        return z[8] - t_stop
-    time_ev.terminal = True
-    time_ev.direction = 1.0
-
-    ivp_events = [exit_ev, time_ev]
+    chart_events = [
+        FlowEvent(lambda z: ch.physical_radius(z[:4], z[4:8]) - r2,
+                  direction=1.0, name="exit"),
+        FlowEvent(lambda z: z[8] - t_stop, direction=1.0, name="time"),
+    ]
     for ev in events:
         if ev.chart_fn is not None:
-            def wrapped(s, z, ev=ev):
+            def fn(z, ev=ev):
                 return ev.chart_fn(ch, z[:4], z[4:8])
         else:
-            def wrapped(s, z, ev=ev):
+            def fn(z, ev=ev):
                 return ev.fn(ch.to_physical(z[:4], z[4:8]))
-        wrapped.terminal = ev.terminal
-        wrapped.direction = ev.direction
-        ivp_events.append(wrapped)
+        chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
+    ivp_events = _ivp_events(chart_events)
 
     z = np.concatenate([xi, eta, [t]])
     s = 0.0
     res_max = 0.0
     while s < cfg.max_reg_time:
-        sol = solve_ivp(rhs, (s, s + cfg.reg_chunk), z, method="DOP853",
-                        dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-                        max_step=cfg.max_step, events=ivp_events)
-        if sol.status == -1:
-            raise StepSizeUnderflow(sol.message)
-        z_end = sol.y[:, -1]
-        seg = Segment(chart=f"moser-{ch.primary}", sol=sol.sol,
-                      t0=t, t1=float(z_end[8]), nodes=sol.t, moser=ch)
+        leg = _Leg.from_ivp(solve_ivp(
+            rhs, (s, s + cfg.reg_chunk), z, method="DOP853",
+            dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
+            max_step=cfg.max_step, events=ivp_events))
+        if leg.status == -1:
+            raise StepSizeUnderflow(leg.message)
+        z_end = leg.y_end
+        seg = Segment(chart=f"moser-{ch.primary}", sol=leg.sol,
+                      t0=t, t1=float(z_end[8]), nodes=leg.t, moser=ch)
         t = float(z_end[8])
         res = constraint_residual(z_end[:4], z_end[4:8])
         seg.residual = res
@@ -443,10 +622,10 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
             raise ConstraintDriftError(
                 f"constraint residual {res:.3e} exceeds tolerance")
         res_max = max(res_max, res)
-        for te, k in _user_hits(sol, 2):
-            ze = sol.sol(te)
+        for te, k in _user_hits(leg, 2):
+            ze = leg.sol(te)
             hits.append((k, float(ze[8]), _safe_physical(ch, ze)))
-        cause = _which_terminal(sol, ivp_events)
+        cause = _which_terminal(leg, chart_events)
         xi, eta = project_constraints(z_end[:4], z_end[4:8])
         if cause == 0:
             return xi, eta, t, "exit", res_max, None
@@ -454,7 +633,7 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
             return xi, eta, t, "time", res_max, None
         if cause is not None:
             return xi, eta, t, "user", res_max, cause - 2
-        s = sol.t[-1]
+        s = leg.t[-1]
         z = np.concatenate([xi, eta, [t]])
     return xi, eta, t, "budget", res_max, None
 
@@ -465,32 +644,293 @@ def _safe_physical(ch, z):
     return ch.to_physical(z[:4], z[4:8])
 
 
-def _integrate_backward(state, mu, cfg, t_final, c, events, t0):
-    """Backward flow in the rot chart only (no switching)."""
-    if c is None:
-        c = hamiltonian(state, mu)
-    ivp_events = []
-    for ev in events:
-        def wrapped(tt, y, ev=ev):
-            return ev.fn(y)
-        wrapped.terminal = ev.terminal
-        wrapped.direction = ev.direction
-        ivp_events.append(wrapped)
-    sol = solve_ivp(lambda tt, y: vector_field_ode(tt, y, mu),
-                    (t0, t_final), state,
-                    method="DOP853", dense_output=True, rtol=cfg.rel_tol,
-                    atol=cfg.abs_tol, max_step=cfg.max_step,
-                    events=ivp_events)
-    if sol.status == -1:
-        raise StepSizeUnderflow(sol.message)
-    t_end = sol.t[-1]
-    seg = Segment(chart="rot", sol=sol.sol, t0=t_end, t1=t0,
-                  nodes=sol.t[::-1].copy())
-    hits = [(k, te, sol.sol(te).copy()) for te, k in _user_hits(sol, 0)]
-    stopped = _which_terminal(sol, ivp_events)
-    return Trajectory(mu=mu, energy=c, t0=t0, t_end=t_end, segments=[seg],
-                      chart_switches=0, event_hits=hits,
-                      constraint_residual_max=0.0, stopped_by=stopped)
+# --- the lockstep DOP853 for rotating-chart legs ---
+#
+# A per-member transcription of scipy's RungeKutta._step_impl, DOP853
+# error norm and dense output, and of solve_ivp's event handling, on a
+# (members, 6) state array.  A member's step is rejected, retried and
+# accepted on its own; its stage sums run over the stage axis elementwise
+# and every reduction runs along a member's own row, so its arithmetic is
+# the same in any batch.
+
+_STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
+_ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
+
+
+def _rot_field_rows(Y, mu):
+    """Rotating vector field of each row of Y (m, 6), and the mask of
+    rows within the collision threshold of a primary."""
+    q1, q2, q3, p1, p2, p3 = Y.T
+    dx_e = q1 - mu
+    dx_m = q1 - (mu - 1.0)
+    r2 = q2 * q2 + q3 * q3
+    de = np.sqrt(dx_e * dx_e + r2)
+    dm = np.sqrt(dx_m * dx_m + r2)
+    ke = (1.0 - mu) / de ** 3
+    km = mu / dm ** 3
+    k = ke + km
+    out = np.empty_like(Y)
+    np.add(p1, q2, out=out[:, 0])
+    np.subtract(p2, q1, out=out[:, 1])
+    out[:, 2] = p3
+    np.subtract(p2, km * dx_m + ke * dx_e, out=out[:, 3])
+    # -(p1 + k q2) and -(k q3), in place on fresh arrays (negation is
+    # exact); q1..p3 are views of Y and are not written
+    kq2 = k * q2
+    kq2 += p1
+    np.negative(kq2, out=out[:, 4])
+    k *= q3
+    np.negative(k, out=out[:, 5])
+    return out, np.minimum(de, dm) < COLLISION_THRESHOLD
+
+
+def _wsum(w, K):
+    """sum_s w[s] K[s] over the leading (stage) axis."""
+    return (w[:, None, None] * K[:len(w)]).sum(axis=0)
+
+
+def _rms(X):
+    """scipy's RMS norm of each row."""
+    return np.sqrt((X * X).sum(axis=1)) / X.shape[1] ** 0.5
+
+
+class _Rows:
+    """The live members of a lockstep: parallel arrays, one row each."""
+
+    def __init__(self, **arrays):
+        self.__dict__.update(arrays)
+
+    def drop(self, mask):
+        for name, arr in vars(self).items():
+            setattr(self, name, arr[~mask])
+
+
+def _initial_step(m, mu, cfg):
+    """scipy's select_initial_step for every row; returns (h_abs, rows
+    whose trial step hit a collision)."""
+    span = np.abs(m.t_bound - m.t)
+    scale = cfg.abs_tol + np.abs(m.y) * cfg.rel_tol
+    d0, d1 = _rms(m.y / scale), _rms(m.f / scale)
+    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
+    h0 = np.minimum(h0, span)
+    f1, bad = _rot_field_rows(m.y + (h0 * m.d)[:, None] * m.f, mu)
+    d2 = _rms((f1 - m.f) / scale) / h0
+    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
+                  np.maximum(1e-6, h0 * 1e-3),
+                  (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
+    return np.minimum(np.minimum(100 * h0, h1),
+                      np.minimum(span, cfg.max_step)), bad
+
+
+def _rk_stages(y, f, h, mu):
+    """All 16 DOP853 stages of a step of every row: the 12 of the step,
+    f(y_new) and the 3 of the dense output.  Returns (K, y_new, rows
+    that hit a collision in the step, rows that hit one after it)."""
+    hc = h[:, None]
+    K = np.empty((16,) + y.shape)
+    K[0] = f
+    bad = np.zeros(len(y), dtype=bool)
+    for s in range(1, _STAGES):
+        K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
+        bad |= b
+    y_new = y + hc * _wsum(dop.B, K)
+    K[_STAGES], b = _rot_field_rows(y_new, mu)
+    bad |= b
+    bad_dense = np.zeros(len(y), dtype=bool)
+    for s in range(_STAGES + 1, 16):
+        K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
+        bad_dense |= b
+    return K, y_new, bad, bad_dense
+
+
+def _error_norm(K, y, y_new, h_abs, cfg):
+    """DOP853's error norm (E5 with the E3 correction) of every row."""
+    scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+    err5 = _wsum(dop.E5, K) / scale
+    err3 = _wsum(dop.E3, K) / scale
+    e5 = (err5 * err5).sum(axis=1)
+    e3 = (err3 * err3).sum(axis=1)
+    return np.where((e5 == 0) & (e3 == 0), 0.0,
+                    h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.shape[1]))
+
+
+def _step_factor(err, rejected):
+    """scipy's step-size factor: growth after an accepted step (at most 1
+    after a rejection), shrinkage after a rejected one.  The comparisons
+    mirror Python's min and max, which keep the bound when err is NaN."""
+    fac = _SAFETY * err ** _ERR_EXP
+    grow = np.where(err == 0, _MAX_FACTOR,
+                    np.where(fac < _MAX_FACTOR, fac, _MAX_FACTOR))
+    grow = np.where(rejected & (grow > 1), 1.0, grow)
+    return np.where(err < 1, grow, np.where(fac > _MIN_FACTOR, fac,
+                                            _MIN_FACTOR))
+
+
+def _dense_coeffs(K, y, y_new, h):
+    """Dop853DenseOutput's coefficients F (rows, 7, 6) of every row."""
+    hc = h[:, None]
+    dy = y_new - y
+    F = np.empty((len(y), 7, y.shape[1]))
+    F[:, 0] = dy
+    F[:, 1] = hc * K[0] - dy
+    F[:, 2] = 2 * dy - hc * (K[_STAGES] + K[0])
+    for r in range(4):
+        F[:, 3 + r] = hc * _wsum(dop.D[r], K)
+    return F
+
+
+def _member_events(events, act, count, ev_max, t_old, t_new, h, y_old, F,
+                   t_events):
+    """solve_ivp's handle_events for the active events act of one
+    member's step: roots on the step's interpolant, recorded up to and
+    including a terminal one.  Returns the terminal root or None."""
+    count[act] += 1
+    roots = np.array([brentq(
+        lambda tt, fn=events[e].fn: fn(_dop853_value((tt - t_old) / h, F,
+                                                     y_old)),
+        t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for e in act])
+    stop = None
+    if np.any(count[act] >= ev_max[act]):
+        order = np.argsort(roots if t_new > t_old else -roots)
+        act, roots = act[order], roots[order]
+        last = np.nonzero(count[act] >= ev_max[act])[0][0]
+        act, roots = act[:last + 1], roots[:last + 1]
+        stop = roots[-1]
+    for e, te in zip(act, roots):
+        t_events[e].append(te)
+    return stop
+
+
+def _lockstep(reqs, mu, cfg):
+    """Run rotating-chart legs together; returns a _Leg or the
+    CollisionError that ended it, per request.  All requests share one
+    event list."""
+    events = reqs[0].events
+    ev_dir = np.array([ev.direction for ev in events])[None, :]
+    ev_max = np.array([1.0 if ev.terminal else np.inf for ev in events])
+    out = [None] * len(reqs)
+    t_events = [[[] for _ in events] for _ in reqs]
+    log = []                    # per iteration: the accepted steps
+
+    def fail(rows, make):
+        for j in m.gid[rows]:
+            out[j] = make()
+        m.drop(rows)
+
+    def collided():
+        return CollisionError("state within collision threshold of a "
+                              "primary")
+
+    def underflow():
+        return _Leg(-1, OdeSolver.TOO_SMALL_STEP, None, None, None, None)
+
+    def eval_events(y):
+        return np.array([ev.fn(y.T) for ev in events]).reshape(
+            len(events), len(y)).T
+
+    y = np.array([r.y0 for r in reqs], dtype=float)
+    t = np.array([r.t0 for r in reqs], dtype=float)
+    t_bound = np.array([r.t_bound for r in reqs], dtype=float)
+    with np.errstate(all="ignore"):
+        f, bad = _rot_field_rows(y, mu)
+        m = _Rows(gid=np.arange(len(reqs)), y=y, f=f, t=t, t_bound=t_bound,
+                  d=np.sign(t_bound - t), g=eval_events(y),
+                  count=np.zeros((len(reqs), len(events))),
+                  rej=np.zeros(len(reqs), dtype=bool),
+                  n_steps=np.zeros(len(reqs), dtype=int))
+        m.h_abs, b = _initial_step(m, mu, cfg)
+        fail(bad | b, collided)
+
+        while m.gid.size:
+            # scipy clamps the step to [min_step, max_step] only on the
+            # first attempt of a step and fails below min_step after that
+            min_step = 10 * np.abs(np.nextafter(m.t, m.d * np.inf) - m.t)
+            first = ~m.rej
+            m.h_abs = np.where(first & (m.h_abs > cfg.max_step),
+                               cfg.max_step,
+                               np.where(first & (m.h_abs < min_step),
+                                        min_step, m.h_abs))
+            small = m.h_abs < min_step
+            if small.any():
+                fail(small, underflow)
+                if not m.gid.size:
+                    break
+            t_new = m.t + m.h_abs * m.d
+            t_new = np.where(m.d * (t_new - m.t_bound) > 0, m.t_bound, t_new)
+            h = t_new - m.t
+            K, y_new, bad, bad_dense = _rk_stages(m.y, m.f, h, mu)
+            err = _error_norm(K, m.y, y_new, np.abs(h), cfg)
+            accept = err < 1
+            m.h_abs = np.abs(h) * _step_factor(err, m.rej)
+            m.rej = ~accept
+            bad |= accept & bad_dense
+
+            # commit the accepted steps
+            a = np.nonzero(accept & ~bad)[0]
+            t_old, y_old = m.t[a], m.y[a]
+            F = _dense_coeffs(K[:, a], y_old, y_new[a], h[a])
+            m.t[a], m.y[a], m.f[a] = t_new[a], y_new[a], K[_STAGES, a]
+            m.n_steps[a] += 1
+            t_node = t_new[a]
+            keep = np.ones(a.size, dtype=bool)
+            log.append((m.gid[a], t_old, h[a], y_old, F, t_node, keep))
+            ended = m.d[a] * (t_new[a] - m.t_bound[a]) >= 0
+            stopped = np.zeros(a.size, dtype=bool)   # by a terminal event
+
+            # events: solve_ivp's find_active_events on every new state
+            g_new = eval_events(y_new[a])
+            g_old = m.g[a]
+            up = (g_old <= 0) & (g_new >= 0)
+            down = (g_old >= 0) & (g_new <= 0)
+            active = ((up & (ev_dir > 0)) | (down & (ev_dir < 0))
+                      | ((up | down) & (ev_dir == 0)))
+            m.g[a] = g_new
+            for p in np.nonzero(active.any(axis=1))[0]:
+                i = a[p]
+                stop = _member_events(
+                    events, np.nonzero(active[p])[0], m.count[i], ev_max,
+                    t_old[p], t_new[i], h[i], y_old[p], F[p],
+                    t_events[m.gid[i]])
+                if stop is not None:
+                    stopped[p] = True
+                    t_node[p] = stop
+                    m.y[i] = _dop853_value((stop - t_old[p]) / h[i], F[p],
+                                           y_old[p])
+                    # solve_ivp drops a node that repeats the last one
+                    keep[p] = not (m.n_steps[i] > 1 and stop == t_old[p])
+            for p in np.nonzero(ended | stopped)[0]:
+                out[m.gid[a[p]]] = _Leg(int(stopped[p]), "", None, None,
+                                        None, m.y[a[p]].copy())
+            done = bad.copy()
+            done[a] = ended | stopped
+            fail(bad, collided)
+            m.drop(done[~bad])
+
+    return _assemble_legs(reqs, out, log, t_events)
+
+
+def _assemble_legs(reqs, out, log, t_events):
+    """Fill each finished leg's nodes, events and dense output from the
+    per-iteration log of accepted steps."""
+    if not log:
+        return out
+    member, t_old, h, y_old, F, t_node, keep = (
+        np.concatenate(col) for col in zip(*log))
+    member, t_old, h, y_old, F, t_node = (
+        col[keep] for col in (member, t_old, h, y_old, F, t_node))
+    order = np.argsort(member, kind="stable")
+    bounds = np.searchsorted(member[order], np.arange(len(reqs) + 1))
+    for j, leg in enumerate(out):
+        if not isinstance(leg, _Leg) or leg.status == -1:
+            continue
+        rows = order[bounds[j]:bounds[j + 1]]
+        leg.t = np.concatenate([[reqs[j].t0], t_node[rows]])
+        leg.t_events = [np.asarray(te) for te in t_events[j]]
+        leg.sol = DenseOutput(leg.t, t_old[rows], h[rows], y_old[rows],
+                              F[rows])
+    return out
 
 
 def event_crossing(traj, fn, direction=0, t_range=None, n_scan=400):

@@ -37,6 +37,16 @@ def stereo_to_chart(xi, eta):
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
+    if xi.shape == eta.shape == (4,):
+        # T*S^3 point: the same arithmetic on floats, without array calls
+        a0, a1, a2, a3 = xi.tolist()
+        b0, b1, b2, b3 = eta.tolist()
+        s = 1.0 - a0
+        if abs(s) < NORTH_POLE_TOL:
+            raise NorthPoleError("state on the collision fiber xi0 = 1")
+        return (np.array([a1 / s, a2 / s, a3 / s]),
+                np.array([b0 * a1 + s * b1, b0 * a2 + s * b2,
+                          b0 * a3 + s * b3]))
     s = 1.0 - xi[0]
     on_fiber = abs(s) < NORTH_POLE_TOL
     if on_fiber.any() if xi.ndim > 1 else on_fiber:
@@ -51,11 +61,22 @@ def chart_to_stereo(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = float(x @ x)
+    e0 = float(x @ y)
+    if x.shape == y.shape == (3,):
+        # spatial point: the same arithmetic on floats, without array calls
+        x1, x2, x3 = x.tolist()
+        y1, y2, y3 = y.tolist()
+        sp = s + 1.0
+        a = 0.5 * sp
+        return (np.array([(s - 1.0) / sp, 2.0 * x1 / sp, 2.0 * x2 / sp,
+                          2.0 * x3 / sp]),
+                np.array([e0, a * y1 - e0 * x1, a * y2 - e0 * x2,
+                          a * y3 - e0 * x3]))
     xi = np.empty(len(x) + 1)
     eta = np.empty_like(xi)
     xi[0] = (s - 1.0) / (s + 1.0)
     xi[1:] = 2.0 * x / (s + 1.0)
-    eta[0] = float(x @ y)
+    eta[0] = e0
     eta[1:] = 0.5 * (s + 1.0) * y - eta[0] * x
     return xi, eta
 
@@ -299,11 +320,6 @@ def lc_vector_field(z):
     """
     u1, u2, v1, v2 = z
     return np.array([-v1 / 4.0, -v2 / 4.0, u1 / 4.0, u2 / 4.0])
-
-
-def kepler_energy(p, q):
-    """Planar Kepler Hamiltonian |p|^2/2 - 1/|q| (complex p, q)."""
-    return 0.5 * abs(p) ** 2 - 1.0 / abs(q)
 
 
 # --- Kepler oracles ---

@@ -27,11 +27,13 @@ from .cr3bp import hamiltonian, hamiltonian_gradient, primaries
 from .errors import (
     BindingError,
     ConfigError,
+    MaxTimeExceeded,
     NoCrossingError,
     OffSurfaceError,
     PerturbationEscapeError,
+    SectionScopeError,
 )
-from .flows import FlowEvent, IntegratorConfig, integrate
+from .flows import FlowEvent, IntegratorConfig, integrate, integrate_many
 from .regularize import MoserChart
 
 BINDING_SQ_TOL = 1e-24
@@ -60,15 +62,6 @@ def transversality_value(state, mu):
     dm = np.linalg.norm(q - m)
     f_val = mu / dm ** 3 + (1.0 - mu) / de ** 3
     return (p3 * p3 + q3 * q3 * f_val) / rho2
-
-
-def transversality_value_sz(q, p, sys):
-    """Same quantity for a general Stark-Zeeman system (chart coordinates)."""
-    q3, p3 = q[2], p[2]
-    rho2 = q3 * q3 + p3 * p3
-    if rho2 < BINDING_SQ_TOL:
-        raise BindingError("state on the binding (planar problem)")
-    return (p3 * p3 + q3 * q3 * sys.F(np.asarray(q, float))) / rho2
 
 
 def geodesic_angle(xi, eta):
@@ -157,20 +150,16 @@ def _page_event(theta):
     return fn, chart_fn
 
 
-def return_map(x, mu, c=None, cfg=None, spec=None, return_traj=False):
-    """First-return map of the physical open book at page spec.theta.
-
-    x must lie on the page (angle within 1e-8 of theta) and on H = c.
-    The flight runs with collision-chart switching; the page crossing is
-    located by the integrator's event machinery on the linear page
-    function.  Raises MaxTimeExceeded (partial trajectory attached) when
-    no return occurs within cfg.max_time.
-    """
+def _return_config(spec, cfg):
     spec = spec or SectionSpec()
     if spec.angle_fn != "physical":
         raise ConfigError("return_map implements the physical open book; "
                           "use the ellipsoid helpers for the toy flow")
-    cfg = cfg or IntegratorConfig()
+    return spec, cfg or IntegratorConfig()
+
+
+def _return_setup(x, mu, c, spec):
+    """Checks a page point; returns (x, c, length of its burn-in leg)."""
     x = np.asarray(x, dtype=float)
     if c is None:
         c = hamiltonian(x, mu)
@@ -181,46 +170,111 @@ def return_map(x, mu, c=None, cfg=None, spec=None, return_traj=False):
     ang = physical_angle(x)
     if abs(math.sin(ang - theta)) > 1e-8 or math.cos(ang - theta) < 0.0:
         raise ConfigError(f"state not on page theta={theta} (angle={ang})")
-
     # Burn-in leg so the event does not fire on the departure page,
     # sized from the local crossing rate (angle advance ~ 0.01 rad).
     rate = transversality_value(x, mu)
-    dt0 = 0.01 / max(rate, 1.0)
-    lead = integrate(x, mu, cfg, dt0, c=c)
-    t_start = lead.t_end
-    x1 = lead.final_state()
+    return x, c, 0.01 / max(rate, 1.0)
 
+
+def _page_events(theta):
     fn, chart_fn = _page_event(theta)
-    page_ev = FlowEvent(fn, direction=-1.0, terminal=True,
-                        chart_fn=chart_fn, name="page")
-    anti_ev = FlowEvent(fn, direction=+1.0, terminal=False,
-                        chart_fn=chart_fn, name="antipage")
-    traj = integrate(x1, mu, cfg, t_start + cfg.max_time, c=c,
-                     events=[page_ev, anti_ev], t0=t_start)
+    return [FlowEvent(fn, direction=-1.0, terminal=True,
+                      chart_fn=chart_fn, name="page"),
+            FlowEvent(fn, direction=+1.0, terminal=False,
+                      chart_fn=chart_fn, name="antipage")]
+
+
+def _return_sample(x, mu, theta, lead, traj):
+    """The ReturnSample of a lead leg and the main flight after it."""
     page_hits = [h for h in traj.event_hits if h[0] == 0]
     if traj.stopped_by != 0 or not page_hits:
-        from .errors import MaxTimeExceeded
         raise MaxTimeExceeded("no page return within max_time",
                               trajectory=traj)
     _, t_hit, fx = page_hits[-1]
     if fx is None:
         raise NoCrossingError("page crossing landed on the collision fiber")
     crossings = sum(1 for h in traj.event_hits if h[0] == 1)
-    tau = t_hit
     ang_f = physical_angle(fx)
-    angle_err = abs(math.sin(ang_f - theta))
     binding_min = min(
         lead.min_over(lambda s: s[2] ** 2 + s[5] ** 2),
         traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2),
     )
-    sample = ReturnSample(
-        x=x, fx=np.asarray(fx, float), tau=tau, crossings=crossings,
-        energy=hamiltonian(fx, mu), angle_err=angle_err,
+    return ReturnSample(
+        x=x, fx=np.asarray(fx, float), tau=t_hit, crossings=crossings,
+        energy=hamiltonian(fx, mu), angle_err=abs(math.sin(ang_f - theta)),
         binding_min=binding_min, binding_warning=binding_min < 1e-8,
     )
+
+
+def _ok(result):
+    """A batch member's result, or raise its error."""
+    if isinstance(result, SectionScopeError):
+        raise result
+    return result
+
+
+def return_map(x, mu, c=None, cfg=None, spec=None, return_traj=False):
+    """First-return map of the physical open book at page spec.theta.
+
+    x must lie on the page (angle within 1e-8 of theta) and on H = c.
+    The flight runs with collision-chart switching; the page crossing is
+    located by the integrator's event machinery on the linear page
+    function.  Raises MaxTimeExceeded (partial trajectory attached) when
+    no return occurs within cfg.max_time.
+    """
+    spec, cfg = _return_config(spec, cfg)
+    x, c, dt0 = _return_setup(x, mu, c, spec)
+    lead = integrate(x, mu, cfg, dt0, c=c)
+    t_start = lead.t_end
+    traj = integrate(lead.final_state(), mu, cfg, t_start + cfg.max_time,
+                     c=c, events=_page_events(spec.theta), t0=t_start)
+    sample = _return_sample(x, mu, spec.theta, lead, traj)
     if return_traj:
         return sample, (lead, traj)
     return sample
+
+
+def return_map_many(xs, mu, c=None, cfg=None, spec=None):
+    """return_map of many page points; returns, per point, its
+    ReturnSample or the SectionScopeError that ended it.
+
+    The burn-in legs of all points fly as one integrate_many batch, then
+    the main flights as another, so their rotating-chart legs share one
+    lockstep integrator.  A point's result agrees with return_map to
+    integration accuracy and does not depend on the other points beyond
+    that (see integrate_many).
+    """
+    spec, cfg = _return_config(spec, cfg)
+    out = [None] * len(xs)
+    setup = {}
+    for i, x in enumerate(xs):
+        try:
+            setup[i] = _return_setup(x, mu, c, spec)
+        except SectionScopeError as exc:
+            out[i] = exc
+    ids = list(setup)
+    leads = dict(zip(ids, integrate_many(
+        [setup[i][0] for i in ids], mu, cfg, [setup[i][2] for i in ids],
+        [setup[i][1] for i in ids])))
+    starts = {}
+    for i in ids:
+        try:
+            starts[i] = _ok(leads[i]).final_state()
+        except SectionScopeError as exc:
+            out[i] = exc
+    ids = list(starts)
+    t_starts = [leads[i].t_end for i in ids]
+    trajs = integrate_many(
+        [starts[i] for i in ids], mu, cfg,
+        [t + cfg.max_time for t in t_starts], [setup[i][1] for i in ids],
+        _page_events(spec.theta), t_starts)
+    for i, traj in zip(ids, trajs):
+        try:
+            out[i] = _return_sample(setup[i][0], mu, spec.theta, leads[i],
+                                    _ok(traj))
+        except SectionScopeError as exc:
+            out[i] = exc
+    return out
 
 
 def return_map_iter(x, k, mu, c=None, cfg=None, spec=None):

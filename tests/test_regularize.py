@@ -410,3 +410,49 @@ def test_array_to_physical_rejects_fiber_column():
         ch.to_physical(xi, eta)
     with pytest.raises(NorthPoleError):
         ch.to_physical(xi[:, 1], eta[:, 1])
+
+
+def _chart_to_stereo_array(x, y):
+    """chart_to_stereo's general-dimension array code, for any n."""
+    s = float(x @ x)
+    xi = np.empty(len(x) + 1)
+    eta = np.empty_like(xi)
+    xi[0] = (s - 1.0) / (s + 1.0)
+    xi[1:] = 2.0 * x / (s + 1.0)
+    eta[0] = float(x @ y)
+    eta[1:] = 0.5 * (s + 1.0) * y - eta[0] * x
+    return xi, eta
+
+
+_chart_coord = st.floats(-1e3, 1e3, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=st.tuples(*[_chart_coord] * 3), y=st.tuples(*[_chart_coord] * 3))
+def test_spatial_chart_to_stereo_matches_array_code_bitwise(x, y):
+    x, y = np.array(x), np.array(y)
+    xi, eta = chart_to_stereo(x, y)
+    want_xi, want_eta = _chart_to_stereo_array(x, y)
+    assert np.array_equal(xi, want_xi) and np.array_equal(eta, want_eta)
+
+
+@settings(max_examples=300, deadline=None)
+@given(state=ts3_states(eta_scale=5.0))
+def test_spatial_stereo_to_chart_matches_column_code_bitwise(state):
+    xi, eta = state
+    if abs(1.0 - xi[0]) < 1e-11:
+        xi = np.array([1.0, 0.0, 0.0, 0.0])     # exactly on the fiber
+    try:
+        x_col, y_col = stereo_to_chart(xi[:, None], eta[:, None])
+    except NorthPoleError:
+        with pytest.raises(NorthPoleError):
+            stereo_to_chart(xi, eta)
+        return
+    x, y = stereo_to_chart(xi, eta)
+    assert np.array_equal(x, x_col[:, 0]) and np.array_equal(y, y_col[:, 0])
+
+
+def test_stereo_to_chart_fast_path_raises_on_fiber():
+    with pytest.raises(NorthPoleError):
+        stereo_to_chart(np.array([1.0, 0.0, 0.0, 0.0]),
+                        np.array([0.0, 0.3, 0.0, 0.0]))
