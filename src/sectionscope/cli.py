@@ -15,22 +15,18 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cr3bp import (check_assumptions, cr3bp_stark_zeeman, hamiltonian,
-                    hill_components, hill_membership, effective_potential,
+from .cr3bp import (check_assumptions, cr3bp_stark_zeeman, hill_components,
                     lagrange_points, sample_page_states, sample_shell_states,
                     validate_mu)
-from .errors import (AssumptionViolation, ConfigError, ConvergenceError,
-                     FoldDetected, JacobianSingularError, MaxTimeExceeded,
-                     NoCrossingError, OracleFailure, SectionScopeError,
-                     StepSizeUnderflow)
+from .errors import (AssumptionViolation, ConfigError, OracleFailure,
+                     SectionScopeError)
 from .flows import IntegratorConfig, integrate
 from .orbits import (continue_family, find_periodic_point,
                      find_symmetric_planar_orbit, floquet_multipliers,
                      reciprocal_pair_residual, vertical_seed)
-from .regularize import MoserChart, kepler_oracles, stereo_to_chart, \
-    chart_to_stereo
+from .regularize import kepler_oracles, stereo_to_chart, chart_to_stereo
 # return_map stays bound here: perfbench/tracer.py wraps cli.return_map
-from .sections import (SectionSpec, ellipsoid_page_rotation, leaf_label,
+from .sections import (SectionSpec, ellipsoid_page_rotation,
                        leaf_label_physical, return_map, return_map_many,
                        transversality_value)
 
@@ -136,8 +132,7 @@ def cmd_hill(args):
     rows = []
     for i, q1 in enumerate(comp.axes[0]):
         for j, q2 in enumerate(comp.axes[1]):
-            u = effective_potential(np.array([q1, q2, 0.0]), args.mu)
-            rows.append((float(q1), float(q2), float(u),
+            rows.append((float(q1), float(q2), float(comp.potential[i, j]),
                          int(comp.labels[i, j] > 0)))
     base = args.out or "hill"
     if args.out in (None, "-"):

@@ -12,19 +12,14 @@ with the standard symplectic form, so qdot = dH/dp, pdot = -dH/dq.
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.ndimage import label as ndi_label
 from scipy.optimize import brentq
 
-from .errors import (
-    AssumptionViolation,
-    CollisionError,
-    ConfigError,
-    RootBracketingError,
-)
+from .errors import CollisionError, ConfigError, RootBracketingError
 
 EARTH_MOON_MU = 0.0121505856
 
@@ -118,11 +113,17 @@ def effective_potential(q, mu):
 
 
 def effective_potential_grid(x, y, z, mu):
-    """Vectorized effective potential on broadcastable coordinate arrays."""
+    """Vectorized effective potential on broadcastable coordinate arrays.
+
+    -inf on a primary with mass; a massless primary adds nothing, also
+    at its own position.
+    """
     de = np.sqrt((x - mu) ** 2 + y ** 2 + z ** 2)
     dm = np.sqrt((x - mu + 1.0) ** 2 + y ** 2 + z ** 2)
     with np.errstate(divide="ignore"):
-        return -mu / dm - (1.0 - mu) / de - 0.5 * (x ** 2 + y ** 2)
+        pull_m = mu / dm if mu != 0.0 else 0.0
+        pull_e = (1.0 - mu) / de if mu != 1.0 else 0.0
+        return -pull_m - pull_e - 0.5 * (x ** 2 + y ** 2)
 
 
 def grad_effective_potential(q, mu):
@@ -209,23 +210,31 @@ def _collinear_root(lo, hi, mu):
     return x
 
 
+def central_jacobian(fn, x, h):
+    """Central-difference Jacobian of fn at x, the package's one source of
+    finite-difference Jacobians: column i is (fn(x + h e_i) - fn(x - h e_i))
+    / (2h), evaluated plus point first, column by column."""
+    x = np.asarray(x, dtype=float)
+    cols = []
+    for i in range(x.size):
+        dx = np.zeros(x.size)
+        dx[i] = h
+        cols.append((fn(x + dx) - fn(x - dx)) / (2.0 * h))
+    return np.column_stack(cols)
+
+
 def _triangular_point(mu, sign):
     """2-D Newton on grad U from the equilateral seed."""
     q = np.array([mu - 0.5, sign * math.sqrt(3.0) / 2.0, 0.0])
+
+    def grad_plane(q12):
+        return grad_effective_potential(np.append(q12, 0.0), mu)[:2]
+
     for _ in range(50):
         g = grad_effective_potential(q, mu)[:2]
         if np.linalg.norm(g) < 1e-15:
             break
-        h = 1e-7
-        jac = np.empty((2, 2))
-        for j in range(2):
-            dq = np.zeros(3)
-            dq[j] = h
-            jac[:, j] = (
-                grad_effective_potential(q + dq, mu)[:2]
-                - grad_effective_potential(q - dq, mu)[:2]
-            ) / (2 * h)
-        q[:2] -= np.linalg.solve(jac, g)
+        q[:2] -= np.linalg.solve(central_jacobian(grad_plane, q[:2], 1e-7), g)
     return q
 
 
@@ -272,6 +281,7 @@ def hill_membership(q, c, mu):
 class HillComponents:
     count: int
     labels: np.ndarray            # labeled grid, 0 = forbidden region
+    potential: np.ndarray         # U on the same grid
     unbounded: tuple              # label ids touching the box boundary
     axes: tuple                   # coordinate 1-D arrays
 
@@ -307,7 +317,7 @@ def hill_components(c, mu, box=(-2.0, 2.0), n=256, three_d=False,
             x, y = np.meshgrid(*axes, indexing="ij")
             z = np.zeros_like(x)
         u = effective_potential_grid(x, y, z, mu)
-        inside = (u <= c) | ~np.isfinite(u)
+        inside = u <= c
         structure = np.ones((3,) * ndim, dtype=int)
         labels, cnt = ndi_label(inside, structure=structure)
         unb = set()
@@ -317,9 +327,9 @@ def hill_components(c, mu, box=(-2.0, 2.0), n=256, three_d=False,
                 sl[axis] = idx
                 unb.update(np.unique(labels[tuple(sl)]))
         unb.discard(0)
-        return cnt, labels, tuple(sorted(unb)), tuple(axes)
+        return cnt, labels, u, tuple(sorted(unb)), tuple(axes)
 
-    cnt, labels, unbounded, axes = count_at(n)
+    cnt, labels, potential, unbounded, axes = count_at(n)
     if stability_check:
         cnt2 = count_at(2 * n)[0]
         if cnt2 != cnt:
@@ -328,8 +338,8 @@ def hill_components(c, mu, box=(-2.0, 2.0), n=256, three_d=False,
                 f"{cnt2} at n={2 * n}; grid too coarse",
                 stacklevel=2,
             )
-    return HillComponents(count=int(cnt), labels=labels, unbounded=unbounded,
-                          axes=axes)
+    return HillComponents(count=int(cnt), labels=labels, potential=potential,
+                          unbounded=unbounded, axes=axes)
 
 
 # --- Stark-Zeeman systems ---
@@ -413,11 +423,6 @@ class AssumptionReport:
     failures: tuple           # (assumption, witness) pairs
     n_samples: int
     min_F: float
-
-    def raise_on_failure(self):
-        if not self.passed:
-            a, w = self.failures[0]
-            raise AssumptionViolation(a, w)
 
 
 def check_assumptions(sys, samples=200, seed=0, r_range=(0.1, 1.6),

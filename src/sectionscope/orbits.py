@@ -1,21 +1,20 @@
 """Periodic-orbit search: Newton shooting on return maps, symmetric
 planar shooting, natural-parameter continuation, Floquet analysis."""
 
-import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .cr3bp import (effective_potential, hamiltonian, hamiltonian_gradient,
-                    primaries, vector_field)
+from .cr3bp import central_jacobian, effective_potential, hamiltonian, primaries
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
                      JacobianSingularError, NoCrossingError)
 from .flows import FlowEvent, IntegratorConfig, integrate
-from .sections import (SectionSpec, ellipsoid_page_point, ellipsoid_return,
-                       page_coords, page_embed, page_frame, return_map_iter)
+# reciprocal_pair_residual is re-exported: it is part of the orbits API
+from .sections import (SectionSpec, ellipsoid_return, page_coords, page_embed,
+                       page_frame, reciprocal_pair_residual, return_map_iter)
 
 _COND_LIMIT = 1e12
 
@@ -65,8 +64,7 @@ def _classify_spatial(traj):
 
 
 def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
-                        tol=1e-11, max_iter=50, fd_h=1e-6,
-                        system="cr3bp", ab=None):
+                        tol=1e-11, max_iter=50, fd_h=1e-6):
     """Damped Newton for a fixed point of the k-fold return map.
 
     G(u) = coords(f^k(embed(u))) - u in page-frame coordinates; central
@@ -75,9 +73,6 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
     deficient (degenerate root or a continuum of periodic points) and
     ConvergenceError after max_iter iterations.
     """
-    if system == "ellipsoid":
-        return _find_ellipsoid_periodic(x0, k, ab, tol=tol,
-                                        max_iter=max_iter, fd_h=fd_h)
     if mu is None:
         raise ConfigError("mu is required for the CR3BP search")
     cfg = cfg or IntegratorConfig()
@@ -99,18 +94,13 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
                 newton_history=tuple(history))
         frame = page_frame(x, mu)
         g0 = page_coords(x, frame, fx)
-        cols = []
-        for i in range(4):
-            du = np.zeros(4)
-            du[i] = fd_h
-            yp = page_embed(x, frame, du, mu, c, spec.theta)
-            ym = page_embed(x, frame, -du, mu, c, spec.theta)
-            fp, _, _ = return_map_iter(yp, k, mu, c=c, cfg=cfg, spec=spec)
-            fm, _, _ = return_map_iter(ym, k, mu, c=c, cfg=cfg, spec=spec)
-            gp = page_coords(x, frame, fp) - du
-            gm = page_coords(x, frame, fm) + du
-            cols.append((gp - gm) / (2.0 * fd_h))
-        jac = np.column_stack(cols)
+
+        def closure(u):
+            y = page_embed(x, frame, u, mu, c, spec.theta)
+            fy, _, _ = return_map_iter(y, k, mu, c=c, cfg=cfg, spec=spec)
+            return page_coords(x, frame, fy) - u
+
+        jac = central_jacobian(closure, np.zeros(4), fd_h)
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise JacobianSingularError(
@@ -149,9 +139,10 @@ def _classify_from_samples(x, k, mu, c, cfg, spec):
     return tag
 
 
-def _find_ellipsoid_periodic(z0, k, ab, tol=1e-11, max_iter=50, fd_h=1e-6):
-    if ab is None:
-        raise ConfigError("ellipsoid search needs ab=(a, b)")
+def find_ellipsoid_periodic(z0, k, ab, tol=1e-11, max_iter=50, fd_h=1e-6):
+    """Newton fixed point of the k-fold page map of the ellipsoid flow with
+    axes ab = (a, b); JacobianSingularError on a resonant page, where every
+    point is k-periodic."""
     a, b = ab
     z0 = np.asarray(z0, dtype=complex)
 
@@ -177,14 +168,7 @@ def _find_ellipsoid_periodic(z0, k, ab, tol=1e-11, max_iter=50, fd_h=1e-6):
         history.append(res)
         # the shooting matrix is checked even at convergence: on a
         # resonant page every point is periodic and the root degenerate
-        cols = []
-        for i in range(2):
-            du = np.zeros(2)
-            du[i] = fd_h
-            gp = pmap(u + du)[0] - (u + du)
-            gm = pmap(u - du)[0] - (u - du)
-            cols.append((gp - gm) / (2.0 * fd_h))
-        jac = np.column_stack(cols)
+        jac = central_jacobian(lambda v: pmap(v)[0] - v, u, fd_h)
         cond = np.linalg.cond(jac)
         if (not np.isfinite(cond) or cond > 1e8
                 or np.linalg.norm(jac) < 1e-6):
@@ -266,8 +250,9 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
         history.append(abs(p1))
         if abs(p1) < tol:
             break
-        dp = (_half_orbit_p1(q1 + fd_h, c, mu, branch, cfg)[0]
-              - _half_orbit_p1(q1 - fd_h, c, mu, branch, cfg)[0]) / (2 * fd_h)
+        dp = central_jacobian(
+            lambda q: np.array([_half_orbit_p1(q[0], c, mu, branch, cfg)[0]]),
+            [q1], fd_h)[0, 0]
         if abs(dp) < 1e-14:
             raise JacobianSingularError("flat shooting function in q1")
         step = -p1 / dp
@@ -396,28 +381,12 @@ def floquet_multipliers(orbit, cfg=None, h=1e-7):
     cfg = cfg or IntegratorConfig()
     x = np.asarray(orbit.representative, dtype=float)
     mu, T = orbit.mu, orbit.period
-    cols = []
-    for i in range(6):
-        dx = np.zeros(6)
-        dx[i] = h
-        fp = flow_map(x + dx, T, mu, cfg)
-        fm = flow_map(x - dx, T, mu, cfg)
-        cols.append((fp - fm) / (2.0 * h))
-    M = np.column_stack(cols)
+    M = central_jacobian(lambda y: flow_map(y, T, mu, cfg), x, h)
     cond = np.linalg.cond(M)
     if cond > 1e10:
         warnings.warn(f"ill-conditioned monodromy (cond {cond:.2e})",
                       RuntimeWarning)
     return np.linalg.eigvals(M)
-
-
-def reciprocal_pair_residual(multipliers):
-    """max over multipliers of min_j |lambda_i lambda_j - 1|."""
-    ev = np.asarray(multipliers)
-    worst = 0.0
-    for lam in ev:
-        worst = max(worst, min(abs(lam * other - 1.0) for other in ev))
-    return float(worst)
 
 
 def unit_multiplier_count(multipliers, tol=1e-6):

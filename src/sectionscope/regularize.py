@@ -325,14 +325,6 @@ def lc_vector_field(z):
 # --- Kepler oracles ---
 
 
-def kepler_chart_hamiltonian(x, y):
-    """Moser-regularized Kepler Hamiltonian on the chart: ((|x|^2+1)|y|/2)^2 / 2."""
-    s = float(np.asarray(x) @ np.asarray(x))
-    ny = math.sqrt(float(np.asarray(y) @ np.asarray(y)))
-    g = 0.5 * (s + 1.0) * ny
-    return 0.5 * g * g
-
-
 def _kepler_chart_field(t, z):
     x, y = z[:2], z[2:]
     s = float(x @ x)

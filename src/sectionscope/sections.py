@@ -15,15 +15,14 @@ which the round geodesic flow increases at unit rate on the unit level.
 """
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.linalg import null_space
 
-from . import cr3bp
-from .cr3bp import hamiltonian, hamiltonian_gradient, primaries
+from .cr3bp import (central_jacobian, hamiltonian, hamiltonian_gradient,
+                    primaries)
 from .errors import (
     BindingError,
     ConfigError,
@@ -384,12 +383,16 @@ class JacobianResult:
 
     @property
     def reciprocal_residual(self):
-        ev = self.eigenvalues
-        worst = 0.0
-        for lam in ev:
-            best = min(abs(lam * other - 1.0) for other in ev)
-            worst = max(worst, best)
-        return worst
+        return reciprocal_pair_residual(self.eigenvalues)
+
+
+def reciprocal_pair_residual(multipliers):
+    """max over multipliers of min_j |lambda_i lambda_j - 1|."""
+    ev = np.asarray(multipliers)
+    worst = 0.0
+    for lam in ev:
+        worst = max(worst, min(abs(lam * other - 1.0) for other in ev))
+    return float(worst)
 
 
 def return_map_jacobian(x, mu, c=None, cfg=None, spec=None, h=3e-7, k=1):
@@ -408,17 +411,13 @@ def return_map_jacobian(x, mu, c=None, cfg=None, spec=None, h=3e-7, k=1):
     fx, _, samples = return_map_iter(x, k, mu, c=c, cfg=cfg, spec=spec)
     frame0 = page_frame(x, mu)
     frame1 = page_frame(fx, mu)
-    cols = []
-    for i in range(4):
-        u = np.zeros(4)
-        u[i] = h
-        yp = page_embed(x, frame0, u, mu, c, theta)
-        ym = page_embed(x, frame0, -u, mu, c, theta)
-        fp, _, _ = return_map_iter(yp, k, mu, c=c, cfg=cfg, spec=spec)
-        fm, _, _ = return_map_iter(ym, k, mu, c=c, cfg=cfg, spec=spec)
-        cols.append((page_coords(fx, frame1, fp)
-                     - page_coords(fx, frame1, fm)) / (2.0 * h))
-    J = np.column_stack(cols)
+
+    def page_map(u):
+        y = page_embed(x, frame0, u, mu, c, theta)
+        fy, _, _ = return_map_iter(y, k, mu, c=c, cfg=cfg, spec=spec)
+        return page_coords(fx, frame1, fy)
+
+    J = central_jacobian(page_map, np.zeros(4), h)
     resid = np.linalg.norm(J.T @ OMEGA4 @ J - OMEGA4)
     return JacobianResult(J=J, symplecticity_residual=float(resid),
                           base_sample=samples[0],
@@ -577,12 +576,7 @@ def ellipsoid_return_jacobian(a, b, z=None, h=1e-7):
         zr, _, _ = ellipsoid_return(a, b, embed(u))
         return np.array([zr[0].real, zr[0].imag])
 
-    cols = []
-    for i in range(2):
-        du = np.zeros(2)
-        du[i] = h
-        cols.append((pmap(base + du) - pmap(base - du)) / (2.0 * h))
-    J = np.column_stack(cols)
+    J = central_jacobian(pmap, base, h)
     omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
     resid = float(np.linalg.norm(J.T @ omega2 @ J - omega2))
     return J, resid

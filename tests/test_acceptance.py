@@ -10,6 +10,7 @@ import pytest
 from sectionscope.cr3bp import (EARTH_MOON_MU, hamiltonian, hill_components,
                                 lagrange_points, sample_page_states,
                                 sample_shell_states)
+from sectionscope.errors import SectionScopeError
 from sectionscope.flows import IntegratorConfig, integrate
 from sectionscope.orbits import (continue_family, find_periodic_point,
                                  floquet_multipliers,
@@ -20,7 +21,7 @@ from sectionscope.sections import (SectionSpec, ellipsoid_page_rotation,
                                    exactness_loop_check, involution,
                                    leaf_label_physical, page_circle_loop,
                                    return_map, return_map_jacobian,
-                                   transversality_value)
+                                   return_map_many, transversality_value)
 
 
 class Budget:
@@ -168,8 +169,9 @@ def test_ac09_integrable_leaf_invariance_and_vertical_fixed_points():
         cfg = IntegratorConfig(max_time=20.0)
         c = -1.7
         pts = sample_page_states(0.0, c, 1000, rng, component="earth")
-        for x in pts:
-            s = return_map(x, 0.0, c=c, cfg=cfg)
+        for x, s in zip(pts, return_map_many(pts, 0.0, c=c, cfg=cfg)):
+            if isinstance(s, SectionScopeError):
+                raise s
             dz = abs(leaf_label_physical(s.fx, 0.0)
                      - leaf_label_physical(x, 0.0))
             assert dz < 1e-6
@@ -192,11 +194,8 @@ def test_ac10_perturbed_recurrence_distribution():
         cfg = IntegratorConfig(max_time=20.0)
         pts = sample_page_states(mu, c, 1000, rng, component="earth")
         deltas = []
-        from sectionscope.errors import SectionScopeError
-        for x in pts:
-            try:
-                s = return_map(x, mu, c=c, cfg=cfg)
-            except SectionScopeError:
+        for x, s in zip(pts, return_map_many(pts, mu, c=c, cfg=cfg)):
+            if isinstance(s, SectionScopeError):
                 continue
             deltas.append(abs(leaf_label_physical(s.fx, mu)
                               - leaf_label_physical(x, mu)))

@@ -1,9 +1,11 @@
 """Command-line interface: exit codes, deterministic outputs, formats."""
 
+import csv
 import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from sectionscope.cli import config_hash, dumps_json, fmt_float, main
@@ -77,6 +79,25 @@ def test_hill_outputs(tmp_path):
     lines = (tmp_path / "hill.csv").read_text().strip().splitlines()
     assert lines[0] == "q1,q2,U,inside"
     assert len(lines) == 128 * 128 + 1
+
+
+@pytest.mark.parametrize("mu,grid,n_inf", [("0.5", "17", 2),
+                                           ("0", "257", 1)])
+def test_hill_grid_nodes_on_the_primaries(tmp_path, mu, grid, n_inf):
+    # both grids have nodes on the primaries; only a primary with mass
+    # makes U infinite, and the inside column is exactly U <= c
+    base = tmp_path / "hill"
+    code = run(["hill", "--mu", mu, "--c", "-1.6", "--grid", grid,
+                "--out", str(base)])
+    assert code == 0
+    with open(tmp_path / "hill.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == int(grid) ** 2
+    u = np.array([float(r["U"].strip('"')) for r in rows])
+    inside = np.array([r["inside"] == "1" for r in rows])
+    assert not np.isnan(u).any()
+    assert np.sum(u == -np.inf) == n_inf
+    assert np.array_equal(inside, u <= -1.6)
 
 
 def test_integrate_jsonl(tmp_path):

@@ -6,10 +6,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from sectionscope.cr3bp import (EARTH_MOON_MU, check_assumptions,
-                                cr3bp_stark_zeeman, effective_potential,
+from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
+                                check_assumptions, cr3bp_stark_zeeman,
+                                effective_potential,
                                 grad_effective_potential,
                                 equilibrium_momentum, hamiltonian,
                                 hamiltonian_gradient, hill_components,
@@ -179,6 +182,22 @@ def test_hill_components_deep_energy_wells():
     assert hill_membership(np.array([5.0, 0.0, 0.0]), -10.0, 0.3)
 
 
+def test_hill_components_carry_the_potential_grid():
+    comp = hill_components(-1.6, 0.3, n=33, stability_check=False)
+    q1, q2 = np.meshgrid(*comp.axes, indexing="ij")
+    scalar = [effective_potential(np.array([a, b, 0.0]), 0.3)
+              for a, b in zip(q1.ravel(), q2.ravel())]
+    np.testing.assert_allclose(comp.potential.ravel(), scalar, rtol=1e-14)
+    assert np.array_equal(comp.labels > 0, comp.potential <= -1.6)
+    # mu = 0: -inf on the Earth node, finite on the massless Moon's node
+    comp = hill_components(-1.6, 0.0, n=33, stability_check=False)
+    with np.errstate(divide="ignore"):
+        closed = -1.0 / np.hypot(q1, q2) - 0.5 * (q1 ** 2 + q2 ** 2)
+    np.testing.assert_allclose(comp.potential, closed, rtol=1e-14)
+    assert comp.potential[8, 16] == -1.5   # the node (-1, 0)
+    assert comp.potential[16, 16] == -np.inf
+
+
 def test_hill_components_coarse_grid_warns():
     # at n=16 the thin deep wells of c=-10 are not grid-stable
     with warnings.catch_warnings(record=True) as w:
@@ -248,3 +267,42 @@ def test_shell_sampler_hits_energy_level():
                               min_primary_dist=0.03)
     for s in pts:
         assert hamiltonian(s, mu) == pytest.approx(c, abs=1e-12)
+
+
+# --- central differences ---
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       st.lists(st.floats(-2.0, 2.0), min_size=3, max_size=3))
+def test_central_jacobian_of_a_linear_map_is_the_matrix(entries, x):
+    # a non-square linear map R^3 -> R^2: exact up to rounding
+    a = np.array(entries).reshape(2, 3)
+    jac = central_jacobian(lambda v: a @ v, np.array(x), 1e-3)
+    assert jac.shape == (2, 3)
+    np.testing.assert_allclose(jac, a, rtol=0.0, atol=1e-11)
+
+
+def test_central_jacobian_is_exact_on_a_quadratic():
+    # second-order terms cancel in a central difference, so even a coarse
+    # step gives the exact Jacobian of a quadratic map
+    def f(v):
+        return np.array([v[0] ** 2 + 3.0 * v[0] * v[1], v[1] ** 2 - v[0]])
+
+    x = np.array([0.7, -1.3])
+    exact = np.array([[2.0 * x[0] + 3.0 * x[1], 3.0 * x[0]],
+                      [-1.0, 2.0 * x[1]]])
+    np.testing.assert_allclose(central_jacobian(f, x, 0.5), exact,
+                               rtol=0.0, atol=1e-14)
+
+
+def test_central_jacobian_evaluation_order():
+    # plus point, then minus point, column by column
+    calls = []
+
+    def f(v):
+        calls.append(v.tolist())
+        return v
+
+    central_jacobian(f, np.zeros(2), 0.5)
+    assert calls == [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]

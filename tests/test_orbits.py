@@ -11,7 +11,7 @@ from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
                                  JacobianSingularError)
 from sectionscope.flows import IntegratorConfig, integrate
 from sectionscope.orbits import (classify_rotation, continue_family,
-                                 find_periodic_point,
+                                 find_ellipsoid_periodic, find_periodic_point,
                                  find_symmetric_planar_orbit,
                                  floquet_multipliers,
                                  reciprocal_pair_residual,
@@ -74,7 +74,28 @@ def test_ellipsoid_resonant_page_is_degenerate():
     z0jig = z0.copy()
     z0jig[0] *= complex(math.cos(0.01), math.sin(0.01))
     with pytest.raises(JacobianSingularError):
-        find_periodic_point(z0jig, k=2, system="ellipsoid", ab=(1.0, 2.0))
+        find_ellipsoid_periodic(z0jig, 2, (1.0, 2.0))
+
+
+def test_ellipsoid_search_finds_the_axis_orbit():
+    # a/b irrational: the only closed page orbit is the axis z1 = 0,
+    # which returns after the period 1/b of the z2 rotation
+    from sectionscope.sections import ellipsoid_page_point
+    b = math.sqrt(2.0)
+    orbit = find_ellipsoid_periodic(
+        ellipsoid_page_point(1.0, b, rho=0.4, phase=0.2), 1, (1.0, b))
+    assert orbit.residual < 1e-11
+    assert abs(orbit.representative[0]) < 1e-9
+    assert orbit.period == pytest.approx(1.0 / b, abs=1e-9)
+
+
+def test_find_periodic_point_has_no_ellipsoid_switch():
+    # the ellipsoid search is its own function, find_ellipsoid_periodic
+    seed = vertical_seed(0.0, C_TEST)
+    with pytest.raises(TypeError):
+        find_periodic_point(seed, mu=0.0, system="ellipsoid")
+    with pytest.raises(TypeError):
+        find_periodic_point(seed, mu=0.0, ab=(1.0, 2.0))
 
 
 def test_symmetric_planar_circular_orbit_kepler():
