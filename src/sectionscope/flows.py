@@ -13,8 +13,8 @@ each round the rotating-chart legs of all live flights advance together:
 two or more legs run in one lockstep, numpy-vectorized DOP853 on an array
 of states (each member with its own step control, events and
 retirement); a single leg runs on scipy's ``solve_ivp``.  Moser-chart
-visits run one flight at a time between rounds.  ``integrate`` is the
-one-flight case.
+visits run one flight at a time between rounds, each stay as one
+``solve_ivp`` call.  ``integrate`` is the one-flight case.
 """
 
 import json
@@ -50,7 +50,6 @@ class IntegratorConfig:
     collision_switch_radius: float = 0.05
     max_time: float = 1000.0
     switching: bool = True
-    reg_chunk: float = 2.0          # regularized-time span between projections
     max_reg_time: float = 1e4       # regularized-time budget per chart visit
     constraint_tol: float = 1e-6    # pre-projection residual limit
 
@@ -66,8 +65,6 @@ class IntegratorConfig:
             raise ConfigError("max_time must be positive")
         if not isinstance(self.switching, bool):
             raise ConfigError("switching must be True or False")
-        if not (0.0 < self.reg_chunk < math.inf):
-            raise ConfigError("reg_chunk must be positive and finite")
         if not (0.0 < self.max_reg_time < math.inf):
             raise ConfigError("max_reg_time must be positive and finite")
         if not self.constraint_tol > 0.0:
@@ -156,6 +153,11 @@ class DenseOutput:
         return np.ascontiguousarray(y.T)
 
 
+# Regularized time per block of samples when a Moser segment is read, so
+# that a long chart stay is read as densely as a short one.
+_READ_SPAN = 2.0
+
+
 @dataclass
 class Segment:
     chart: str                    # 'rot' | 'moser-moon' | 'moser-earth'
@@ -164,7 +166,15 @@ class Segment:
     t1: float
     nodes: np.ndarray             # solver accept times (segment variable)
     moser: Optional[MoserChart] = None
-    residual: float = 0.0         # pre-projection constraint residual
+
+    def sample_blocks(self, n):
+        """Sample points of the segment variable, in blocks of n evenly
+        spaced points: one block for a rot segment, one per _READ_SPAN
+        units of regularized time for a Moser segment."""
+        lo, hi = float(self.nodes[0]), float(self.nodes[-1])
+        k = 1 if self.chart == "rot" else math.ceil((hi - lo) / _READ_SPAN)
+        edges = [lo + _READ_SPAN * i for i in range(max(k, 1))] + [hi]
+        return [np.linspace(a, b, n) for a, b in zip(edges[:-1], edges[1:])]
 
     def raw_at(self, t):
         """Raw segment state at physical time t."""
@@ -223,7 +233,7 @@ class Trajectory:
         worst = 0.0
         scale = max(1.0, abs(self.energy))
         for seg in self.segments:
-            for s in np.linspace(seg.nodes[0], seg.nodes[-1], n_per_segment):
+            for s in np.concatenate(seg.sample_blocks(n_per_segment)):
                 z = seg.sol(s)
                 if seg.chart == "rot":
                     dev = abs(hamiltonian(z, self.mu) - self.energy)
@@ -237,20 +247,21 @@ class Trajectory:
     def min_over(self, fn, n_per_segment=60):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
-        fn is called once per segment on a (6, n) array of states (one
-        column per sample) and must return n values.  Samples on the
-        collision fiber have no physical image and are skipped.
+        fn is called once per block of Segment.sample_blocks on a (6, n)
+        array of states (one column per sample) and must return n values.
+        Samples on the collision fiber have no physical image and are
+        skipped.
         """
         best = math.inf
         for seg in self.segments:
-            z = seg.sol(np.linspace(seg.nodes[0], seg.nodes[-1],
-                                    n_per_segment))
-            if seg.chart != "rot":
-                keep = 1.0 - z[0] >= 1e-9
-                if not keep.any():
-                    continue
-                z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
-            best = min(best, float(np.min(fn(z))))
+            for s in seg.sample_blocks(n_per_segment):
+                z = seg.sol(s)
+                if seg.chart != "rot":
+                    keep = 1.0 - z[0] >= 1e-9
+                    if not keep.any():
+                        continue
+                    z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
+                best = min(best, float(np.min(fn(z))))
         return best
 
     def to_jsonl(self, path, config_hash=""):
@@ -465,19 +476,17 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
             return build_traj(t)
         else:
             ch = MoserChart(mu, chart_name.split("-")[1])
-            xi, eta, t, reason, info, stopped_by = _run_moser_visit(
+            xi, eta, t, reason, res, stopped_by = _run_moser_visit(
                 ch, xi, eta, t, t_stop, c, cfg, events, segments, hits)
-            res_max = max(res_max, info)
+            res_max = max(res_max, res)
             if reason == "exit":
                 state = ch.to_physical(xi, eta)
                 chart_name = "rot"
                 switches += 1
                 continue
-            if reason == "user":
-                return build_traj(t)
-            if reason == "time":
-                if t_stop < t_final - 1e-13:
-                    raise time_out(t)
+            if reason == "time" and t_stop < t_final - 1e-13:
+                raise time_out(t)
+            if reason != "budget":
                 return build_traj(t)
             raise MaxTimeExceeded(
                 "regularized-time budget exhausted inside the chart",
@@ -573,19 +582,17 @@ def _solo_leg(req, mu, cfg):
 
 
 def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
-    """Integrate one stay inside a Moser chart; returns on exit/stop.
+    """Integrate one stay inside a Moser chart as one DOP853 solve.
 
-    The regularized flow is advanced in chunks with constraint projection
-    between chunks (residual recorded).  Returns (xi, eta, t, reason, info,
-    stopped) where reason is 'exit' | 'time' | 'user' | 'budget', info is
-    the max pre-projection residual and stopped is the index of the
-    terminal user event when reason is 'user' (else None).
+    The stay ends at the exit radius, at physical time t_stop, at a
+    terminal user event, or after cfg.max_reg_time units of regularized
+    time; its end state is projected onto T*S^3.  Returns (xi, eta, t,
+    reason, residual, stopped) where reason is 'exit' | 'time' | 'user' |
+    'budget', residual is the pre-projection constraint residual and
+    stopped is the index of the terminal user event when reason is
+    'user' (else None).
     """
     r2 = 2.0 * cfg.collision_switch_radius
-
-    def rhs(s, z):
-        return ch.field(z, c)
-
     chart_events = [
         FlowEvent(lambda z: ch.physical_radius(z[:4], z[4:8]) - r2,
                   direction=1.0, name="exit"),
@@ -599,43 +606,32 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
             def fn(z, ev=ev):
                 return ev.fn(ch.to_physical(z[:4], z[4:8]))
         chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
-    ivp_events = _ivp_events(chart_events)
 
-    z = np.concatenate([xi, eta, [t]])
-    s = 0.0
-    res_max = 0.0
-    while s < cfg.max_reg_time:
-        leg = _Leg.from_ivp(solve_ivp(
-            rhs, (s, s + cfg.reg_chunk), z, method="DOP853",
-            dense_output=True, rtol=cfg.rel_tol, atol=cfg.abs_tol,
-            max_step=cfg.max_step, events=ivp_events))
-        if leg.status == -1:
-            raise StepSizeUnderflow(leg.message)
-        z_end = leg.y_end
-        seg = Segment(chart=f"moser-{ch.primary}", sol=leg.sol,
-                      t0=t, t1=float(z_end[8]), nodes=leg.t, moser=ch)
-        t = float(z_end[8])
-        res = constraint_residual(z_end[:4], z_end[4:8])
-        seg.residual = res
-        segments.append(seg)
-        if res > cfg.constraint_tol:
-            raise ConstraintDriftError(
-                f"constraint residual {res:.3e} exceeds tolerance")
-        res_max = max(res_max, res)
-        for te, k in _user_hits(leg, 2):
-            ze = leg.sol(te)
-            hits.append((k, float(ze[8]), _safe_physical(ch, ze)))
-        cause = _which_terminal(leg, chart_events)
-        xi, eta = project_constraints(z_end[:4], z_end[4:8])
-        if cause == 0:
-            return xi, eta, t, "exit", res_max, None
-        if cause == 1:
-            return xi, eta, t, "time", res_max, None
-        if cause is not None:
-            return xi, eta, t, "user", res_max, cause - 2
-        s = leg.t[-1]
-        z = np.concatenate([xi, eta, [t]])
-    return xi, eta, t, "budget", res_max, None
+    leg = _Leg.from_ivp(solve_ivp(
+        lambda s, z: ch.field(z, c), (0.0, cfg.max_reg_time),
+        np.concatenate([xi, eta, [t]]), method="DOP853", dense_output=True,
+        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
+        events=_ivp_events(chart_events)))
+    if leg.status == -1:
+        raise StepSizeUnderflow(leg.message)
+    z_end = leg.y_end
+    segments.append(Segment(chart=f"moser-{ch.primary}", sol=leg.sol, t0=t,
+                            t1=float(z_end[8]), nodes=leg.t, moser=ch))
+    t = float(z_end[8])
+    res = constraint_residual(z_end[:4], z_end[4:8])
+    if res > cfg.constraint_tol:
+        raise ConstraintDriftError(
+            f"constraint residual {res:.3e} exceeds tolerance")
+    for te, k in _user_hits(leg, 2):
+        ze = leg.sol(te)
+        hits.append((k, float(ze[8]), _safe_physical(ch, ze)))
+    cause = _which_terminal(leg, chart_events)
+    xi, eta = project_constraints(z_end[:4], z_end[4:8])
+    if cause is None:
+        return xi, eta, t, "budget", res, None
+    if cause < 2:
+        return xi, eta, t, ("exit", "time")[cause], res, None
+    return xi, eta, t, "user", res, cause - 2
 
 
 def _safe_physical(ch, z):

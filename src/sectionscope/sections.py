@@ -451,7 +451,7 @@ def exactness_loop_check(loop, mu, c=None, cfg=None, spec=None):
     with the loop length for the relative test.
     """
     loop = [np.asarray(s, float) for s in loop]
-    images = [return_map(s, mu, c=c, cfg=cfg, spec=spec).fx for s in loop]
+    images = [_ok(s).fx for s in return_map_many(loop, mu, c, cfg, spec)]
     a0 = liouville_loop_integral(loop)
     a1 = liouville_loop_integral(images)
     return abs(a1 - a0), loop_length(loop)

@@ -33,14 +33,19 @@ def test_config_validation():
     ("collision_switch_radius", math.nan),
     ("max_time", -1.0),
     ("switching", "yes"),
-    ("reg_chunk", 0.0),
     ("max_reg_time", -1.0),
     ("constraint_tol", -1.0),
 ])
 def test_config_rejects_each_bad_field(field, bad):
-    # construction only: a bad reg_chunk used to hang integrate()
+    # construction only
     with pytest.raises(ConfigError):
         IntegratorConfig(**{field: bad})
+
+
+def test_config_has_no_reg_chunk():
+    # a Moser-chart stay is one solve; there is no chunk length to set
+    with pytest.raises(TypeError):
+        IntegratorConfig(reg_chunk=2.0)
 
 
 def test_circular_orbit_closes_no_switches():
@@ -208,7 +213,7 @@ def test_min_over_matches_per_sample_oracle():
 def test_return_inside_chart_blames_page_event(r):
     # a tight circular Kepler orbit at mu = 0 returns to the page without
     # leaving the Earth chart; a non-terminal antipage hit falls in the
-    # same regularized chunk as the terminal page hit
+    # same chart stay as the terminal page hit
     from sectionscope.sections import return_map
     q = r * np.array([0.0, math.cos(0.6), math.sin(0.6)])
     p = np.array([-math.sqrt(1.0 / r), 0.0, 0.0]) + \
@@ -222,3 +227,24 @@ def test_return_inside_chart_blames_page_event(r):
     assert any(h[0] == 1 for h in traj.event_hits)
     assert abs(sample.energy - c) < 1e-9 * abs(c)
     assert np.linalg.norm(sample.fx[:3]) == pytest.approx(r, rel=1e-9)
+
+
+@pytest.mark.parametrize("budget", [1.0, 5.0])
+def test_chart_stay_stops_at_regularized_time_budget(budget):
+    # a tight circular Kepler orbit at mu = 0 never leaves the Earth chart,
+    # so its stay runs until the regularized-time budget is spent, and
+    # not beyond it
+    r = 0.03
+    q = r * np.array([0.0, math.cos(0.6), math.sin(0.6)])
+    p = np.array([-math.sqrt(1.0 / r), 0.0, 0.0]) + \
+        np.array([-q[1], q[0], 0.0])
+    x = np.concatenate([q, p])
+    cfg = IntegratorConfig(max_reg_time=budget)
+    with pytest.raises(MaxTimeExceeded, match="regularized-time budget") \
+            as exc:
+        integrate(x, 0.0, cfg, 10.0)
+    moser = [seg for seg in exc.value.trajectory.segments
+             if seg.chart != "rot"]
+    assert moser
+    span = sum(float(seg.nodes[-1] - seg.nodes[0]) for seg in moser)
+    assert span == pytest.approx(budget, abs=1e-12)

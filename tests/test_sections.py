@@ -276,3 +276,40 @@ def test_return_map_rejects_other_angle_functions():
         return_map(VERTICAL_APEX, 0.0, c=C_TEST,
                    cfg=IntegratorConfig(max_time=5.0),
                    spec=SectionSpec(angle_fn="geodesic"))
+
+
+def _oracle_binding_min(traj, n=200_000):
+    """Minimum of q3^2 + p3^2 over n evenly spaced samples per segment (at
+    least 240 per unit of regularized time in a Moser segment), read in
+    pieces of 20,000 samples."""
+    best = math.inf
+    for seg in traj.segments:
+        lo, hi = float(seg.nodes[0]), float(seg.nodes[-1])
+        m = n if seg.chart == "rot" else max(n, math.ceil(240 * (hi - lo)))
+        for s in np.array_split(np.linspace(lo, hi, m), max(1, m // 20000)):
+            z = seg.sol(s)
+            if seg.chart != "rot":
+                keep = 1.0 - z[0] >= 1e-9
+                if not keep.any():
+                    continue
+                z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
+            best = min(best, float(np.min(z[2] ** 2 + z[5] ** 2)))
+    return best
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_binding_min_of_long_chart_stays(seed):
+    # section-scan's draws and config in the Moon's Hill component, where a
+    # return stays about 700 units of regularized time in the Moon chart:
+    # the sampled binding_min stays within 2x of a reading at least 8x as
+    # dense (one evenly spaced reading of the whole stay is 30-1,500x off)
+    mu = EARTH_MOON_MU
+    c = float(lagrange_points(mu).energies[0]) - 0.05
+    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, max_time=50.0)
+    x = sample_page_states(mu, c, 1, np.random.default_rng(seed),
+                           component="moon")[0]
+    sample, (lead, traj) = return_map(x, mu, c=c, cfg=cfg, return_traj=True)
+    assert sum(float(seg.nodes[-1] - seg.nodes[0]) for seg in traj.segments
+               if seg.chart == "moser-moon") > 100.0
+    oracle = min(_oracle_binding_min(lead), _oracle_binding_min(traj))
+    assert sample.binding_min <= 2.0 * oracle
