@@ -67,8 +67,13 @@ def hamiltonian(state, mu):
 
 
 def vector_field(state, mu):
-    """Hamiltonian vector field (qdot, pdot) of the rotating frame."""
-    q1, q2, q3, p1, p2, p3 = state
+    """Hamiltonian vector field (qdot, pdot) of the rotating frame at a
+    (6,) state array.
+
+    The arithmetic runs on Python floats (the inner loop of every
+    rotating-chart flight), in the operation order of numpy scalars.
+    """
+    q1, q2, q3, p1, p2, p3 = state.tolist()
     de3, dm3 = _distance_cubes(q1, q2, q3, mu)
     ax = mu * (q1 - (mu - 1.0)) / dm3 + (1.0 - mu) * (q1 - mu) / de3
     ay = mu * q2 / dm3 + (1.0 - mu) * q2 / de3

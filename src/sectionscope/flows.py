@@ -15,17 +15,18 @@ of states (each member with its own step control, events and
 retirement); a single leg runs on scipy's ``solve_ivp``.  Moser-chart
 visits run one flight at a time between rounds, each stay as one
 ``solve_ivp`` call.  ``integrate`` is the one-flight case.
+``flight_jacobian`` differentiates a finished flight's accepted steps.
 """
 
 import json
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.integrate import OdeSolver, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
-from scipy.optimize import brentq
+from scipy.optimize import brentq, minimize_scalar
 
 from . import __version__
 from .cr3bp import COLLISION_THRESHOLD, hamiltonian, primaries, \
@@ -39,7 +40,9 @@ from .errors import (
     SectionScopeError,
     StepSizeUnderflow,
 )
-from .regularize import MoserChart, constraint_residual, project_constraints
+from .regularize import (_CS_STEP, MoserChart, _q_field, constraint_residual,
+                         project_constraints, project_constraints_jacobian,
+                         q_field_jacobian_rows)
 
 
 @dataclass
@@ -156,6 +159,9 @@ class DenseOutput:
 # Regularized time per block of samples when a Moser segment is read, so
 # that a long chart stay is read as densely as a short one.
 _READ_SPAN = 2.0
+# Samples min_over evaluates at once: consecutive blocks are read together
+# up to this many, so a long chart stay costs few calls and bounded memory.
+_READ_CAP = 1024
 
 
 @dataclass
@@ -166,6 +172,10 @@ class Segment:
     t1: float
     nodes: np.ndarray             # solver accept times (segment variable)
     moser: Optional[MoserChart] = None
+    # how the segment ended: a function vanishing at its end, of the state
+    # rows (q, p, t) in the rot chart or (xi, eta, t) in a Moser chart, in
+    # (rows, n) array form; None when the flight was cut short
+    end: Optional[Callable] = None
 
     def sample_blocks(self, n):
         """Sample points of the segment variable, in blocks of n evenly
@@ -244,24 +254,36 @@ class Trajectory:
                 worst = max(worst, dev)
         return worst / scale
 
-    def min_over(self, fn, n_per_segment=60):
+    def min_over(self, fn, n_per_segment=60, refine_below=None):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
-        fn is called once per block of Segment.sample_blocks on a (6, n)
-        array of states (one column per sample) and must return n values.
-        Samples on the collision fiber have no physical image and are
-        skipped.
+        The samples are those of Segment.sample_blocks; consecutive blocks
+        are evaluated together, up to _READ_CAP samples at a time.  fn is
+        called on a (6, n) array of states (one column per sample) and must
+        return n values.  Samples on the collision fiber have no physical
+        image and are skipped.  When the sampled minimum lies below
+        refine_below, it is refined by a bounded scalar minimization on the
+        dense output between the neighbours of the minimum sample.
         """
-        best = math.inf
+        best, where = math.inf, None
         for seg in self.segments:
-            for s in seg.sample_blocks(n_per_segment):
+            blocks = seg.sample_blocks(n_per_segment)
+            per = max(1, _READ_CAP // n_per_segment)
+            for g in range(0, len(blocks), per):
+                s = np.concatenate(blocks[g:g + per])
                 z = seg.sol(s)
                 if seg.chart != "rot":
                     keep = 1.0 - z[0] >= 1e-9
                     if not keep.any():
                         continue
+                    s = s[keep]
                     z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
-                best = min(best, float(np.min(fn(z))))
+                vals = fn(z)
+                i = int(np.argmin(vals))
+                if vals[i] < best:
+                    best, where = float(vals[i]), (seg, blocks, s[i])
+        if refine_below is not None and best < refine_below:
+            best = min(best, _refine_min(fn, *where))
         return best
 
     def to_jsonl(self, path, config_hash=""):
@@ -293,6 +315,28 @@ class Trajectory:
                                 constraint_residual(z[:4], z[4:8]),
                         }
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _refine_min(fn, seg, blocks, s_min):
+    """Minimum of fn on seg's dense output between the samples next to
+    s_min (in the segment variable)."""
+    s_all = np.concatenate(blocks)
+    lo = s_all[max(np.searchsorted(s_all, s_min, "left") - 1, 0)]
+    hi = s_all[min(np.searchsorted(s_all, s_min, "right"), len(s_all) - 1)]
+    if not lo < hi:
+        return math.inf
+
+    def value(s):
+        z = seg.sol(np.array([s]))
+        if seg.chart != "rot":
+            if 1.0 - z[0, 0] < 1e-9:
+                return math.inf
+            z = seg.moser.to_physical(z[:4], z[4:8])
+        return float(fn(z)[0])
+
+    res = minimize_scalar(value, bounds=(lo, hi), method="bounded",
+                          options={"xatol": 1e-12})
+    return float(res.fun)
 
 
 # --- one leg of a flight: the request and its outcome ---
@@ -465,7 +509,9 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
             if cause is None:
                 if leg.status == 0 and t_stop < t_final - 1e-13:
                     raise time_out(t)
+                seg.end = _time_end(6, t_stop)
                 return build_traj(t)
+            seg.end = _rot_end(leg_events[cause].fn)
             if cause < n_sw:
                 chart_name = switch[cause][0]
                 ch = MoserChart(mu, chart_name.split("-")[1])
@@ -596,7 +642,7 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     chart_events = [
         FlowEvent(lambda z: ch.physical_radius(z[:4], z[4:8]) - r2,
                   direction=1.0, name="exit"),
-        FlowEvent(lambda z: z[8] - t_stop, direction=1.0, name="time"),
+        FlowEvent(_time_end(8, t_stop), direction=1.0, name="time"),
     ]
     for ev in events:
         if ev.chart_fn is not None:
@@ -629,9 +675,26 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     xi, eta = project_constraints(z_end[:4], z_end[4:8])
     if cause is None:
         return xi, eta, t, "budget", res, None
+    if cause == 0:      # the exit radius, in a form for complex arrays
+        def end(z):
+            return (1.0 - z[0]) * np.sqrt((z[4:8] ** 2).sum(axis=0)) - r2
+        segments[-1].end = end
+    else:
+        segments[-1].end = chart_events[cause].fn
     if cause < 2:
         return xi, eta, t, ("exit", "time")[cause], res, None
     return xi, eta, t, "user", res, cause - 2
+
+
+def _time_end(row, t_end):
+    """Event function of the state rows vanishing at physical time t_end,
+    which is row ``row`` of them."""
+    return lambda z: z[row] - t_end
+
+
+def _rot_end(fn):
+    """A rot-chart event function as a function of the rows (q, p, t)."""
+    return lambda z: fn(z[:6])
 
 
 def _safe_physical(ch, z):
@@ -927,6 +990,146 @@ def _assemble_legs(reqs, out, log, t_events):
         leg.sol = DenseOutput(leg.t, t_old[rows], h[rows], y_old[rows],
                               F[rows])
     return out
+
+
+# --- flight Jacobians: the derivative of a flown trajectory ---
+#
+# Internal numerical differentiation (Bock 1981): the DOP853 steps a flight
+# accepted are differentiated exactly, for the step sizes it took.  A
+# tangent has rows (q, p, t, c) in the rotating chart and (xi, eta, t, c)
+# in a Moser chart: physical time is a coordinate, and the energy c a
+# constant one.
+
+
+def _rot_jacobian_rows(Y, mu):
+    """Rotating field of each row of Y (m, 6), and its Jacobian in
+    (q, p, t, c), of shape (m, 6, 8); the field depends on neither t nor c."""
+    K, _ = _rot_field_rows(Y, mu)
+    jac = np.zeros((len(Y), 6, 8))
+    jac[:, 0, 1] = jac[:, 3, 4] = 1.0
+    jac[:, 1, 0] = jac[:, 4, 3] = -1.0
+    jac[:, :3, 3:6] = np.eye(3)
+    for pos, mass in ((mu, 1.0 - mu), (mu - 1.0, mu)):
+        if mass == 0.0:
+            continue
+        w = Y[:, :3] - np.array([pos, 0.0, 0.0])
+        r2 = np.einsum("ij,ij->i", w, w)[:, None, None]
+        r3 = r2 * np.sqrt(r2)
+        # dp/dt gets minus the Hessian of the primary's potential -mass/|w|
+        jac[:, 3:, :3] -= mass * (np.eye(3) / r3 - 3.0 * w[:, :, None]
+                                  * w[:, None, :] / (r2 * r3))
+    return K, jac
+
+
+def _step_derivatives(y, h, theta, field_rows, D):
+    """Derivatives of a segment's DOP853 steps from the rows y (n, d) with
+    sizes h (n,), in a tangent of D rows (the first d the state).
+
+    field_rows(Y) gives the field (m, d) and its Jacobian (m, d, D) at
+    state rows Y (m, d).  The 12 stages of every step are recomputed and
+    differentiated together; the field at the last step's end and its
+    three dense-output stages only for that step.  Returns the step
+    derivatives (n, d, D) and that of the last step's dense output at the
+    normalized time theta (d, D).
+    """
+    d = y.shape[1]
+    hc, h3 = h[:, None], h[:, None, None]
+    eye = np.eye(D)[:d]
+    K = np.empty((16, len(y), d))
+    dK = np.empty((16, len(y), d, D))
+    for s in range(16):
+        if s == 0:
+            Y, dY = y, eye
+        elif s == _STAGES:
+            steps = eye + h3 * np.tensordot(dop.B, dK[:_STAGES], 1)
+            Y = (y + hc * np.tensordot(dop.B, K[:_STAGES], 1))[-1:]
+            dY = steps[-1:]
+            y, hc, h3, K, dK = y[-1:], hc[-1:], h3[-1:], K[:, -1:], dK[:, -1:]
+        else:
+            Y = y + hc * np.tensordot(dop.A[s, :s], K[:s], 1)
+            dY = eye + h3 * np.tensordot(dop.A[s, :s], dK[:s], 1)
+        K[s], jac = field_rows(Y)
+        dK[s] = jac[..., :d] @ dY
+        dK[s][..., d:] += jac[..., d:]
+    h, K, dK = h3[0, 0, 0], K[:, 0], dK[:, 0]
+    dF = np.empty((7, d, D))
+    dF[0] = steps[-1] - eye
+    dF[1] = h * dK[0] - dF[0]
+    dF[2] = 2 * dF[0] - h * (dK[_STAGES] + dK[0])
+    for r in range(4):
+        dF[3 + r] = h * np.tensordot(dop.D[r], dK, 1)
+    return steps, _dop853_value(theta, dF, eye)
+
+
+def _event_gradient(fn, x):
+    """Gradient of an event function at the state rows x, by complex step
+    on its (rows, n) array form."""
+    g = fn(x[:, None] + 1j * _CS_STEP * np.eye(len(x)))
+    if not np.iscomplexobj(g):
+        raise ConfigError("flight Jacobians need event functions that "
+                          "take complex states")
+    return np.imag(g) / _CS_STEP
+
+
+def flight_jacobian(traj, V, dc=None):
+    """Derivative of a flown trajectory's end state with respect to its
+    start, from the flight's own DOP853 steps; no flight is flown.
+
+    V (6, k) is a tangent at the physical start state of a flight that
+    started in the rotating chart, dc (k,) the matching change of the
+    energy c it ran at (default: c held fixed).  Every accepted step is
+    differentiated exactly for its size; the chart maps, and the projection
+    that ends a chart stay, by their Jacobians.  At each segment's end the
+    hit-time correction W - F (grad g . W) / (grad g . F) moves the tangent
+    onto the event g = 0 that ended it (F the field, physical time
+    included).  Returns the tangent (6, k) at the physical end state and
+    the change (k,) of the end time.
+    """
+    mu, c = traj.mu, traj.energy
+    V = np.asarray(V, dtype=float)
+    k = V.shape[1]
+    W = np.vstack([V, np.zeros(k), np.zeros(k) if dc is None else dc])
+    for i, seg in enumerate(traj.segments):
+        sol, ch = seg.sol, seg.moser
+        if seg.chart == "rot":
+            def field_rows(Y):
+                return _rot_jacobian_rows(Y, mu)
+        else:
+            def field_rows(Y):
+                return q_field_jacobian_rows(Y, c, ch.nu)
+            if len(W) == 8:           # entering the chart
+                z0 = sol.y_old[0]
+                W = np.vstack([ch.from_physical_jacobian(
+                    ch.to_physical(z0[:4], z0[4:8])) @ W[:6], W[6:]])
+        d = sol.y_old.shape[1]
+        t_end = sol.ts[-1]
+        steps, dense = _step_derivatives(
+            sol.y_old, sol.h, (t_end - sol.t_old[-1]) / sol.h[-1],
+            field_rows, len(W))
+        for step in steps[:-1]:
+            W[:d] = step @ W
+        W[:d] = dense @ W
+        x = sol(t_end)
+        if seg.chart == "rot":
+            x_rows = np.append(x, t_end)                  # (q, p, t)
+            F = np.concatenate([_rot_field_rows(x[None], mu)[0][0],
+                                [1.0, 0.0]])
+        else:
+            x_rows = x
+            F = np.append(_q_field(x, c, ch.nu), 0.0)
+        if seg.end is not None:
+            grad = np.zeros(len(W))
+            grad[:len(x_rows)] = _event_gradient(seg.end, x_rows)
+            W -= np.outer(F, grad @ W) / (grad @ F)
+        if seg.chart != "rot":
+            xi, eta = x[:4], x[4:8]
+            jac = np.eye(8)
+            if i + 1 < len(traj.segments):    # leaving the chart
+                jac = project_constraints_jacobian(xi, eta)
+                xi, eta = project_constraints(xi, eta)
+            W = np.vstack([ch.to_physical_jacobian(xi, eta) @ jac @ W[:8],
+                           W[8:]])
+    return W[:6], W[6]
 
 
 def event_crossing(traj, fn, direction=0, t_range=None, n_scan=400):

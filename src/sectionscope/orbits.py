@@ -8,13 +8,15 @@ from typing import Optional
 
 import numpy as np
 
-from .cr3bp import central_jacobian, effective_potential, hamiltonian, primaries
+from .cr3bp import (central_jacobian, effective_potential, hamiltonian,
+                    hamiltonian_gradient, primaries)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
                      JacobianSingularError, NoCrossingError)
-from .flows import FlowEvent, IntegratorConfig, integrate
+from .flows import FlowEvent, IntegratorConfig, flight_jacobian, integrate
 # reciprocal_pair_residual is re-exported: it is part of the orbits API
 from .sections import (SectionSpec, ellipsoid_return, page_coords, page_embed,
-                       page_frame, reciprocal_pair_residual, return_map_iter)
+                       page_frame, page_map_derivative,
+                       reciprocal_pair_residual, return_map_iter)
 
 _COND_LIMIT = 1e12
 
@@ -64,14 +66,17 @@ def _classify_spatial(traj):
 
 
 def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
-                        tol=1e-11, max_iter=50, fd_h=1e-6):
+                        tol=1e-11, max_iter=50):
     """Damped Newton for a fixed point of the k-fold return map.
 
-    G(u) = coords(f^k(embed(u))) - u in page-frame coordinates; central
-    FD Jacobian, Armijo backtracking on the raw closure norm.  Raises
-    JacobianSingularError when the shooting matrix is numerically rank
-    deficient (degenerate root or a continuum of periodic points) and
-    ConvergenceError after max_iter iterations.
+    G(u) = coords(f^k(embed(u))) - u in page-frame coordinates, with
+    Armijo backtracking on the raw closure norm.  The shooting matrix
+    pinv(frame) Df^k frame - I is the derivative of the iterate's own
+    flights (flows.flight_jacobian); an accepted trial point's flights
+    serve the next iteration.  Raises JacobianSingularError when the
+    shooting matrix is numerically rank deficient (degenerate root or a
+    continuum of periodic points) and ConvergenceError after max_iter
+    iterations.
     """
     if mu is None:
         raise ConfigError("mu is required for the CR3BP search")
@@ -82,25 +87,18 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
         c = hamiltonian(x, mu)
     history = []
     res = None
+    fx, tau, _, flights = return_map_iter(x, k, mu, c=c, cfg=cfg, spec=spec)
     for it in range(max_iter):
-        fx, tau, samples = return_map_iter(x, k, mu, c=c, cfg=cfg, spec=spec)
         res = float(np.linalg.norm(fx - x))
         history.append(res)
         if res < tol:
-            traj_sym = _classify_from_samples(x, k, mu, c, cfg, spec)
             return PeriodicOrbit(
                 representative=x, period=tau, energy=c, mu=mu,
-                residual=res, symmetry=traj_sym, k=k,
+                residual=res, symmetry=_classify_flights(flights), k=k,
                 newton_history=tuple(history))
         frame = page_frame(x, mu)
         g0 = page_coords(x, frame, fx)
-
-        def closure(u):
-            y = page_embed(x, frame, u, mu, c, spec.theta)
-            fy, _, _ = return_map_iter(y, k, mu, c=c, cfg=cfg, spec=spec)
-            return page_coords(x, frame, fy) - u
-
-        jac = central_jacobian(closure, np.zeros(4), fd_h)
+        jac = page_map_derivative(flights, frame, frame) - np.eye(4)
         cond = np.linalg.cond(jac)
         if not np.isfinite(cond) or cond > _COND_LIMIT:
             raise JacobianSingularError(
@@ -111,11 +109,11 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
         lam = 1.0
         for _ in range(12):
             x_try = page_embed(x, frame, lam * du_full, mu, c, spec.theta)
-            fx_try, _, _ = return_map_iter(x_try, k, mu, c=c, cfg=cfg,
-                                           spec=spec)
-            res_try = float(np.linalg.norm(fx_try - x_try))
+            trial = return_map_iter(x_try, k, mu, c=c, cfg=cfg, spec=spec)
+            res_try = float(np.linalg.norm(trial[0] - x_try))
             if res_try < (1.0 - 1e-4 * lam) * res:
                 x = x_try
+                fx, tau, _, flights = trial
                 break
             lam *= 0.5
         else:
@@ -125,18 +123,10 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
         f"no convergence after {max_iter} iterations (residual {res:.3e})")
 
 
-def _classify_from_samples(x, k, mu, c, cfg, spec):
-    from .sections import return_map
-    s, (lead, traj) = return_map(x, mu, c=c, cfg=cfg, spec=spec,
-                                 return_traj=True)
-    tag = _classify_spatial(traj)
-    for _ in range(k - 1):
-        s, (lead, traj) = return_map(s.fx, mu, c=c, cfg=cfg, spec=spec,
-                                     return_traj=True)
-        t2 = _classify_spatial(traj)
-        if t2 != tag:
-            tag = "spatial"
-    return tag
+def _classify_flights(flights):
+    """The one label of all returns' flights, else 'spatial'."""
+    tags = {_classify_spatial(traj) for _, traj in flights}
+    return tags.pop() if len(tags) == 1 else "spatial"
 
 
 def find_ellipsoid_periodic(z0, k, ab, tol=1e-11, max_iter=50, fd_h=1e-6):
@@ -362,26 +352,24 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
 # --- Floquet analysis ---
 
 
-def flow_map(x, period, mu, cfg):
-    # energy is recomputed from the state: the regularized-chart clock
-    # is only correct on the energy level the state actually lives on
-    traj = integrate(np.asarray(x, float), mu, cfg, period)
-    return traj.final_state()
+def floquet_multipliers(orbit, cfg=None):
+    """Eigenvalues of the monodromy of the full-period flow map.
 
-
-def floquet_multipliers(orbit, cfg=None, h=1e-7):
-    """Eigenvalues of the FD monodromy of the full-period flow map.
-
-    The raw 6x6 monodromy always carries a reciprocal-pair spectrum with
-    (at least) a double unit eigenvalue along the orbit/energy
-    directions.  Warns when the monodromy condition number exceeds 1e10.
+    The 6x6 monodromy is the derivative of one full-period flight's own
+    DOP853 steps (flows.flight_jacobian).  The flight runs at the energy
+    of its start, so the energy moves with the start tangent: the
+    regularized-chart clock is only correct on the energy level the state
+    lives on.  The monodromy always carries a reciprocal-pair spectrum
+    with (at least) a double unit eigenvalue along the orbit/energy
+    directions.  Warns when its condition number exceeds 1e10.
     """
     if orbit.residual > 1e-9:
         raise ConfigError("orbit residual above 1e-9; refine first")
     cfg = cfg or IntegratorConfig()
     x = np.asarray(orbit.representative, dtype=float)
     mu, T = orbit.mu, orbit.period
-    M = central_jacobian(lambda y: flow_map(y, T, mu, cfg), x, h)
+    traj = integrate(x, mu, cfg, T)
+    M, _ = flight_jacobian(traj, np.eye(6), hamiltonian_gradient(x, mu))
     cond = np.linalg.cond(M)
     if cond > 1e10:
         warnings.warn(f"ill-conditioned monodromy (cond {cond:.2e})",

@@ -95,6 +95,47 @@ def project_constraints(xi, eta):
     return xi, eta
 
 
+def project_constraints_jacobian(xi, eta):
+    """Jacobian (8, 8) of project_constraints at a T*S^3 point (xi, eta)."""
+    xi = np.asarray(xi, dtype=float)
+    eta = np.asarray(eta, dtype=float)
+    n = np.linalg.norm(xi)
+    u = xi / n
+    du = (np.eye(4) - np.outer(u, u)) / n             # d(xi/|xi|)/dxi
+    ue = float(u @ eta)
+    jac = np.zeros((8, 8))
+    jac[:4, :4] = du
+    jac[4:, :4] = -(np.outer(u, eta) + ue * np.eye(4)) @ du
+    jac[4:, 4:] = np.eye(4) - np.outer(u, u)
+    return jac
+
+
+def _chart_to_stereo_jacobian(x, y):
+    """Jacobian (8, 6) of chart_to_stereo in (x, y) for a spatial chart."""
+    s1 = float(x @ x) + 1.0
+    e0 = float(x @ y)
+    jac = np.zeros((8, 6))
+    jac[0, :3] = 4.0 * x / s1 ** 2
+    jac[1:4, :3] = 2.0 * np.eye(3) / s1 - 4.0 * np.outer(x, x) / s1 ** 2
+    jac[4, :3], jac[4, 3:] = y, x
+    jac[5:, :3] = np.outer(y, x) - np.outer(x, y) - e0 * np.eye(3)
+    jac[5:, 3:] = 0.5 * s1 * np.eye(3) - np.outer(x, x)
+    return jac
+
+
+def _stereo_to_chart_jacobian(xi, eta):
+    """Jacobian (6, 8) of stereo_to_chart in (xi, eta) on T*S^3."""
+    s = 1.0 - xi[0]
+    jac = np.zeros((6, 8))
+    jac[:3, 0] = xi[1:] / s ** 2
+    jac[:3, 1:4] = np.eye(3) / s
+    jac[3:, 0] = -eta[1:]
+    jac[3:, 1:4] = eta[0] * np.eye(3)
+    jac[3:, 4] = xi[1:]
+    jac[3:, 5:] = s * np.eye(3)
+    return jac
+
+
 # --- CR3BP f/b/M and the regularized Hamiltonian ---
 
 _K_OFFSET = np.array([-1.0, 0.0, 0.0])  # chart-center minus other-primary
@@ -142,12 +183,13 @@ def regularized_hamiltonian(xi, eta, c, mu, primary="moon"):
     return 0.5 * f * f * float(eta @ eta)
 
 
-def _q_gradient(v, c, nu):
+def _q_gradient(v, c, nu, sqrt=math.sqrt):
     """Ambient gradient of Q = f^2 |eta|^2 / 2 at v = [xi0..xi3, eta0..eta3].
 
     v is a list of 8 floats; returns the 8 floats (dQ/dxi, dQ/deta) and
     |eta|^2.  Scalar arithmetic throughout: this is the inner loop of
-    every Moser-chart flight.
+    every Moser-chart flight.  With sqrt=np.sqrt the same formula runs
+    elementwise on arrays, complex ones included (no collision check).
     """
     x0, x1, x2, x3, e0, e1, e2, e3 = v
     other = 1.0 - nu
@@ -157,8 +199,8 @@ def _q_gradient(v, c, nu):
     u2 = s * e2 + e0 * x2
     u3 = s * e3 + e0 * x3
     d2 = u1 * u1 + u2 * u2 + u3 * u3
-    d = math.sqrt(d2)
-    if d < 1e-12:
+    d = sqrt(d2)
+    if sqrt is math.sqrt and d < 1e-12:
         raise SecondaryCollisionError(
             "regularized chart reached the other primary"
         )
@@ -183,27 +225,55 @@ def _q_gradient(v, c, nu):
              a * fe3 + ff * e3], nsq)
 
 
-def _q_field(z, c, nu):
-    """Packed Moser right-hand side on z = (xi, eta, t): a 9-vector.
+def _q_rhs(v, c, nu, sqrt=math.sqrt):
+    """Packed Moser right-hand side on v = [xi0..xi3, eta0..eta3]: a list
+    of 9 values.
 
     Rows 0-7 are the Hamiltonian field of Q on T*S^3 (Dirac projection):
     the ambient field (dQ/deta, -dQ/dxi) corrected with the multipliers of
     the constraints phi1 = (|xi|^2-1)/2, phi2 = <xi,eta> so that both are
     conserved; Q itself is conserved exactly by the corrected field.
-    Row 8 is the clock dt/ds = nu (1 - xi0) |eta|.
+    Row 8 is the clock dt/ds = nu (1 - xi0) |eta|.  sqrt as in _q_gradient.
     """
-    v = z[:8].tolist()
-    (qx0, qx1, qx2, qx3, qe0, qe1, qe2, qe3), nsq = _q_gradient(v, c, nu)
+    (qx0, qx1, qx2, qx3, qe0, qe1, qe2, qe3), nsq = _q_gradient(v, c, nu,
+                                                                sqrt)
     x0, x1, x2, x3, e0, e1, e2, e3 = v
     lam1 = -(qe0 * x0 + qe1 * x1 + qe2 * x2 + qe3 * x3)
     lam2 = ((qx0 * x0 + qx1 * x1 + qx2 * x2 + qx3 * x3)
             - (qe0 * e0 + qe1 * e1 + qe2 * e2 + qe3 * e3))
-    return np.array([
+    return [
         qe0 + lam1 * x0, qe1 + lam1 * x1, qe2 + lam1 * x2, qe3 + lam1 * x3,
         -qx0 - lam1 * e0 + lam2 * x0, -qx1 - lam1 * e1 + lam2 * x1,
         -qx2 - lam1 * e2 + lam2 * x2, -qx3 - lam1 * e3 + lam2 * x3,
-        nu * ((1.0 - x0) * math.sqrt(nsq)),
-    ])
+        nu * ((1.0 - x0) * sqrt(nsq)),
+    ]
+
+
+def _q_field(z, c, nu):
+    """Packed Moser right-hand side (see _q_rhs) on z = (xi, eta, t)."""
+    return np.array(_q_rhs(z[:8].tolist(), c, nu))
+
+
+_CS_STEP = 1e-20    # complex-step size: exact to rounding, no cancellation
+
+
+def q_field_jacobian_rows(Z, c, nu):
+    """Packed Moser field of each row of Z (m, 9) = (xi, eta, t), and its
+    Jacobian in (xi, eta, t, c), of shape (m, 9, 10).
+
+    The derivatives come from one complex-step evaluation of _q_rhs on
+    arrays, one perturbed copy of the rows per input direction; the field
+    does not depend on t, so that column is zero.
+    """
+    m = len(Z)
+    pert = 1j * _CS_STEP * np.eye(9)          # directions xi, eta, c
+    v = [Z[:, i][None, :] + pert[i][:, None] for i in range(8)]
+    out = np.array(_q_rhs(v, c + pert[8][:, None], nu, np.sqrt))
+    jac = np.zeros((m, 9, 10))
+    d = out.imag.transpose(2, 0, 1) / _CS_STEP   # (m, row, direction)
+    jac[:, :, :8] = d[:, :, :8]
+    jac[:, :, 9] = d[:, :, 8]
+    return out[:, 0].real.T.copy(), jac
 
 
 def regularized_gradient(xi, eta, c, mu, primary="moon"):
@@ -270,6 +340,27 @@ class MoserChart:
         q = self._to_relabeled((y.T + self._center).T)
         p = self._to_relabeled(-x)
         return np.concatenate([q, p])
+
+    def _frame_jacobian(self):
+        """d(x, y)/d(q, p) of the chart coordinates x = -p, y = q - center
+        (in the relabeled frame); it is its own inverse up to sign."""
+        r = np.diag([-1.0, -1.0, 1.0]) if self._rotate else np.eye(3)
+        jac = np.zeros((6, 6))
+        jac[:3, 3:] = -r
+        jac[3:, :3] = r
+        return jac
+
+    def from_physical_jacobian(self, state):
+        """Jacobian (8, 6) of from_physical at a rotating-frame state."""
+        q = self._to_relabeled(state[:3])
+        p = self._to_relabeled(state[3:6])
+        return (_chart_to_stereo_jacobian(-p, q - self._center)
+                @ self._frame_jacobian())
+
+    def to_physical_jacobian(self, xi, eta):
+        """Jacobian (6, 8) of to_physical at (xi, eta)."""
+        return self._frame_jacobian().T @ _stereo_to_chart_jacobian(
+            np.asarray(xi, dtype=float), np.asarray(eta, dtype=float))
 
     def physical_radius(self, xi, eta):
         """Distance to the regularized primary, |q_loc| = (1 - xi0)|eta|."""

@@ -32,10 +32,14 @@ from .errors import (
     PerturbationEscapeError,
     SectionScopeError,
 )
-from .flows import FlowEvent, IntegratorConfig, integrate, integrate_many
+from .flows import (FlowEvent, IntegratorConfig, flight_jacobian, integrate,
+                    integrate_many)
 from .regularize import MoserChart
 
 BINDING_SQ_TOL = 1e-24
+# A sampled binding_min below this (100x the warning level of 1e-8) is
+# refined on the dense output: close approaches can fall between samples.
+BINDING_REFINE_BELOW = 1e-6
 
 
 def physical_angle(state):
@@ -195,8 +199,10 @@ def _return_sample(x, mu, theta, lead, traj):
     crossings = sum(1 for h in traj.event_hits if h[0] == 1)
     ang_f = physical_angle(fx)
     binding_min = min(
-        lead.min_over(lambda s: s[2] ** 2 + s[5] ** 2),
-        traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2),
+        lead.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
+                      refine_below=BINDING_REFINE_BELOW),
+        traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
+                      refine_below=BINDING_REFINE_BELOW),
     )
     return ReturnSample(
         x=x, fx=np.asarray(fx, float), tau=t_hit, crossings=crossings,
@@ -277,16 +283,35 @@ def return_map_many(xs, mu, c=None, cfg=None, spec=None):
 
 
 def return_map_iter(x, k, mu, c=None, cfg=None, spec=None):
-    """k-fold composition of return_map; returns (fx, total tau, samples)."""
+    """k-fold composition of return_map; returns (fx, total tau, samples,
+    flights), with the (lead, trajectory) pair of each return."""
     total = 0.0
     samples = []
+    flights = []
     cur = np.asarray(x, dtype=float)
     for _ in range(k):
-        s = return_map(cur, mu, c=c, cfg=cfg, spec=spec)
+        s, flight = return_map(cur, mu, c=c, cfg=cfg, spec=spec,
+                               return_traj=True)
         samples.append(s)
+        flights.append(flight)
         cur = s.fx
         total += s.tau
-    return cur, total, samples
+    return cur, total, samples, flights
+
+
+def page_map_derivative(flights, frame0, frame1):
+    """Derivative (4, 4) of the return maps flown as flights (the pairs of
+    return_map_iter), from page-frame coordinates at their start (frame0)
+    to those at their end (frame1).
+
+    The frame is page_embed's derivative at u = 0 and the least-squares
+    pinv(frame1) that of page_coords; the flights are differentiated by
+    flows.flight_jacobian at the fixed energy c, as return_map holds it.
+    """
+    V = frame0
+    for lead, traj in flights:
+        V = flight_jacobian(traj, flight_jacobian(lead, V)[0])[0]
+    return np.linalg.lstsq(frame1, V, rcond=None)[0]
 
 
 # --- page-adapted symplectic frames and Jacobians ---
@@ -395,29 +420,17 @@ def reciprocal_pair_residual(multipliers):
     return float(worst)
 
 
-def return_map_jacobian(x, mu, c=None, cfg=None, spec=None, h=3e-7, k=1):
-    """Central-FD Jacobian of the k-fold return map in page coordinates.
-
-    The step balances FD truncation against the integration error of the
-    flights; h ~ 3e-7 keeps the symplecticity residual below 1e-6 even
-    where the return map has large derivatives.
-    """
+def return_map_jacobian(x, mu, c=None, cfg=None, spec=None, k=1):
+    """Jacobian of the k-fold return map in page coordinates, from the
+    flights' own DOP853 steps (see page_map_derivative)."""
     spec = spec or SectionSpec()
     cfg = cfg or IntegratorConfig()
     x = np.asarray(x, dtype=float)
     if c is None:
         c = hamiltonian(x, mu)
-    theta = spec.theta
-    fx, _, samples = return_map_iter(x, k, mu, c=c, cfg=cfg, spec=spec)
-    frame0 = page_frame(x, mu)
-    frame1 = page_frame(fx, mu)
-
-    def page_map(u):
-        y = page_embed(x, frame0, u, mu, c, theta)
-        fy, _, _ = return_map_iter(y, k, mu, c=c, cfg=cfg, spec=spec)
-        return page_coords(fx, frame1, fy)
-
-    J = central_jacobian(page_map, np.zeros(4), h)
+    fx, _, samples, flights = return_map_iter(x, k, mu, c=c, cfg=cfg,
+                                              spec=spec)
+    J = page_map_derivative(flights, page_frame(x, mu), page_frame(fx, mu))
     resid = np.linalg.norm(J.T @ OMEGA4 @ J - OMEGA4)
     return JacobianResult(J=J, symplecticity_residual=float(resid),
                           base_sample=samples[0],

@@ -306,3 +306,33 @@ def test_central_jacobian_evaluation_order():
 
     central_jacobian(f, np.zeros(2), 0.5)
     assert calls == [[0.5, 0.0], [-0.5, 0.0], [0.0, 0.5], [0.0, -0.5]]
+
+
+# --- the rotating field on Python floats ---
+
+
+def _vector_field_on_numpy_scalars(state, mu):
+    """vector_field as it was written on numpy scalars, kept as the oracle
+    of the float rewrite."""
+    q1, q2, q3, p1, p2, p3 = state
+    dx_e = q1 - mu
+    dx_m = q1 - (mu - 1.0)
+    r2 = q2 * q2 + q3 * q3
+    de3 = math.sqrt(dx_e * dx_e + r2) ** 3
+    dm3 = math.sqrt(dx_m * dx_m + r2) ** 3
+    ax = mu * (q1 - (mu - 1.0)) / dm3 + (1.0 - mu) * (q1 - mu) / de3
+    ay = mu * q2 / dm3 + (1.0 - mu) * q2 / de3
+    az = mu * q3 / dm3 + (1.0 - mu) * q3 / de3
+    return np.array([p1 + q2, p2 - q1, p3, p2 - ax, -p1 - ay, -az])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
+       st.floats(0.0, 1.0))
+def test_vector_field_matches_numpy_scalar_code_bitwise(state, mu):
+    state = np.array(state)
+    if min(np.linalg.norm(state[:3] - p) for p in primaries(mu)) < 1e-3:
+        return
+    got = vector_field(state, mu)
+    want = _vector_field_on_numpy_scalars(state, mu)
+    assert got.tobytes() == want.tobytes()

@@ -10,8 +10,9 @@ from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, \
     sample_shell_states
 from sectionscope.errors import (ConfigError, MaxTimeExceeded,
                                  NoCrossingError, StepSizeUnderflow)
-from sectionscope.flows import (FlowEvent, IntegratorConfig, event_crossing,
-                                integrate)
+from sectionscope.cr3bp import central_jacobian, hamiltonian_gradient
+from sectionscope.flows import (_READ_CAP, FlowEvent, IntegratorConfig,
+                                event_crossing, flight_jacobian, integrate)
 from sectionscope.regularize import MoserChart
 
 C_TEST = -1.7
@@ -173,10 +174,10 @@ def test_trajectory_jsonl_roundtrip(tmp_path):
 
 def _oracle_min_over(traj, fn, n_per_segment=60):
     """Per-sample reference for Trajectory.min_over: one dense-output call,
-    one chart map and one fn call per sample."""
+    one chart map and one fn call per sample of Segment.sample_blocks."""
     best = math.inf
     for seg in traj.segments:
-        for s in np.linspace(seg.nodes[0], seg.nodes[-1], n_per_segment):
+        for s in np.concatenate(seg.sample_blocks(n_per_segment)):
             z = seg.sol(s)
             if seg.chart == "rot":
                 st = z
@@ -206,6 +207,17 @@ def test_min_over_matches_per_sample_oracle():
            for k in range(6) for sign in (1.0, -1.0)]
     fns.append(lambda s: s[2] ** 2 + s[5] ** 2)
     for fn in fns:
+        assert traj.min_over(fn) == _oracle_min_over(traj, fn)
+    # a tight circular Kepler orbit stays in the chart for about 330 units
+    # of regularized time: 166 blocks, read in several groups
+    r = 0.03
+    q = r * np.array([0.0, math.cos(0.6), math.sin(0.6)])
+    p = np.array([-math.sqrt(1.0 / r), 0.0, 0.0]) + \
+        np.array([-q[1], q[0], 0.0])
+    traj = integrate(np.concatenate([q, p]), 0.0, IntegratorConfig(), 10.0)
+    stay, = [seg for seg in traj.segments if seg.chart != "rot"]
+    assert len(stay.sample_blocks(60)) > 2 * (_READ_CAP // 60)
+    for fn in (fns[0], fns[-1]):
         assert traj.min_over(fn) == _oracle_min_over(traj, fn)
 
 
@@ -248,3 +260,34 @@ def test_chart_stay_stops_at_regularized_time_budget(budget):
     assert moser
     span = sum(float(seg.nodes[-1] - seg.nodes[0]) for seg in moser)
     assert span == pytest.approx(budget, abs=1e-12)
+
+
+# --- flight Jacobians ---
+
+
+def _end_and_time(traj):
+    return np.append(traj.final_state(), traj.t_end)
+
+
+@pytest.mark.parametrize("mu", [0.0, 3e-3])
+def test_flight_jacobian_through_a_chart_matches_central_differences(mu):
+    # the vertical collision orbit dives into the Earth chart; a fixed end
+    # time, then an event end (the first upward crossing of q3 = 0.3)
+    # after the chart stay.  The energy moves with the start (c = H(x)).
+    cfg = IntegratorConfig(max_time=5.0)
+    x = VERTICAL_APEX.copy()
+    x[0] += mu
+    x[4] += mu
+    ev = FlowEvent(lambda s: s[2] - 0.3, direction=1.0, name="q3")
+    for events, t_final in (((), 0.7), ((ev,), 5.0)):
+        def flow(y):
+            return _end_and_time(integrate(y, mu, cfg, t_final,
+                                           events=events))
+        traj = integrate(x, mu, cfg, t_final, events=events)
+        assert any(seg.chart == "moser-earth" for seg in traj.segments)
+        w, dt = flight_jacobian(traj, np.eye(6), hamiltonian_gradient(x, mu))
+        fd = central_jacobian(flow, x, 1e-7)
+        got = np.vstack([w, dt])
+        assert np.abs(got - fd).max() < 1e-5 * np.abs(fd).max()
+        if not events:
+            assert np.abs(dt).max() == 0.0

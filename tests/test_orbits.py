@@ -6,10 +6,12 @@ import warnings
 import numpy as np
 import pytest
 
-from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points
+from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
+                                hamiltonian, hamiltonian_gradient,
+                                lagrange_points)
 from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
                                  JacobianSingularError)
-from sectionscope.flows import IntegratorConfig, integrate
+from sectionscope.flows import IntegratorConfig, flight_jacobian, integrate
 from sectionscope.orbits import (classify_rotation, continue_family,
                                  find_ellipsoid_periodic, find_periodic_point,
                                  find_symmetric_planar_orbit,
@@ -201,8 +203,9 @@ def test_floquet_reciprocal_pairs_and_unit_multipliers():
     assert len(mult) == 6
     assert reciprocal_pair_residual(mult) < 1e-6
     # the trivial pair along the orbit/energy directions sits at 1; the
-    # FD monodromy splits the defective pair by ~sqrt(fd step), so the
-    # count is taken at 1e-3 rather than the ideal 1e-6
+    # monodromy splits the defective pair by about the square root of its
+    # error (4.3e-5 on this orbit), so the count is taken at 1e-3 rather
+    # than the ideal 1e-6
     assert unit_multiplier_count(mult, tol=1e-3) >= 2
 
 
@@ -233,3 +236,40 @@ def test_orbit_json_round_trip():
     assert d["symmetry"] == "vertical-collision"
     assert d["period"] == pytest.approx(orbit.period, rel=1e-15)
     assert len(d["representative"]) == 6
+
+
+# --- shooting matrix and monodromy from the flights' own steps ---
+
+
+@pytest.mark.parametrize("mu", [0.0, 3e-3, 1e-2])
+def test_shooting_matrix_and_monodromy_match_central_differences(mu):
+    from sectionscope.sections import (page_coords, page_embed, page_frame,
+                                       page_map_derivative, return_map_iter)
+    cfg = IntegratorConfig(max_time=50.0)
+    c = -1.75
+    # the shooting matrix at the Newton seed, as find_periodic_point builds
+    # it, against the central difference of its closure
+    x = vertical_seed(mu, c)
+    _, _, _, flights = return_map_iter(x, 1, mu, c=c, cfg=cfg)
+    frame = page_frame(x, mu)
+    got = page_map_derivative(flights, frame, frame) - np.eye(4)
+
+    def closure(u):
+        y = page_embed(x, frame, u, mu, c, 0.0)
+        return page_coords(x, frame, return_map_iter(y, 1, mu, c=c,
+                                                     cfg=cfg)[0]) - u
+
+    fd = central_jacobian(closure, np.zeros(4), 1e-6)
+    assert np.abs(got - fd).max() < 1e-5 * np.abs(fd).max()
+    # the monodromy of the converged orbit, against the central difference
+    # of the full-period flow map (each start at its own energy)
+    orbit = find_periodic_point(x, mu=mu, c=c, cfg=cfg)
+    x, period = orbit.representative, orbit.period
+    monodromy, _ = flight_jacobian(integrate(x, mu, cfg, period), np.eye(6),
+                                   hamiltonian_gradient(x, mu))
+    fd = central_jacobian(
+        lambda y: integrate(y, mu, cfg, period).final_state(), x, 1e-7)
+    assert np.abs(monodromy - fd).max() < 1e-5 * np.abs(fd).max()
+    mult = floquet_multipliers(orbit, cfg=cfg)
+    np.testing.assert_array_equal(mult, np.linalg.eigvals(monodromy))
+    assert reciprocal_pair_residual(mult) < 1e-9

@@ -13,10 +13,13 @@ from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points, \
     sample_shell_states
 from sectionscope.errors import (ConfigError, NorthPoleError,
                                  SecondaryCollisionError, ZeroVError)
+from sectionscope.cr3bp import central_jacobian
 from sectionscope.regularize import (MoserChart, chart_to_stereo,
                                      constraint_residual, kepler_oracles,
                                      lc_hamiltonian, levi_civita, moser_fbM,
                                      project_constraints,
+                                     project_constraints_jacobian,
+                                     q_field_jacobian_rows,
                                      regularized_hamiltonian,
                                      regularized_vector_field,
                                      stereo_to_chart)
@@ -456,3 +459,54 @@ def test_stereo_to_chart_fast_path_raises_on_fiber():
     with pytest.raises(NorthPoleError):
         stereo_to_chart(np.array([1.0, 0.0, 0.0, 0.0]),
                         np.array([0.0, 0.3, 0.0, 0.0]))
+
+
+# --- derivatives of the field and of the chart maps ---
+
+
+@settings(max_examples=60, deadline=None)
+@given(**FIELD_CASES)
+def test_complex_step_field_jacobian_matches_central_differences(
+        state, primary, mu, c):
+    # away from the other primary, where the field is smooth on the scale
+    # of the difference step, and off eta = 0, where the clock row
+    # nu (1 - xi0) |eta| has no derivative
+    xi, eta = state
+    ch, z = _chart_field(primary, mu, c, xi, eta)
+    assume(z is not None and np.linalg.norm(eta) > 0.1)
+    y = np.concatenate([xi, eta, [0.3]])
+    other = chart_to_stereo(np.zeros(3), np.array([1.0, 0.0, 0.0]))[0]
+    assume(np.linalg.norm(xi - other) > 0.2)
+    field, jac = q_field_jacobian_rows(y[None], c, ch.nu)
+    np.testing.assert_allclose(field[0], z, rtol=0.0,
+                               atol=1e-13 * max(1.0, np.abs(z).max()))
+    fd = central_jacobian(lambda w: ch.field(w[:9], w[9]),
+                          np.append(y, c), 1e-6)
+    scale = max(1.0, np.abs(fd).max())
+    np.testing.assert_allclose(jac[0], fd, rtol=0.0, atol=1e-7 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(state=ts3_states(eta_scale=3.0, off_fiber=True),
+       primary=st.sampled_from(["moon", "earth"]))
+def test_chart_map_jacobians_match_central_differences(state, primary):
+    xi, eta = state
+    ch = MoserChart(0.1, primary)
+    z = np.concatenate([xi, eta])
+    x = ch.to_physical(xi, eta)
+    to_fd = central_jacobian(lambda w: ch.to_physical(w[:4], w[4:]), z, 1e-7)
+    from_fd = central_jacobian(lambda y: np.concatenate(ch.from_physical(y)),
+                               x, 1e-7)
+    proj_fd = central_jacobian(
+        lambda w: np.concatenate(project_constraints(w[:4], w[4:])),
+        1.01 * z, 1e-7)
+    for got, fd in ((ch.to_physical_jacobian(xi, eta), to_fd),
+                    (ch.from_physical_jacobian(x), from_fd),
+                    (project_constraints_jacobian(1.01 * xi, 1.01 * eta),
+                     proj_fd)):
+        scale = max(1.0, np.abs(fd).max())
+        np.testing.assert_allclose(got, fd, rtol=0.0, atol=1e-6 * scale)
+    # on T*S^3 the two chart maps invert each other
+    np.testing.assert_allclose(
+        ch.to_physical_jacobian(xi, eta) @ ch.from_physical_jacobian(x),
+        np.eye(6), atol=1e-8 * max(1.0, np.abs(to_fd).max()) ** 2)
