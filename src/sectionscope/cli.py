@@ -8,6 +8,7 @@ significant digits so files are byte-stable for a fixed seed.
 """
 
 import argparse
+import functools
 import hashlib
 import math
 import sys
@@ -433,10 +434,16 @@ def build_parser():
     return p
 
 
+@functools.lru_cache(maxsize=1)
+def _parser():
+    """The parser, built once per process: parse_args leaves it unchanged
+    and returns a fresh Namespace on every call."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         # argparse uses code 2 for bad usage; remap to the config exit code
         if exc.code not in (0, None):

@@ -8,16 +8,19 @@ the regularized flow of Q is integrated instead; the physical time is
 accumulated alongside (dt/ds = g |q_loc|).  The chart is left again at
 twice the radius (hysteresis).
 
-``integrate_many`` flies a batch of independent flights in rounds.  In
-each round the rotating-chart legs of all live flights advance together:
-two or more legs run in one lockstep, numpy-vectorized DOP853 on an array
-of states (each member with its own step control, events and
-retirement); a single leg runs on scipy's ``solve_ivp``.  Moser-chart
-visits run one flight at a time between rounds, each stay as one
-``solve_ivp`` call.  ``integrate`` is the one-flight case.
+``integrate_many`` flies a batch of independent flights.  With two or
+more members, every rotating-chart leg runs on a lockstep lane: one
+long-lived, numpy-vectorized DOP853 on an array of states, each row with
+its own step control, events and retirement.  When a leg ends, its
+flight is resumed at once: a Moser-chart visit runs then, as one
+``solve_ivp`` call, and the flight's next leg joins the lane before the
+next iteration, so a batch takes as many iterations as its longest
+flight has step attempts.  ``integrate`` is the one-flight case, and
+runs its rotating legs on scipy's ``solve_ivp``.
 ``flight_jacobian`` differentiates a finished flight's accepted steps.
 """
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -178,13 +181,22 @@ class Segment:
     end: Optional[Callable] = None
 
     def sample_blocks(self, n):
-        """Sample points of the segment variable, in blocks of n evenly
-        spaced points: one block for a rot segment, one per _READ_SPAN
-        units of regularized time for a Moser segment."""
+        """Sample points of the segment variable as a (blocks, n) array,
+        n >= 2, each row n evenly spaced points: one block for a rot
+        segment, one per _READ_SPAN units of regularized time for a Moser
+        segment.  Each row equals np.linspace over its block."""
         lo, hi = float(self.nodes[0]), float(self.nodes[-1])
         k = 1 if self.chart == "rot" else math.ceil((hi - lo) / _READ_SPAN)
-        edges = [lo + _READ_SPAN * i for i in range(max(k, 1))] + [hi]
-        return [np.linspace(a, b, n) for a, b in zip(edges[:-1], edges[1:])]
+        a = lo + _READ_SPAN * np.arange(max(k, 1), dtype=float)
+        b = np.append(a[1:], hi)
+        span = (b - a)[:, None]
+        step = span / (n - 1)
+        x = np.arange(n)
+        # linspace scales by the span instead when the step underflows
+        blocks = a[:, None] + np.where(step == 0, x / (n - 1) * span,
+                                       x * step)
+        blocks[:, -1] = b
+        return blocks
 
     def raw_at(self, t):
         """Raw segment state at physical time t."""
@@ -243,7 +255,7 @@ class Trajectory:
         worst = 0.0
         scale = max(1.0, abs(self.energy))
         for seg in self.segments:
-            for s in np.concatenate(seg.sample_blocks(n_per_segment)):
+            for s in seg.sample_blocks(n_per_segment).ravel():
                 z = seg.sol(s)
                 if seg.chart == "rot":
                     dev = abs(hamiltonian(z, self.mu) - self.energy)
@@ -270,7 +282,7 @@ class Trajectory:
             blocks = seg.sample_blocks(n_per_segment)
             per = max(1, _READ_CAP // n_per_segment)
             for g in range(0, len(blocks), per):
-                s = np.concatenate(blocks[g:g + per])
+                s = blocks[g:g + per].ravel()
                 z = seg.sol(s)
                 if seg.chart != "rot":
                     keep = 1.0 - z[0] >= 1e-9
@@ -320,7 +332,7 @@ class Trajectory:
 def _refine_min(fn, seg, blocks, s_min):
     """Minimum of fn on seg's dense output between the samples next to
     s_min (in the segment variable)."""
-    s_all = np.concatenate(blocks)
+    s_all = blocks.ravel()
     lo = s_all[max(np.searchsorted(s_all, s_min, "left") - 1, 0)]
     hi = s_all[min(np.searchsorted(s_all, s_min, "right"), len(s_all) - 1)]
     if not lo < hi:
@@ -546,11 +558,14 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
 
     Member i flows starts[i] from t0s[i] (default 0) to t_finals[i] at
     energy cs[i] (default: H of the start), as ``integrate`` would; all
-    share mu, cfg, the events and the start chart.  A member's result
-    agrees with its ``integrate`` run to integration accuracy.  Bit for
-    bit it depends only on which of its legs had company in their round,
-    never on who the company was, and a failing member leaves the others
-    unchanged.
+    share mu, cfg, the events and the start chart.  One flight runs its
+    rotating-chart legs on solve_ivp.  Two or more run every rotating
+    leg on a lockstep lane, and a member whose leg ends is resumed at
+    once: it runs any Moser-chart visit and its next leg joins the lane
+    before the next iteration.  A member's result agrees with its
+    ``integrate`` run to integration accuracy and, bit for bit, is the
+    same in every batch of two or more; a failing member leaves the
+    others unchanged.
     """
     n = len(starts)
     cs = [None] * n if cs is None else list(cs)
@@ -560,18 +575,31 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     fwd_events = [ev for _, _, ev in switch] + events
     results = [None] * n
     flights = []
-    pending = {}
+    lanes = {}      # a lane per event list: backward legs lack the switches
 
     def resume(i, leg):
+        """Send member i its leg; returns its next _LegRequest, or None
+        once the member has its result."""
         try:
             if isinstance(leg, SectionScopeError):
-                pending[i] = flights[i].throw(leg)
-            else:
-                pending[i] = flights[i].send(leg)
+                return flights[i].throw(leg)
+            return flights[i].send(leg)
         except StopIteration as stop:
             results[i] = stop.value
         except SectionScopeError as exc:
             results[i] = exc
+        return None
+
+    def run(i, leg):
+        req = resume(i, leg)
+        if n == 1:
+            while req is not None:
+                req = resume(i, _solo_leg(req, mu, cfg))
+        elif req is not None:
+            key = id(req.events)
+            if key not in lanes:
+                lanes[key] = _Lane(req.events, mu, cfg)
+            lanes[key].join(i, req)
 
     for i in range(n):
         forward = t_finals[i] >= t0s[i]
@@ -579,21 +607,11 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
             starts[i], mu, cfg, t_finals[i], cs[i], events, t0s[i],
             start_chart, switch if forward else [],
             fwd_events if forward else events))
-        resume(i, None)
-    while pending:
-        # a lockstep evaluates one event list: forward legs carry the
-        # switch events, backward ones do not
-        rounds = {}
-        for i, req in pending.items():
-            rounds.setdefault(id(req.events), []).append(i)
-        reqs, pending = pending, {}
-        for members in rounds.values():
-            if len(members) == 1:
-                legs = [_solo_leg(reqs[members[0]], mu, cfg)]
-            else:
-                legs = _lockstep([reqs[i] for i in members], mu, cfg)
-            for i, leg in zip(members, legs):
-                resume(i, leg)
+        run(i, None)
+    while any(lane.live for lane in lanes.values()):
+        for lane in lanes.values():
+            for i, leg in lane.advance():
+                run(i, leg)
     return results
 
 
@@ -705,12 +723,12 @@ def _safe_physical(ch, z):
 
 # --- the lockstep DOP853 for rotating-chart legs ---
 #
-# A per-member transcription of scipy's RungeKutta._step_impl, DOP853
-# error norm and dense output, and of solve_ivp's event handling, on a
-# (members, 6) state array.  A member's step is rejected, retried and
-# accepted on its own; its stage sums run over the stage axis elementwise
-# and every reduction runs along a member's own row, so its arithmetic is
-# the same in any batch.
+# A per-leg transcription of scipy's RungeKutta._step_impl, DOP853 error
+# norm and dense output, and of solve_ivp's event handling, on a (legs, 6)
+# state array.  A leg's step is rejected, retried and accepted on its own;
+# its stage sums run over the stage axis elementwise and every reduction
+# runs along the leg's own row, so its arithmetic is the same whatever
+# the other rows are and whenever it joins.
 
 _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -718,23 +736,28 @@ _ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
 _ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
 
 
+@functools.lru_cache(maxsize=16)
+def _primary_columns(mu):
+    """(x position, mass) of the Moon and the Earth as (2, 1) columns."""
+    return np.array([[mu - 1.0], [mu]]), np.array([[mu], [1.0 - mu]])
+
+
 def _rot_field_rows(Y, mu):
     """Rotating vector field of each row of Y (m, 6), and the mask of
-    rows within the collision threshold of a primary."""
+    rows within the collision threshold of a primary.  Both primaries'
+    terms are computed at once, on (2, m) arrays, Moon first."""
+    pos, mass = _primary_columns(mu)
     q1, q2, q3, p1, p2, p3 = Y.T
-    dx_e = q1 - mu
-    dx_m = q1 - (mu - 1.0)
-    r2 = q2 * q2 + q3 * q3
-    de = np.sqrt(dx_e * dx_e + r2)
-    dm = np.sqrt(dx_m * dx_m + r2)
-    ke = (1.0 - mu) / de ** 3
-    km = mu / dm ** 3
-    k = ke + km
+    dx = q1 - pos
+    d = np.sqrt(dx * dx + (q2 * q2 + q3 * q3))
+    km_ke = mass / d ** 3
+    pull = km_ke * dx
+    k = km_ke[1] + km_ke[0]
     out = np.empty_like(Y)
-    np.add(p1, q2, out=out[:, 0])
-    np.subtract(p2, q1, out=out[:, 1])
+    out[:, 0] = p1 + q2
+    out[:, 1] = p2 - q1
     out[:, 2] = p3
-    np.subtract(p2, km * dx_m + ke * dx_e, out=out[:, 3])
+    out[:, 3] = p2 - (pull[0] + pull[1])
     # -(p1 + k q2) and -(k q3), in place on fresh arrays (negation is
     # exact); q1..p3 are views of Y and are not written
     kq2 = k * q2
@@ -742,12 +765,12 @@ def _rot_field_rows(Y, mu):
     np.negative(kq2, out=out[:, 4])
     k *= q3
     np.negative(k, out=out[:, 5])
-    return out, np.minimum(de, dm) < COLLISION_THRESHOLD
+    return out, d.min(axis=0) < COLLISION_THRESHOLD
 
 
 def _wsum(w, K):
     """sum_s w[s] K[s] over the leading (stage) axis."""
-    return (w[:, None, None] * K[:len(w)]).sum(axis=0)
+    return np.add.reduce(w[:, None, None] * K[:len(w)], axis=0)
 
 
 def _rms(X):
@@ -756,7 +779,7 @@ def _rms(X):
 
 
 class _Rows:
-    """The live members of a lockstep: parallel arrays, one row each."""
+    """The live legs of a lane: parallel arrays, one row each."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
@@ -764,6 +787,10 @@ class _Rows:
     def drop(self, mask):
         for name, arr in vars(self).items():
             setattr(self, name, arr[~mask])
+
+    def extend(self, other):
+        for name, arr in vars(self).items():
+            setattr(self, name, np.concatenate([arr, getattr(other, name)]))
 
 
 def _initial_step(m, mu, cfg):
@@ -862,134 +889,194 @@ def _member_events(events, act, count, ev_max, t_old, t_new, h, y_old, F,
     return stop
 
 
-def _lockstep(reqs, mu, cfg):
-    """Run rotating-chart legs together; returns a _Leg or the
-    CollisionError that ended it, per request.  All requests share one
-    event list."""
-    events = reqs[0].events
-    ev_dir = np.array([ev.direction for ev in events])[None, :]
-    ev_max = np.array([1.0 if ev.terminal else np.inf for ev in events])
-    out = [None] * len(reqs)
-    t_events = [[[] for _ in events] for _ in reqs]
-    log = []                    # per iteration: the accepted steps
-
-    def fail(rows, make):
-        for j in m.gid[rows]:
-            out[j] = make()
-        m.drop(rows)
-
-    def collided():
-        return CollisionError("state within collision threshold of a "
-                              "primary")
-
-    def underflow():
-        return _Leg(-1, OdeSolver.TOO_SMALL_STEP, None, None, None, None)
-
-    def eval_events(y):
-        return np.array([ev.fn(y.T) for ev in events]).reshape(
-            len(events), len(y)).T
-
-    y = np.array([r.y0 for r in reqs], dtype=float)
-    t = np.array([r.t0 for r in reqs], dtype=float)
-    t_bound = np.array([r.t_bound for r in reqs], dtype=float)
-    with np.errstate(all="ignore"):
-        f, bad = _rot_field_rows(y, mu)
-        m = _Rows(gid=np.arange(len(reqs)), y=y, f=f, t=t, t_bound=t_bound,
-                  d=np.sign(t_bound - t), g=eval_events(y),
-                  count=np.zeros((len(reqs), len(events))),
-                  rej=np.zeros(len(reqs), dtype=bool),
-                  n_steps=np.zeros(len(reqs), dtype=int))
-        m.h_abs, b = _initial_step(m, mu, cfg)
-        fail(bad | b, collided)
-
-        while m.gid.size:
-            # scipy clamps the step to [min_step, max_step] only on the
-            # first attempt of a step and fails below min_step after that
-            min_step = 10 * np.abs(np.nextafter(m.t, m.d * np.inf) - m.t)
-            first = ~m.rej
-            m.h_abs = np.where(first & (m.h_abs > cfg.max_step),
-                               cfg.max_step,
-                               np.where(first & (m.h_abs < min_step),
-                                        min_step, m.h_abs))
-            small = m.h_abs < min_step
-            if small.any():
-                fail(small, underflow)
-                if not m.gid.size:
-                    break
-            t_new = m.t + m.h_abs * m.d
-            t_new = np.where(m.d * (t_new - m.t_bound) > 0, m.t_bound, t_new)
-            h = t_new - m.t
-            K, y_new, bad, bad_dense = _rk_stages(m.y, m.f, h, mu)
-            err = _error_norm(K, m.y, y_new, np.abs(h), cfg)
-            accept = err < 1
-            m.h_abs = np.abs(h) * _step_factor(err, m.rej)
-            m.rej = ~accept
-            bad |= accept & bad_dense
-
-            # commit the accepted steps
-            a = np.nonzero(accept & ~bad)[0]
-            t_old, y_old = m.t[a], m.y[a]
-            F = _dense_coeffs(K[:, a], y_old, y_new[a], h[a])
-            m.t[a], m.y[a], m.f[a] = t_new[a], y_new[a], K[_STAGES, a]
-            m.n_steps[a] += 1
-            t_node = t_new[a]
-            keep = np.ones(a.size, dtype=bool)
-            log.append((m.gid[a], t_old, h[a], y_old, F, t_node, keep))
-            ended = m.d[a] * (t_new[a] - m.t_bound[a]) >= 0
-            stopped = np.zeros(a.size, dtype=bool)   # by a terminal event
-
-            # events: solve_ivp's find_active_events on every new state
-            g_new = eval_events(y_new[a])
-            g_old = m.g[a]
-            up = (g_old <= 0) & (g_new >= 0)
-            down = (g_old >= 0) & (g_new <= 0)
-            active = ((up & (ev_dir > 0)) | (down & (ev_dir < 0))
-                      | ((up | down) & (ev_dir == 0)))
-            m.g[a] = g_new
-            for p in np.nonzero(active.any(axis=1))[0]:
-                i = a[p]
-                stop = _member_events(
-                    events, np.nonzero(active[p])[0], m.count[i], ev_max,
-                    t_old[p], t_new[i], h[i], y_old[p], F[p],
-                    t_events[m.gid[i]])
-                if stop is not None:
-                    stopped[p] = True
-                    t_node[p] = stop
-                    m.y[i] = _dop853_value((stop - t_old[p]) / h[i], F[p],
-                                           y_old[p])
-                    # solve_ivp drops a node that repeats the last one
-                    keep[p] = not (m.n_steps[i] > 1 and stop == t_old[p])
-            for p in np.nonzero(ended | stopped)[0]:
-                out[m.gid[a[p]]] = _Leg(int(stopped[p]), "", None, None,
-                                        None, m.y[a[p]].copy())
-            done = bad.copy()
-            done[a] = ended | stopped
-            fail(bad, collided)
-            m.drop(done[~bad])
-
-    return _assemble_legs(reqs, out, log, t_events)
+# one accepted step in a lane's step log: t_old, h, node time, y_old (6)
+# and the dense-output coefficients F (7 x 6)
+_LOG_WIDTH = 3 + 6 + 7 * 6
 
 
-def _assemble_legs(reqs, out, log, t_events):
-    """Fill each finished leg's nodes, events and dense output from the
-    per-iteration log of accepted steps."""
-    if not log:
+def _collided():
+    return CollisionError("state within collision threshold of a primary")
+
+
+class _Lane:
+    """A long-lived lockstep DOP853 for the rotating-chart legs of a batch
+    that share one event list.
+
+    A leg joins with ``join`` and is stepped from the next ``advance``
+    on; each ``advance`` is one iteration, a step attempt of every live
+    leg, and returns the legs that ended in it.  Rows are spliced in and
+    dropped only in iterations where a leg starts or ends.  Each live leg
+    writes its accepted steps to its own slot of the step log, from which
+    its _Leg is assembled as soon as it ends.
+    """
+
+    def __init__(self, events, mu, cfg):
+        self.events, self.mu, self.cfg = events, mu, cfg
+        # solve_ivp's event directions: which sign changes fire each event
+        ev_dir = np.array([ev.direction for ev in events])
+        self.fires_up, self.fires_down = ev_dir >= 0, ev_dir <= 0
+        self.ev_max = np.array([1.0 if ev.terminal else np.inf
+                                for ev in events])
+        self.queue = []             # (member, _LegRequest) waiting to join
+        self.rows = None
+        self.t_events = {}          # member -> root times, one list per event
+        self.log = np.empty((0, 64, _LOG_WIDTH))    # slot, step, column
+        self.free = []              # unused log slots
+
+    @property
+    def live(self):
+        return bool(self.queue) or (self.rows is not None
+                                    and self.rows.gid.size > 0)
+
+    def join(self, member, req):
+        self.queue.append((member, req))
+
+    def advance(self):
+        """One iteration; returns (member, _Leg or CollisionError) for
+        every leg that ended in it."""
+        with np.errstate(all="ignore"):
+            ended = self._splice() if self.queue else []
+            if self.rows is not None and self.rows.gid.size:
+                ended += self._iterate()
+        return ended
+
+    def _eval_events(self, y):
+        return np.array([ev.fn(y.T) for ev in self.events]).reshape(
+            len(self.events), len(y)).T
+
+    def _splice(self):
+        """Start the queued legs: each new row gets its own field, event
+        values, counters and initial step."""
+        members, reqs = zip(*self.queue)
+        self.queue = []
+        n = len(reqs)
+        y = np.array([r.y0 for r in reqs], dtype=float)
+        t = np.array([r.t0 for r in reqs], dtype=float)
+        t_bound = np.array([r.t_bound for r in reqs], dtype=float)
+        f, bad = _rot_field_rows(y, self.mu)
+        new = _Rows(gid=np.array(members), y=y, f=f, t=t, t0=t.copy(),
+                    t_bound=t_bound, d=np.sign(t_bound - t),
+                    g=self._eval_events(y),
+                    count=np.zeros((n, len(self.events))),
+                    rej=np.zeros(n, dtype=bool),
+                    n_steps=np.zeros(n, dtype=int),
+                    slot=np.zeros(n, dtype=int))
+        new.h_abs, b = _initial_step(new, self.mu, self.cfg)
+        bad |= b
+        out = [(i, _collided()) for i in new.gid[bad]]
+        new.drop(bad)
+        short = new.gid.size - len(self.free)
+        if short > 0:
+            size = len(self.log)
+            grow = max(short, size)
+            self.log = np.concatenate(
+                [self.log, np.empty((grow,) + self.log.shape[1:])])
+            self.free.extend(range(size, size + grow))
+        for k, i in enumerate(new.gid):
+            new.slot[k] = self.free.pop()
+            self.t_events[i] = [[] for _ in self.events]
+        if self.rows is None:
+            self.rows = new
+        else:
+            self.rows.extend(new)
         return out
-    member, t_old, h, y_old, F, t_node, keep = (
-        np.concatenate(col) for col in zip(*log))
-    member, t_old, h, y_old, F, t_node = (
-        col[keep] for col in (member, t_old, h, y_old, F, t_node))
-    order = np.argsort(member, kind="stable")
-    bounds = np.searchsorted(member[order], np.arange(len(reqs) + 1))
-    for j, leg in enumerate(out):
-        if not isinstance(leg, _Leg) or leg.status == -1:
-            continue
-        rows = order[bounds[j]:bounds[j + 1]]
-        leg.t = np.concatenate([[reqs[j].t0], t_node[rows]])
-        leg.t_events = [np.asarray(te) for te in t_events[j]]
-        leg.sol = DenseOutput(leg.t, t_old[rows], h[rows], y_old[rows],
-                              F[rows])
-    return out
+
+    def _iterate(self):
+        """One step attempt of every row; returns the legs that ended."""
+        m, mu, cfg = self.rows, self.mu, self.cfg
+        out = []
+        # scipy clamps the step to [min_step, max_step] only on the first
+        # attempt of a step and fails below min_step after that
+        min_step = 10 * np.abs(np.nextafter(m.t, m.d * np.inf) - m.t)
+        first = ~m.rej
+        m.h_abs = np.where(first & (m.h_abs > cfg.max_step), cfg.max_step,
+                           np.where(first & (m.h_abs < min_step), min_step,
+                                    m.h_abs))
+        small = m.h_abs < min_step
+        if small.any():
+            out = [(i, _Leg(-1, OdeSolver.TOO_SMALL_STEP, None, None, None,
+                            None)) for i in m.gid[small]]
+            self._leave(small)
+            if not m.gid.size:
+                return out
+        t_new = m.t + m.h_abs * m.d
+        t_new = np.where(m.d * (t_new - m.t_bound) > 0, m.t_bound, t_new)
+        h = t_new - m.t
+        K, y_new, bad, bad_dense = _rk_stages(m.y, m.f, h, mu)
+        err = _error_norm(K, m.y, y_new, np.abs(h), cfg)
+        accept = err < 1
+        m.h_abs = np.abs(h) * _step_factor(err, m.rej)
+        m.rej = ~accept
+        bad |= accept & bad_dense
+
+        # commit the accepted steps
+        a = np.nonzero(accept & ~bad)[0]
+        t_old, y_old = m.t[a], m.y[a]
+        t_node, h_a, y_a = t_new[a], h[a], y_new[a]
+        F = _dense_coeffs(K[:, a], y_old, y_a, h_a)
+        m.t[a], m.y[a], m.f[a] = t_node, y_a, K[_STAGES, a]
+        ended = m.d[a] * (t_node - m.t_bound[a]) >= 0
+        stopped = np.zeros(a.size, dtype=bool)   # by a terminal event
+        n_kept = m.n_steps[a] + 1
+
+        # events: solve_ivp's find_active_events on every new state
+        g_new = self._eval_events(y_a)
+        g_old = m.g[a]
+        active = (((g_old <= 0) & (g_new >= 0) & self.fires_up)
+                  | ((g_old >= 0) & (g_new <= 0) & self.fires_down))
+        m.g[a] = g_new
+        for p in np.nonzero(active.any(axis=1))[0]:
+            i = a[p]
+            stop = _member_events(
+                self.events, np.nonzero(active[p])[0], m.count[i],
+                self.ev_max, t_old[p], t_new[i], h[i], y_old[p], F[p],
+                self.t_events[m.gid[i]])
+            if stop is not None:
+                stopped[p] = True
+                t_node[p] = stop
+                m.y[i] = _dop853_value((stop - t_old[p]) / h[i], F[p],
+                                       y_old[p])
+                # solve_ivp drops a node that repeats the last one
+                if n_kept[p] > 1 and stop == t_old[p]:
+                    n_kept[p] -= 1
+
+        k = m.n_steps[a]
+        if a.size and k.max() >= self.log.shape[1]:
+            self.log = np.concatenate([self.log, np.empty_like(self.log)],
+                                      axis=1)
+        rec = np.empty((a.size, _LOG_WIDTH))
+        rec[:, 0], rec[:, 1], rec[:, 2] = t_old, h_a, t_node
+        rec[:, 3:9] = y_old
+        rec[:, 9:] = F.reshape(a.size, 7 * 6)
+        self.log[m.slot[a], k] = rec
+        m.n_steps[a] = k + 1
+        for p in np.nonzero(ended | stopped)[0]:
+            out.append((m.gid[a[p]], self._leg(a[p], n_kept[p],
+                                               int(stopped[p]))))
+        out += [(i, _collided()) for i in m.gid[bad]]
+        leave = bad.copy()
+        leave[a] = ended | stopped
+        if leave.any():
+            self._leave(leave)
+        return out
+
+    def _leg(self, i, n, status):
+        """The _Leg of row i, which ends after its first n logged steps."""
+        m = self.rows
+        steps = self.log[m.slot[i], :n].copy()
+        t = np.concatenate([[m.t0[i]], steps[:, 2]])
+        return _Leg(status, "", t,
+                    [np.asarray(te) for te in self.t_events.pop(m.gid[i])],
+                    DenseOutput(t, steps[:, 0], steps[:, 1],
+                                steps[:, 3:9], steps[:, 9:].reshape(n, 7, 6)),
+                    m.y[i].copy())
+
+    def _leave(self, mask):
+        m = self.rows
+        self.free.extend(m.slot[mask])
+        for i in m.gid[mask]:
+            self.t_events.pop(i, None)
+        m.drop(mask)
 
 
 # --- flight Jacobians: the derivative of a flown trajectory ---

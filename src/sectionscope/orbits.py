@@ -375,7 +375,3 @@ def floquet_multipliers(orbit, cfg=None):
         warnings.warn(f"ill-conditioned monodromy (cond {cond:.2e})",
                       RuntimeWarning)
     return np.linalg.eigvals(M)
-
-
-def unit_multiplier_count(multipliers, tol=1e-6):
-    return int(np.sum(np.abs(np.asarray(multipliers) - 1.0) < tol))

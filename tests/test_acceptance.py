@@ -11,7 +11,7 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, hamiltonian, hill_components,
                                 lagrange_points, sample_page_states,
                                 sample_shell_states)
 from sectionscope.errors import SectionScopeError
-from sectionscope.flows import IntegratorConfig, integrate
+from sectionscope.flows import IntegratorConfig, integrate, integrate_many
 from sectionscope.orbits import (continue_family, find_periodic_point,
                                  floquet_multipliers,
                                  reciprocal_pair_residual, vertical_seed)
@@ -232,6 +232,6 @@ def test_ac12_energy_conservation():
         rng = np.random.default_rng(106)
         cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, max_time=150.0)
         pts = sample_shell_states(mu, c, 10, rng, component="earth")
-        for s in pts:
-            traj = integrate(s, mu, cfg, 100.0, c=c)
+        for traj in integrate_many(pts, mu, cfg, [100.0] * len(pts),
+                                   [c] * len(pts)):
             assert traj.energy_drift() < 1e-9 * abs(c)

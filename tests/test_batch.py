@@ -6,7 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import rk
 
+from sectionscope import flows
+from sectionscope.cli import main
 from sectionscope.cr3bp import (EARTH_MOON_MU, sample_page_states,
                                 sample_shell_states, vector_field_ode)
 from sectionscope.errors import (BindingError, CollisionError, ConfigError,
@@ -67,15 +70,38 @@ def test_return_map_many_matches_solo_return_maps(mu, seed, n):
 @settings(max_examples=6, deadline=None)
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1))
 def test_member_is_bit_identical_in_different_batches(mu, seed):
-    # A leg runs on solve_ivp when it is alone in its round and on the
-    # lockstep stepper otherwise; twin members keep every leg of the
-    # tracked points in company, so only the company itself changes.
+    # Twin members are not needed for bit-identity: in a batch of two or
+    # more every rotating leg runs on the lockstep stepper, whatever its
+    # company (see test_member_is_bit_identical_without_twins).
     p, q, r, s = _page_points(mu, seed, 3)
     a = return_map_many([p, q, p, q, r], mu, c=C_TEST, cfg=CFG)
     b = return_map_many([s, q, p, s, q, p], mu, c=C_TEST, cfg=CFG)
     for x, y in ((a[0], b[2]), (a[2], b[5]), (a[0], a[2]),
                  (a[1], b[1]), (a[3], b[4])):
         assert _same_bits(x, y)
+
+
+@settings(max_examples=6, deadline=None)
+@given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1))
+def test_member_is_bit_identical_without_twins(mu, seed):
+    # p is the vertical seed, whose return passes through the Earth chart;
+    # the two batches share no member but p
+    p, q, r, s = _page_points(mu, seed, 3)
+    a = return_map_many([p, q], mu, c=C_TEST, cfg=CFG)
+    b = return_map_many([r, s, p], mu, c=C_TEST, cfg=CFG)
+    assert _same_bits(a[0], b[2])
+    events = [FlowEvent(lambda y: y[2], direction=0.0, terminal=False)]
+
+    def fly(starts):
+        return integrate_many(starts, mu, CFG, [3.0] * len(starts),
+                              [C_TEST] * len(starts), events)
+
+    a = fly([p, q])
+    b = fly([r, s, p])
+    assert any(seg.chart == "moser-earth" for seg in a[0].segments)
+    assert _same_flight(a[0], b[2])
+    assert [h[:2] for h in a[0].event_hits] == \
+        [h[:2] for h in b[2].event_hits]
 
 
 def _same_flight(a, b):
@@ -201,3 +227,33 @@ def test_dense_output_bit_identical_to_ode_solution(kind):
     for t in times[::7]:
         assert np.array_equal(dense(t), sol.sol(t))
     assert np.array_equal(dense(sol.t[-1]), sol.sol(sol.t[-1]))
+
+
+def test_section_scan_takes_about_as_many_iterations_as_its_longest_flight(
+        tmp_path, monkeypatch):
+    # section-scan --mu 1e-3 --c -1.7 --n 25 --seed 0 at tol 1e-12: one
+    # burn-in iteration, then one per step attempt of the longest main
+    # flight (104), as each flight's next leg joins once its last one ends
+    iterations = 0
+    rk_stages = flows._rk_stages
+
+    def counted(*args):
+        nonlocal iterations
+        iterations += 1
+        return rk_stages(*args)
+
+    monkeypatch.setattr(flows, "_rk_stages", counted)
+    assert main(["section-scan", "--mu", "1e-3", "--c", "-1.7", "--n", "25",
+                 "--seed", "0", "--tol", "1e-12",
+                 "--out", str(tmp_path / "scan")]) == 0
+    assert iterations <= 115
+
+
+def test_lockstep_constants_are_scipys():
+    # the lockstep transcribes scipy's RK step control and DOP853; a scipy
+    # that changed them would change every batched flight
+    assert flows._SAFETY == rk.SAFETY
+    assert flows._MIN_FACTOR == rk.MIN_FACTOR
+    assert flows._MAX_FACTOR == rk.MAX_FACTOR
+    assert flows._STAGES == rk.DOP853.n_stages
+    assert flows._ERR_EXP == -1.0 / (rk.DOP853.error_estimator_order + 1)

@@ -181,3 +181,34 @@ def test_console_script_version():
     res = subprocess.run([sys.executable, "-m", "sectionscope.cli",
                           "--version"], capture_output=True, text=True)
     assert res.returncode == 0
+
+
+def test_interleaved_calls_match_fresh_runs(tmp_path):
+    # main reuses one parser for every call in a process
+    calls = [
+        ["section-scan", "--mu", "1e-3", "--c", "-1.7", "--n", "3",
+         "--seed", "2"],
+        ["find-orbit", "--mode", "vertical", "--mu", "0.0", "--c", "-1.7"],
+        ["lagrange", "--mu", "0.3"],
+        ["section-scan", "--n", "not-a-number"],
+    ]
+
+    def outputs(k):
+        return {p.name: p.read_bytes()
+                for p in sorted(tmp_path.glob(f"call{k}*"))}
+
+    fresh = []
+    for k, argv in enumerate(calls):
+        res = subprocess.run([sys.executable, "-m", "sectionscope.cli",
+                              *argv, "--out", str(tmp_path / f"call{k}")],
+                             capture_output=True)
+        fresh.append((res.returncode, outputs(k)))
+        for p in tmp_path.glob(f"call{k}*"):
+            p.unlink()
+    for k in (0, 3, 1, 2, 3, 0, 2, 1):
+        argv = calls[k] + ["--out", str(tmp_path / f"call{k}")]
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert (code, outputs(k)) == fresh[k]

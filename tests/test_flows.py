@@ -5,14 +5,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, \
     sample_shell_states
 from sectionscope.errors import (ConfigError, MaxTimeExceeded,
                                  NoCrossingError, StepSizeUnderflow)
 from sectionscope.cr3bp import central_jacobian, hamiltonian_gradient
-from sectionscope.flows import (_READ_CAP, FlowEvent, IntegratorConfig,
-                                event_crossing, flight_jacobian, integrate)
+from sectionscope.flows import (_READ_CAP, _READ_SPAN, FlowEvent,
+                                IntegratorConfig, Segment, event_crossing,
+                                flight_jacobian, integrate)
 from sectionscope.regularize import MoserChart
 
 C_TEST = -1.7
@@ -187,6 +190,29 @@ def _oracle_min_over(traj, fn, n_per_segment=60):
                 st = seg.moser.to_physical(z[:4], z[4:8])
             best = min(best, fn(st))
     return best
+
+
+def _linspace_blocks(seg, n):
+    """Reference for Segment.sample_blocks: one np.linspace per block."""
+    lo, hi = float(seg.nodes[0]), float(seg.nodes[-1])
+    k = 1 if seg.chart == "rot" else math.ceil((hi - lo) / _READ_SPAN)
+    edges = [lo + _READ_SPAN * i for i in range(max(k, 1))] + [hi]
+    return [np.linspace(a, b, n) for a, b in zip(edges[:-1], edges[1:])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(chart=st.sampled_from(["rot", "moser-earth"]),
+       lo=st.floats(-100.0, 100.0),
+       length=st.one_of(st.just(0.0), st.floats(0.0, 10.0),
+                        st.floats(10.0, 1000.0)),
+       n=st.integers(2, 90))
+def test_sample_blocks_match_linspace_per_block(chart, lo, length, n):
+    nodes = np.array([lo, lo + 0.5 * length, lo + length])
+    seg = Segment(chart=chart, sol=None, t0=lo, t1=lo + length, nodes=nodes)
+    want = np.array(_linspace_blocks(seg, n))
+    got = seg.sample_blocks(n)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 def test_min_over_matches_per_sample_oracle():
