@@ -66,6 +66,18 @@ def hamiltonian(state, mu):
     return kinetic - mu / dm - (1.0 - mu) / de + coriolis
 
 
+def hamiltonian_columns(states, mu):
+    """H of each column of a (6, n) array of states, without the collision
+    check.  Bit for bit the value of hamiltonian, except for the rare
+    square that its ** 2 (libm's pow) rounds differently from x * x."""
+    q1, q2, q3, p1, p2, _ = states
+    de = np.sqrt((q1 - mu) ** 2 + q2 ** 2 + q3 ** 2)
+    dm = np.sqrt((q1 - (mu - 1.0)) ** 2 + q2 ** 2 + q3 ** 2)
+    # vecdot rounds like the BLAS dot of p @ p in hamiltonian
+    kinetic = 0.5 * np.vecdot(states[3:6], states[3:6], axis=0)
+    return kinetic - mu / dm - (1.0 - mu) / de + (p1 * q2 - p2 * q1)
+
+
 def vector_field(state, mu):
     """Hamiltonian vector field (qdot, pdot) of the rotating frame at a
     (6,) state array.
@@ -229,18 +241,9 @@ def central_jacobian(fn, x, h):
 
 
 def _triangular_point(mu, sign):
-    """2-D Newton on grad U from the equilateral seed."""
-    q = np.array([mu - 0.5, sign * math.sqrt(3.0) / 2.0, 0.0])
-
-    def grad_plane(q12):
-        return grad_effective_potential(np.append(q12, 0.0), mu)[:2]
-
-    for _ in range(50):
-        g = grad_effective_potential(q, mu)[:2]
-        if np.linalg.norm(g) < 1e-15:
-            break
-        q[:2] -= np.linalg.solve(central_jacobian(grad_plane, q[:2], 1e-7), g)
-    return q
+    """The equilateral point, at unit distance from both primaries, where
+    grad U vanishes exactly."""
+    return np.array([mu - 0.5, sign * math.sqrt(3.0) / 2.0, 0.0])
 
 
 def lagrange_points(mu):

@@ -2,11 +2,11 @@
 
 The unregularized rotating-frame flow is integrated with an embedded
 high-order Runge-Kutta pair (DOP853, dense output for event location).
-When the satellite comes within ``collision_switch_radius`` of a massive
-primary, the state is pushed through the Moser chart of that primary and
-the regularized flow of Q is integrated instead; the physical time is
-accumulated alongside (dt/ds = g |q_loc|).  The chart is left again at
-twice the radius (hysteresis).
+When the satellite comes within 0.05 of a massive primary, the state is
+pushed through the Moser chart of that primary and the regularized flow
+of Q is integrated instead; the physical time is accumulated alongside
+(dt/ds = g |q_loc|).  The chart is left again at twice the radius
+(hysteresis).
 
 ``integrate_many`` flies a batch of independent flights.  With two or
 more members, every rotating-chart leg runs on a lockstep lane: one
@@ -32,8 +32,8 @@ from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq, minimize_scalar
 
 from . import __version__
-from .cr3bp import COLLISION_THRESHOLD, hamiltonian, primaries, \
-    vector_field_ode
+from .cr3bp import (COLLISION_THRESHOLD, hamiltonian, hamiltonian_columns,
+                    primaries, vector_field_ode)
 from .errors import (
     CollisionError,
     ConfigError,
@@ -43,38 +43,32 @@ from .errors import (
     SectionScopeError,
     StepSizeUnderflow,
 )
-from .regularize import (_CS_STEP, MoserChart, _q_field, constraint_residual,
-                         project_constraints, project_constraints_jacobian,
-                         q_field_jacobian_rows)
+from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
+                         constraint_residual, project_constraints,
+                         project_constraints_jacobian, q_field_jacobian_rows)
+
+_SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
+_CONSTRAINT_TOL = 1e-6  # pre-projection residual limit at a chart stay's end
 
 
 @dataclass
 class IntegratorConfig:
     rel_tol: float = 1e-12
     abs_tol: float = 1e-12
-    max_step: float = math.inf
-    collision_switch_radius: float = 0.05
     max_time: float = 1000.0
     switching: bool = True
     max_reg_time: float = 1e4       # regularized-time budget per chart visit
-    constraint_tol: float = 1e-6    # pre-projection residual limit
 
     def __post_init__(self):
         # written as not (valid) so that NaN fails every check
         if not (0.0 < self.rel_tol <= 1e-3 and 0.0 < self.abs_tol <= 1e-3):
             raise ConfigError("integrator tolerances must lie in (0, 1e-3]")
-        if not self.max_step > 0.0:
-            raise ConfigError("max_step must be positive")
-        if not (0.0 < self.collision_switch_radius <= 0.2):
-            raise ConfigError("collision_switch_radius must lie in (0, 0.2]")
         if not self.max_time > 0.0:
             raise ConfigError("max_time must be positive")
         if not isinstance(self.switching, bool):
             raise ConfigError("switching must be True or False")
         if not (0.0 < self.max_reg_time < math.inf):
             raise ConfigError("max_reg_time must be positive and finite")
-        if not self.constraint_tol > 0.0:
-            raise ConfigError("constraint_tol must be positive")
 
 
 class FlowEvent:
@@ -246,54 +240,59 @@ class Trajectory:
     def final_state(self):
         return self.segments[-1].state_at(self.t_end, self.mu)
 
+    def _sample_groups(self, n_per_segment):
+        """(segment, its blocks, s, z) per group of consecutive sample
+        blocks (Segment.sample_blocks) of each segment, up to _READ_CAP
+        samples a group: s the group's samples of the segment variable,
+        z the raw segment states there, one column per sample."""
+        per = max(1, _READ_CAP // n_per_segment)
+        for seg in self.segments:
+            blocks = seg.sample_blocks(n_per_segment)
+            for g in range(0, len(blocks), per):
+                s = blocks[g:g + per].ravel()
+                yield seg, blocks, s, seg.sol(s)
+
     def energy_drift(self, n_per_segment=30):
-        """Max relative deviation of the conserved quantity along the flight.
+        """Max relative deviation of the conserved quantity along the flight,
+        read in the sample groups of min_over.
 
         Rot segments monitor H - c.  Moser segments monitor Q - g^2/2
         (evaluating H there is ill-conditioned near the collision fiber).
         """
         worst = 0.0
-        scale = max(1.0, abs(self.energy))
-        for seg in self.segments:
-            for s in seg.sample_blocks(n_per_segment).ravel():
-                z = seg.sol(s)
-                if seg.chart == "rot":
-                    dev = abs(hamiltonian(z, self.mu) - self.energy)
-                else:
-                    q_level = seg.moser.q_level()
-                    dev = abs(seg.moser.Q(z[:4], z[4:8], self.energy)
-                              - q_level)
-                worst = max(worst, dev)
-        return worst / scale
+        for seg, _, _, z in self._sample_groups(n_per_segment):
+            if seg.chart == "rot":
+                dev = hamiltonian_columns(z, self.mu) - self.energy
+            else:
+                _, nsq, f = _q_gradient(z[:8], self.energy, seg.moser.nu,
+                                        np.sqrt)
+                dev = 0.5 * f * f * nsq - seg.moser.q_level()
+            worst = max(worst, float(np.abs(dev).max()))
+        return worst / max(1.0, abs(self.energy))
 
     def min_over(self, fn, n_per_segment=60, refine_below=None):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
-        The samples are those of Segment.sample_blocks; consecutive blocks
-        are evaluated together, up to _READ_CAP samples at a time.  fn is
-        called on a (6, n) array of states (one column per sample) and must
-        return n values.  Samples on the collision fiber have no physical
-        image and are skipped.  When the sampled minimum lies below
-        refine_below, it is refined by a bounded scalar minimization on the
-        dense output between the neighbours of the minimum sample.
+        The samples are those of Segment.sample_blocks, evaluated in the
+        groups of _sample_groups.  fn is called on a (6, n) array of states
+        (one column per sample) and must return n values.  Samples on the
+        collision fiber have no physical image and are skipped.  When the
+        sampled minimum lies below refine_below, it is refined by a bounded
+        scalar minimization on the dense output between the neighbours of
+        the minimum sample.
         """
         best, where = math.inf, None
-        for seg in self.segments:
-            blocks = seg.sample_blocks(n_per_segment)
-            per = max(1, _READ_CAP // n_per_segment)
-            for g in range(0, len(blocks), per):
-                s = blocks[g:g + per].ravel()
-                z = seg.sol(s)
-                if seg.chart != "rot":
-                    keep = 1.0 - z[0] >= 1e-9
-                    if not keep.any():
-                        continue
-                    s = s[keep]
-                    z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
-                vals = fn(z)
-                i = int(np.argmin(vals))
-                if vals[i] < best:
-                    best, where = float(vals[i]), (seg, blocks, s[i])
+        for seg, blocks, s, z in self._sample_groups(n_per_segment):
+            if seg.chart != "rot":
+                keep = 1.0 - z[0] >= 1e-9
+                if not keep.any():
+                    continue
+                s = s[keep]
+                z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
+            vals = fn(z)
+            i = int(np.argmin(vals))
+            if vals[i] < best:
+                best, where = float(vals[i]), (seg, blocks, s[i])
         if refine_below is not None and best < refine_below:
             best = min(best, _refine_min(fn, *where))
         return best
@@ -373,24 +372,23 @@ class _Leg:
     sol: Optional[DenseOutput]
     y_end: Optional[np.ndarray]   # state at t[-1]
 
-    @classmethod
-    def from_ivp(cls, res):
-        if res.status == -1:
-            return cls(-1, res.message, res.t, res.t_events, None, None)
-        return cls(res.status, res.message, res.t, res.t_events,
-                   DenseOutput.from_ode_solution(res.sol), res.y[:, -1])
 
-
-def _ivp_events(events):
-    """solve_ivp event callables evaluating FlowEvent.fn on the state."""
-    out = []
+def _dop853_leg(fun, t_span, y0, events, cfg):
+    """One leg of fun(t, y) on scipy's DOP853 with dense output, stopping
+    at terminal FlowEvents, whose fn is evaluated on the solver state."""
+    ivp_events = []
     for ev in events:
         def event(t, y, fn=ev.fn):
             return fn(y)
         event.terminal = ev.terminal
         event.direction = ev.direction
-        out.append(event)
-    return out
+        ivp_events.append(event)
+    res = solve_ivp(fun, t_span, y0, method="DOP853", dense_output=True,
+                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=ivp_events)
+    if res.status == -1:
+        return _Leg(-1, res.message, res.t, res.t_events, None, None)
+    return _Leg(res.status, res.message, res.t, res.t_events,
+                DenseOutput.from_ode_solution(res.sol), res.y[:, -1])
 
 
 def _which_terminal(leg, events):
@@ -422,7 +420,6 @@ def _switch_events(mu, cfg):
     if not cfg.switching:
         return []
     e_pos, m_pos = primaries(mu)
-    r = cfg.collision_switch_radius
     out = []
     for name, pos, mass in (("moser-earth", e_pos, 1.0 - mu),
                             ("moser-moon", m_pos, mu)):
@@ -430,7 +427,7 @@ def _switch_events(mu, cfg):
             continue
         def dist(y, pos=pos):
             return np.sqrt((y[0] - pos[0]) ** 2 + y[1] ** 2
-                           + y[2] ** 2) - r
+                           + y[2] ** 2) - _SWITCH_RADIUS
         out.append((name, pos, FlowEvent(dist, direction=-1.0,
                                          terminal=True, name=name)))
     return out
@@ -494,7 +491,7 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
         if chart_name == "rot":
             inside = next((name for name, pos, _ in switch
                            if np.linalg.norm(state[:3] - pos)
-                           < cfg.collision_switch_radius), None)
+                           < _SWITCH_RADIUS), None)
             if inside is not None:
                 # already inside the switch radius: convert in place
                 ch = MoserChart(mu, inside.split("-")[1])
@@ -635,12 +632,8 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
 def _solo_leg(req, mu, cfg):
     """A rotating-chart leg on solve_ivp; a numerical error is returned."""
     try:
-        return _Leg.from_ivp(solve_ivp(
-            lambda tt, y: vector_field_ode(tt, y, mu),
-            (req.t0, req.t_bound), req.y0,
-            method="DOP853", dense_output=True,
-            rtol=cfg.rel_tol, atol=cfg.abs_tol,
-            max_step=cfg.max_step, events=_ivp_events(req.events)))
+        return _dop853_leg(lambda tt, y: vector_field_ode(tt, y, mu),
+                           (req.t0, req.t_bound), req.y0, req.events, cfg)
     except SectionScopeError as exc:
         return exc
 
@@ -656,7 +649,7 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     stopped is the index of the terminal user event when reason is
     'user' (else None).
     """
-    r2 = 2.0 * cfg.collision_switch_radius
+    r2 = 2.0 * _SWITCH_RADIUS
     chart_events = [
         FlowEvent(lambda z: ch.physical_radius(z[:4], z[4:8]) - r2,
                   direction=1.0, name="exit"),
@@ -671,11 +664,8 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
                 return ev.fn(ch.to_physical(z[:4], z[4:8]))
         chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
 
-    leg = _Leg.from_ivp(solve_ivp(
-        lambda s, z: ch.field(z, c), (0.0, cfg.max_reg_time),
-        np.concatenate([xi, eta, [t]]), method="DOP853", dense_output=True,
-        rtol=cfg.rel_tol, atol=cfg.abs_tol, max_step=cfg.max_step,
-        events=_ivp_events(chart_events)))
+    leg = _dop853_leg(lambda s, z: ch.field(z, c), (0.0, cfg.max_reg_time),
+                      np.concatenate([xi, eta, [t]]), chart_events, cfg)
     if leg.status == -1:
         raise StepSizeUnderflow(leg.message)
     z_end = leg.y_end
@@ -683,7 +673,7 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
                             t1=float(z_end[8]), nodes=leg.t, moser=ch))
     t = float(z_end[8])
     res = constraint_residual(z_end[:4], z_end[4:8])
-    if res > cfg.constraint_tol:
+    if res > _CONSTRAINT_TOL:
         raise ConstraintDriftError(
             f"constraint residual {res:.3e} exceeds tolerance")
     for te, k in _user_hits(leg, 2):
@@ -806,8 +796,7 @@ def _initial_step(m, mu, cfg):
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
                   (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
-    return np.minimum(np.minimum(100 * h0, h1),
-                      np.minimum(span, cfg.max_step)), bad
+    return np.minimum(np.minimum(100 * h0, h1), span), bad
 
 
 def _rk_stages(y, f, h, mu):
@@ -985,13 +974,10 @@ class _Lane:
         """One step attempt of every row; returns the legs that ended."""
         m, mu, cfg = self.rows, self.mu, self.cfg
         out = []
-        # scipy clamps the step to [min_step, max_step] only on the first
-        # attempt of a step and fails below min_step after that
+        # scipy raises the step to min_step only on the first attempt of a
+        # step and fails below min_step after that
         min_step = 10 * np.abs(np.nextafter(m.t, m.d * np.inf) - m.t)
-        first = ~m.rej
-        m.h_abs = np.where(first & (m.h_abs > cfg.max_step), cfg.max_step,
-                           np.where(first & (m.h_abs < min_step), min_step,
-                                    m.h_abs))
+        m.h_abs = np.where(~m.rej & (m.h_abs < min_step), min_step, m.h_abs)
         small = m.h_abs < min_step
         if small.any():
             out = [(i, _Leg(-1, OdeSolver.TOO_SMALL_STEP, None, None, None,

@@ -207,50 +207,61 @@ def _axis_momentum(q1, c, mu, branch):
     return q1 + branch * math.sqrt(2.0 * (c - u))
 
 
+# The x axis q2 = 0; inside a Moser chart as q2 = +-y2 of the chart's
+# (x, y), which takes complex states, as flight_jacobian needs.
+_X_AXIS = FlowEvent(lambda s: s[1], direction=0.0, terminal=True,
+                    chart_fn=lambda ch, xi, eta: eta[0] * xi[2]
+                    + (1.0 - xi[0]) * eta[2], name="xaxis")
+
+
 def _half_orbit_p1(q1, c, mu, branch, cfg):
-    """p1 at the next x-axis crossing from a perpendicular start."""
+    """p1 and time at the next x-axis crossing from a perpendicular start,
+    the start, and the half orbit's (lead off the axis, traj) flights."""
     p2 = _axis_momentum(q1, c, mu, branch)
     x = np.array([q1, 0.0, 0.0, 0.0, p2, 0.0])
-    ev = FlowEvent(lambda s: s[1], direction=0.0, terminal=True, name="xaxis")
     lead = integrate(x, mu, cfg, 1e-3, c=c)
     traj = integrate(lead.final_state(), mu, cfg, cfg.max_time, c=c,
-                     events=[ev], t0=lead.t_end)
+                     events=[_X_AXIS], t0=lead.t_end)
     hits = [h for h in traj.event_hits if h[0] == 0]
     if traj.stopped_by != 0 or not hits:
         raise NoCrossingError("no further x-axis crossing found")
     _, t_half, s_half = hits[-1]
-    return s_half[3], t_half, s_half
+    return s_half[3], t_half, x, (lead, traj)
 
 
 def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
-                                tol=1e-11, max_iter=50, fd_h=1e-7):
+                                tol=1e-11, max_iter=50):
     """Planar orbit symmetric in the x-axis, by perpendicular shooting.
 
     Starts at (q1, 0, 0, 0, p2, 0) with p2 fixed by the energy (branch
     selects p2 = q1 +/- sqrt(2(c-U))), integrates to the next x-axis
-    crossing, and Newton-drives the crossing p1 to zero in q1.  The full
+    crossing, and Newton-drives the crossing p1 to zero in q1.  The slope
+    dp1/dq1 is the derivative of the half orbit's own flights
+    (flows.flight_jacobian) along the start tangent that keeps H = c; an
+    accepted trial's half orbit serves the next iteration.  The full
     orbit is the half-orbit and its mirror; the label direct/retrograde
     comes from the sign of the average angular momentum p1 q2 - p2 q1.
     """
     cfg = cfg or IntegratorConfig()
-    q1 = float(q1_guess)
     history = []
-    for it in range(max_iter):
-        p1, t_half, s_half = _half_orbit_p1(q1, c, mu, branch, cfg)
+    p1, t_half, x, (lead, traj) = _half_orbit_p1(float(q1_guess), c, mu,
+                                                 branch, cfg)
+    for _ in range(max_iter):
         history.append(abs(p1))
         if abs(p1) < tol:
             break
-        dp = central_jacobian(
-            lambda q: np.array([_half_orbit_p1(q[0], c, mu, branch, cfg)[0]]),
-            [q1], fd_h)[0, 0]
+        grad = hamiltonian_gradient(x, mu)
+        v = np.zeros((6, 1))
+        v[0], v[4] = 1.0, -grad[0] / grad[4]
+        dp = flight_jacobian(traj, flight_jacobian(lead, v)[0])[0][3, 0]
         if abs(dp) < 1e-14:
             raise JacobianSingularError("flat shooting function in q1")
         step = -p1 / dp
         lam = 1.0
         for _ in range(10):
-            p1_try = _half_orbit_p1(q1 + lam * step, c, mu, branch, cfg)[0]
-            if abs(p1_try) < abs(p1):
-                q1 = q1 + lam * step
+            trial = _half_orbit_p1(x[0] + lam * step, c, mu, branch, cfg)
+            if abs(trial[0]) < abs(p1):
+                p1, t_half, x, (lead, traj) = trial
                 break
             lam *= 0.5
         else:
@@ -259,16 +270,13 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     else:
         raise ConvergenceError(
             f"symmetric shooting: no convergence (|p1|={abs(p1):.3e})")
-    p2 = _axis_momentum(q1, c, mu, branch)
-    x = np.array([q1, 0.0, 0.0, 0.0, p2, 0.0])
     period = 2.0 * t_half
     traj = integrate(x, mu, cfg, period, c=c)
     closure = float(np.linalg.norm(traj.final_state() - x))
-    label = classify_rotation(traj)
     orbit = PeriodicOrbit(representative=x, period=period, energy=c, mu=mu,
                           residual=closure, symmetry="symmetric-x-axis", k=1,
                           newton_history=tuple(history))
-    orbit.rotation = label
+    orbit.rotation = classify_rotation(traj)
     return orbit
 
 

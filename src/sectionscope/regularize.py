@@ -186,9 +186,9 @@ def regularized_hamiltonian(xi, eta, c, mu, primary="moon"):
 def _q_gradient(v, c, nu, sqrt=math.sqrt):
     """Ambient gradient of Q = f^2 |eta|^2 / 2 at v = [xi0..xi3, eta0..eta3].
 
-    v is a list of 8 floats; returns the 8 floats (dQ/dxi, dQ/deta) and
-    |eta|^2.  Scalar arithmetic throughout: this is the inner loop of
-    every Moser-chart flight.  With sqrt=np.sqrt the same formula runs
+    v is a list of 8 floats; returns the 8 floats (dQ/dxi, dQ/deta),
+    |eta|^2 and f.  Scalar arithmetic throughout: this is the inner loop
+    of every Moser-chart flight.  With sqrt=np.sqrt the same formula runs
     elementwise on arrays, complex ones included (no collision check).
     """
     x0, x1, x2, x3, e0, e1, e2, e3 = v
@@ -222,7 +222,7 @@ def _q_gradient(v, c, nu, sqrt=math.sqrt):
     ff = f * f
     return ([a * fx0, a * fx1, a * fx2, a * fx3,
              a * fe0 + ff * e0, a * fe1 + ff * e1, a * fe2 + ff * e2,
-             a * fe3 + ff * e3], nsq)
+             a * fe3 + ff * e3], nsq, f)
 
 
 def _q_rhs(v, c, nu, sqrt=math.sqrt):
@@ -235,8 +235,8 @@ def _q_rhs(v, c, nu, sqrt=math.sqrt):
     conserved; Q itself is conserved exactly by the corrected field.
     Row 8 is the clock dt/ds = nu (1 - xi0) |eta|.  sqrt as in _q_gradient.
     """
-    (qx0, qx1, qx2, qx3, qe0, qe1, qe2, qe3), nsq = _q_gradient(v, c, nu,
-                                                                sqrt)
+    (qx0, qx1, qx2, qx3, qe0, qe1, qe2, qe3), nsq, _ = _q_gradient(
+        v, c, nu, sqrt)
     x0, x1, x2, x3, e0, e1, e2, e3 = v
     lam1 = -(qe0 * x0 + qe1 * x1 + qe2 * x2 + qe3 * x3)
     lam2 = ((qx0 * x0 + qx1 * x1 + qx2 * x2 + qx3 * x3)
@@ -279,7 +279,7 @@ def q_field_jacobian_rows(Z, c, nu):
 def regularized_gradient(xi, eta, c, mu, primary="moon"):
     """Ambient gradient (dQ/dxi, dQ/deta) of Q = f^2 |eta|^2 / 2."""
     nu = _regularized_mass(mu, primary)
-    g, _ = _q_gradient(np.concatenate([xi, eta]).tolist(), c, nu)
+    g, _, _ = _q_gradient(np.concatenate([xi, eta]).tolist(), c, nu)
     return np.array(g[:4]), np.array(g[4:])
 
 

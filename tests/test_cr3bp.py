@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
+from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
+                                central_jacobian,
                                 check_assumptions, cr3bp_stark_zeeman,
                                 effective_potential,
                                 grad_effective_potential,
@@ -150,6 +151,16 @@ def test_lagrange_rejects_degenerate_mu():
         lagrange_points(1.0)
     with pytest.raises(ConfigError):
         validate_mu(1.5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 0.5, exclude_min=True))
+def test_triangular_points_are_critical_points(mu):
+    # L4/L5 are the equilateral points in closed form: grad U vanishes
+    # there to rounding, with no Newton polish
+    for sign in (1.0, -1.0):
+        q = _triangular_point(mu, sign)
+        assert np.linalg.norm(grad_effective_potential(q, mu)) <= 1e-14
 
 
 def test_hill_membership():

@@ -27,18 +27,15 @@ def test_config_validation():
     with pytest.raises(ConfigError):
         IntegratorConfig(rel_tol=0.1)
     with pytest.raises(ConfigError):
-        IntegratorConfig(collision_switch_radius=0.5)
+        IntegratorConfig(abs_tol=0.5)
 
 
 @pytest.mark.parametrize("field,bad", [
     ("rel_tol", 0.0),
     ("abs_tol", -1e-12),
-    ("max_step", 0.0),
-    ("collision_switch_radius", math.nan),
     ("max_time", -1.0),
     ("switching", "yes"),
     ("max_reg_time", -1.0),
-    ("constraint_tol", -1.0),
 ])
 def test_config_rejects_each_bad_field(field, bad):
     # construction only
@@ -50,6 +47,15 @@ def test_config_has_no_reg_chunk():
     # a Moser-chart stay is one solve; there is no chunk length to set
     with pytest.raises(TypeError):
         IntegratorConfig(reg_chunk=2.0)
+
+
+@pytest.mark.parametrize("field", ["max_step", "collision_switch_radius",
+                                   "constraint_tol"])
+def test_config_has_no_fixed_field(field):
+    # no step limit; the switch radius and the constraint limit are
+    # module constants
+    with pytest.raises(TypeError):
+        IntegratorConfig(**{field: 0.05})
 
 
 def test_circular_orbit_closes_no_switches():
@@ -192,6 +198,22 @@ def _oracle_min_over(traj, fn, n_per_segment=60):
     return best
 
 
+def _oracle_energy_drift(traj, n_per_segment=30):
+    """Per-sample reference for Trajectory.energy_drift: H - c in the rot
+    chart, Q - g^2/2 in a Moser chart, one sample at a time."""
+    worst = 0.0
+    for seg in traj.segments:
+        for s in np.concatenate(seg.sample_blocks(n_per_segment)):
+            z = seg.sol(s)
+            if seg.chart == "rot":
+                dev = abs(hamiltonian(z, traj.mu) - traj.energy)
+            else:
+                dev = abs(seg.moser.Q(z[:4], z[4:8], traj.energy)
+                          - seg.moser.q_level())
+            worst = max(worst, dev)
+    return worst / max(1.0, abs(traj.energy))
+
+
 def _linspace_blocks(seg, n):
     """Reference for Segment.sample_blocks: one np.linspace per block."""
     lo, hi = float(seg.nodes[0]), float(seg.nodes[-1])
@@ -245,6 +267,30 @@ def test_min_over_matches_per_sample_oracle():
     assert len(stay.sample_blocks(60)) > 2 * (_READ_CAP // 60)
     for fn in (fns[0], fns[-1]):
         assert traj.min_over(fn) == _oracle_min_over(traj, fn)
+
+
+def test_energy_drift_matches_per_sample_oracle():
+    # rot segments and stays in both charts, one of them long enough to be
+    # read in two groups of blocks
+    mu = EARTH_MOON_MU
+    rng = np.random.default_rng(12)
+    from sectionscope.cr3bp import lagrange_points
+    c = lagrange_points(mu).energies[0] - 0.05
+    trajs = [integrate(s, mu, IntegratorConfig(max_time=150.0), t, c=c)
+             for t, component in ((30.0, "earth"), (0.3, "moon"))
+             for s in sample_shell_states(mu, c, 1, rng, component)]
+    r = 0.03
+    q = r * np.array([0.0, math.cos(0.6), math.sin(0.6)])
+    p = np.array([-math.sqrt(1.0 / r), 0.0, 0.0]) + \
+        np.array([-q[1], q[0], 0.0])
+    trajs.append(integrate(np.concatenate([q, p]), 0.0, IntegratorConfig(),
+                           3.0))
+    stay, = trajs[-1].segments
+    assert len(stay.sample_blocks(30)) > _READ_CAP // 30
+    charts = {seg.chart for traj in trajs for seg in traj.segments}
+    assert charts == {"rot", "moser-earth", "moser-moon"}
+    for traj in trajs:
+        assert abs(traj.energy_drift() - _oracle_energy_drift(traj)) <= 1e-15
 
 
 @pytest.mark.parametrize("r", [0.03, 0.04])

@@ -12,7 +12,8 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
 from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
                                  JacobianSingularError)
 from sectionscope.flows import IntegratorConfig, flight_jacobian, integrate
-from sectionscope.orbits import (classify_rotation, continue_family,
+from sectionscope.orbits import (_half_orbit_p1, classify_rotation,
+                                 continue_family,
                                  find_ellipsoid_periodic, find_periodic_point,
                                  find_symmetric_planar_orbit,
                                  floquet_multipliers,
@@ -134,6 +135,55 @@ def test_earth_moon_branches_retrograde_and_direct():
     assert direct.rotation == "direct"
     assert retro.residual < 1e-9 and direct.residual < 1e-9
     assert abs(retro.period - direct.period) > 0.1  # genuinely distinct
+
+
+def _symmetric_seeds():
+    """(c, mu, q1, branch) of the mu = 0 circular orbit and of the
+    Earth-Moon retrograde and direct orbits around the Moon."""
+    mu = EARTH_MOON_MU
+    c = lagrange_points(mu).energies[0] - 0.05
+    return [(-1.5, 0.0, 0.3, -1), (c, mu, mu - 1.0 + 0.05, -1),
+            (c, mu, mu - 1.0 + 0.05, 1)]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetric_shooting_slope_matches_central_difference(seed):
+    # dp1/dq1 from the half orbit's own flights, along the start tangent
+    # that keeps H = c, against a central difference of whole half orbits
+    c, mu, q1, branch = _symmetric_seeds()[seed]
+    cfg = IntegratorConfig(max_time=3.0)
+    _, _, x, (lead, traj) = _half_orbit_p1(q1, c, mu, branch, cfg)
+    grad = hamiltonian_gradient(x, mu)
+    v = np.zeros((6, 1))
+    v[0], v[4] = 1.0, -grad[0] / grad[4]
+    got = flight_jacobian(traj, flight_jacobian(lead, v)[0])[0][3, 0]
+    fd = central_jacobian(
+        lambda q: np.array([_half_orbit_p1(q[0], c, mu, branch, cfg)[0]]),
+        [q1], 1e-7)[0, 0]
+    assert abs(got - fd) <= 1e-6 * abs(fd)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_symmetric_shooting_flies_each_half_orbit_once(seed, monkeypatch):
+    # two flights per half orbit (the lead off the axis, then the half
+    # orbit) and one full-period flight at the end: no finite-difference
+    # flights, and an accepted trial's half orbit is not flown again
+    from sectionscope import flows
+    calls = []
+    fly = flows.integrate_many
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fly(*args, **kwargs)
+
+    monkeypatch.setattr(flows, "integrate_many", counted)
+    c, mu, q1, branch = _symmetric_seeds()[seed]
+    orbit = find_symmetric_planar_orbit(c, mu, q1, branch=branch,
+                                        cfg=IntegratorConfig(max_time=3.0))
+    steps = len(orbit.newton_history) - 1
+    # every Newton step on these seeds is a full one: no Armijo halvings,
+    # so the bound 2 + 2 (steps + halvings) + 1 is met with equality
+    assert len(calls) == 2 + 2 * steps + 1
 
 
 def test_classify_rotation_moon_centered():
