@@ -42,10 +42,15 @@ def primaries(mu):
     return e, m
 
 
-def _check_collision(q, mu):
+def _primary_distances(q, mu):
     e, m = primaries(mu)
     de = math.sqrt((q[0] - e[0]) ** 2 + q[1] ** 2 + q[2] ** 2)
     dm = math.sqrt((q[0] - m[0]) ** 2 + q[1] ** 2 + q[2] ** 2)
+    return de, dm
+
+
+def _check_collision(q, mu):
+    de, dm = _primary_distances(q, mu)
     if de < COLLISION_THRESHOLD or dm < COLLISION_THRESHOLD:
         raise CollisionError(
             f"position {tuple(q)} within {COLLISION_THRESHOLD} of a primary"
@@ -80,42 +85,35 @@ def hamiltonian_columns(states, mu):
 
 def vector_field(state, mu):
     """Hamiltonian vector field (qdot, pdot) of the rotating frame at a
-    (6,) state array.
-
-    The arithmetic runs on Python floats (the inner loop of every
-    rotating-chart flight), in the operation order of numpy scalars.
-    """
-    q1, q2, q3, p1, p2, p3 = state.tolist()
-    de3, dm3 = _distance_cubes(q1, q2, q3, mu)
-    ax = mu * (q1 - (mu - 1.0)) / dm3 + (1.0 - mu) * (q1 - mu) / de3
-    ay = mu * q2 / dm3 + (1.0 - mu) * q2 / de3
-    az = mu * q3 / dm3 + (1.0 - mu) * q3 / de3
-    return np.array(
-        [
-            p1 + q2,
-            p2 - q1,
-            p3,
-            p2 - ax,
-            -p1 - ay,
-            -az,
-        ]
-    )
-
-
-def _distance_cubes(q1, q2, q3, mu):
-    dx_e = q1 - mu
-    dx_m = q1 - (mu - 1.0)
-    r2 = q2 * q2 + q3 * q3
-    de = math.sqrt(dx_e * dx_e + r2)
-    dm = math.sqrt(dx_m * dx_m + r2)
-    if de < COLLISION_THRESHOLD or dm < COLLISION_THRESHOLD:
-        raise CollisionError("state within collision threshold of a primary")
-    return de ** 3, dm ** 3
+    (6,) state array."""
+    return vector_field_ode(0.0, np.asarray(state, dtype=float), mu)
 
 
 def vector_field_ode(t, state, mu):
-    """solve_ivp-compatible wrapper (autonomous)."""
-    return vector_field(state, mu)
+    """Right-hand side (autonomous) in the form fun(t, y) of a one-leg
+    solve: a list of 6 floats for a list state, an array for an array.
+
+    The arithmetic runs on Python floats in the operation order of the
+    lockstep lane's flows._rot_field_rows, so that a lone leg equals a
+    lane row bit for bit.  Raises CollisionError within
+    COLLISION_THRESHOLD of either primary.
+    """
+    if type(state) is not list:
+        return np.array(vector_field_ode(
+            t, np.asarray(state, dtype=float).tolist(), mu))
+    q1, q2, q3, p1, p2, p3 = state
+    dx_m = q1 - (mu - 1.0)
+    dx_e = q1 - mu
+    r2 = q2 * q2 + q3 * q3
+    dm = math.sqrt(dx_m * dx_m + r2)
+    de = math.sqrt(dx_e * dx_e + r2)
+    if dm < COLLISION_THRESHOLD or de < COLLISION_THRESHOLD:
+        raise CollisionError("state within collision threshold of a primary")
+    km = mu / (dm * dm * dm)
+    ke = (1.0 - mu) / (de * de * de)
+    k = ke + km
+    return [p1 + q2, p2 - q1, p3, p2 - (km * dx_m + ke * dx_e),
+            -(k * q2 + p1), -(k * q3)]
 
 
 def effective_potential(q, mu):
@@ -125,7 +123,11 @@ def effective_potential(q, mu):
     with A = (q2, -q1, 0), so U(q) = min_p H(q, p).
     """
     q = np.asarray(q, dtype=float)
-    de, dm = _check_collision(q, mu)
+    return _potential(q, mu, *_check_collision(q, mu))
+
+
+def _potential(q, mu, de, dm):
+    """U(q) from the distances de, dm to the primaries."""
     return -mu / dm - (1.0 - mu) / de - 0.5 * (q[0] ** 2 + q[1] ** 2)
 
 
@@ -254,7 +256,9 @@ def lagrange_points(mu):
     """
     validate_mu(mu, strict=True)
     m1 = mu - 1.0
-    eps = 1e-9
+    # bracket offset from the primaries: 1e-9, or half the Moon's Hill
+    # radius (mu/3)^(1/3) where that is smaller (mu < 2.4e-26)
+    eps = min(1e-9, 0.5 * (mu / 3.0) ** (1.0 / 3.0))
     x1 = _collinear_root(m1 + eps, mu - eps, mu)
     x2 = _collinear_root(-3.0, m1 - eps, mu)
     x3 = _collinear_root(mu + eps, 3.0, mu)
@@ -262,7 +266,10 @@ def lagrange_points(mu):
     pts[0, 0], pts[1, 0], pts[2, 0] = x1, x2, x3
     pts[3] = _triangular_point(mu, +1.0)
     pts[4] = _triangular_point(mu, -1.0)
-    energies = np.array([effective_potential(q, mu) for q in pts])
+    # no collision check: at mu < 3e-30, L1 and L2 lie closer to the Moon
+    # than COLLISION_THRESHOLD
+    energies = np.array([_potential(q, mu, *_primary_distances(q, mu))
+                         for q in pts])
     grads = np.array(
         [
             np.linalg.norm(

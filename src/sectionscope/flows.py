@@ -8,15 +8,19 @@ of Q is integrated instead; the physical time is accumulated alongside
 (dt/ds = g |q_loc|).  The chart is left again at twice the radius
 (hysteresis).
 
-``integrate_many`` flies a batch of independent flights.  With two or
-more members, every rotating-chart leg runs on a lockstep lane: one
+A lone leg -- every Moser-chart stay, and the rotating legs of a
+one-flight batch -- runs on ``solve_ivp``, this module's DOP853 on Python
+floats, whose step is generated once per state dimension as straight-line
+code.  ``integrate_many`` flies a batch of independent flights.  With two
+or more members, every rotating-chart leg runs on a lockstep lane: one
 long-lived, numpy-vectorized DOP853 on an array of states, each row with
 its own step control, events and retirement.  When a leg ends, its
-flight is resumed at once: a Moser-chart visit runs then, as one
-``solve_ivp`` call, and the flight's next leg joins the lane before the
-next iteration, so a batch takes as many iterations as its longest
-flight has step attempts.  ``integrate`` is the one-flight case, and
-runs its rotating legs on scipy's ``solve_ivp``.
+flight is resumed at once: a Moser-chart visit runs then, and the
+flight's next leg joins the lane before the next iteration, so a batch
+takes as many iterations as its longest flight has step attempts.  The
+float step and a lane row do the same arithmetic in the same order, so
+a flight's result is the same bits in every batch, ``integrate`` (the
+one-flight case) included.
 ``flight_jacobian`` differentiates a finished flight's accepted steps.
 """
 
@@ -27,7 +31,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import OdeSolver, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq, minimize_scalar
 
@@ -124,14 +127,6 @@ class DenseOutput:
         self._descending = bool(self.ts[-1] < self.ts[0])
         self._sorted = self.ts[::-1] if self._descending else self.ts
         self._side = "right" if self._descending else "left"
-
-    @classmethod
-    def from_ode_solution(cls, sol):
-        ips = sol.interpolants
-        return cls(sol.ts, np.array([ip.t_old for ip in ips]),
-                   np.array([ip.h for ip in ips]),
-                   np.array([ip.y_old for ip in ips]),
-                   np.array([ip.F for ip in ips]))
 
     def __call__(self, t):
         """State at t (shape (d,)) or at each of an array of times (d, m)."""
@@ -367,28 +362,226 @@ class _Leg:
     """Outcome of one leg, from solve_ivp or from the lockstep stepper."""
     status: int                   # 0 reached t_bound, 1 terminal event, -1 failed
     message: str
-    t: np.ndarray                 # node times
-    t_events: list                # root times, one array per event
+    t: Optional[np.ndarray]       # node times
+    t_events: Optional[list]      # root times, one array per event
     sol: Optional[DenseOutput]
     y_end: Optional[np.ndarray]   # state at t[-1]
+    nfev: int = 0                 # right-hand side calls (solve_ivp only)
 
 
-def _dop853_leg(fun, t_span, y0, events, cfg):
-    """One leg of fun(t, y) on scipy's DOP853 with dense output, stopping
-    at terminal FlowEvents, whose fn is evaluated on the solver state."""
-    ivp_events = []
-    for ev in events:
-        def event(t, y, fn=ev.fn):
-            return fn(y)
-        event.terminal = ev.terminal
-        event.direction = ev.direction
-        ivp_events.append(event)
-    res = solve_ivp(fun, t_span, y0, method="DOP853", dense_output=True,
-                    rtol=cfg.rel_tol, atol=cfg.abs_tol, events=ivp_events)
-    if res.status == -1:
-        return _Leg(-1, res.message, res.t, res.t_events, None, None)
-    return _Leg(res.status, res.message, res.t, res.t_events,
-                DenseOutput.from_ode_solution(res.sol), res.y[:, -1])
+def _log_leg(status, t0, steps, t_events, y_end, nfev=0, message=""):
+    """The _Leg from t0 whose accepted steps are the rows of ``steps``
+    (n, 3 + 8 d): t_old, h, node time, y_old (d) and the dense-output
+    coefficients F (7 x d, power first)."""
+    n, d = len(steps), len(y_end)
+    t = np.concatenate([[t0], steps[:, 2]])
+    return _Leg(status, message, t, [np.asarray(te) for te in t_events],
+                DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:3 + d],
+                            steps[:, 3 + d:].reshape(n, 7, d)),
+                np.array(y_end, dtype=float), nfev)
+
+
+# --- DOP853 on Python floats: a lone leg ---
+#
+# scipy's RungeKutta._step_impl, DOP853 error norm and dense output, and
+# solve_ivp's event handling, for one leg.  A step attempt is generated
+# once per state dimension as straight-line Python over floats, in the
+# operation order of the lockstep lane below: stage sums are added in
+# stage order from -0.0, zero coefficients included, and powers are
+# Python's.  A lone leg is therefore a lane row, bit for bit.
+
+_STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
+_ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
+_ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
+_TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+
+
+def _step_source(n):
+    """Source of ``step``, one DOP853 step attempt on n floats.
+
+    step(fun, t, y, f, h_abs, rej, d, t_bound, rtol, atol) tries a step
+    of size h_abs in direction d from (t, y) with f = fun(t, y); rej says
+    the last attempt was rejected.  It returns None when the step is
+    below the minimum, (False, next h_abs) on rejection and (True, next
+    h_abs, t_new, h, y_new, f(y_new), F) on acceptance, F the 7 rows of
+    dense-output coefficients, flat.
+    """
+    J = range(n)
+
+    def terms(w, s, j):
+        return " + ".join(f"{float(w[i])!r} * k{i}_{j}" for i in range(s))
+
+    def ks(s):
+        return ", ".join(f"k{s}_{j}" for j in J)
+
+    def stage(s):
+        arg = ", ".join(f"y{j} + ({terms(dop.A[s], s, j)}) * h" for j in J)
+        return f"    {ks(s)}, = fun(t + {float(dop.C[s])!r} * h, [{arg}])"
+
+    def row(fmt):
+        return ", ".join(fmt.format(j=j) for j in J)
+
+    e5, e3 = dop.E5[:_STAGES], dop.E3[:_STAGES]
+    lines = [
+        "def step(fun, t, y, f, h_abs, rej, d, t_bound, rtol, atol):",
+        "    min_step = 10 * abs(nextafter(t, d * inf) - t)",
+        "    if h_abs < min_step:",
+        "        if rej:",
+        "            return None",
+        "        h_abs = min_step",
+        "    t_new = t + h_abs * d",
+        "    if d * (t_new - t_bound) > 0:",
+        "        t_new = t_bound",
+        "    h = t_new - t",
+        f"    {row('y{j}')}, = y",
+        f"    {ks(0)}, = f",
+        *[stage(s) for s in range(1, _STAGES)],
+        *[f"    n{j} = y{j} + h * ({terms(dop.B, _STAGES, j)})" for j in J],
+        "    habs = abs(h)",
+    ]
+    for j in J:
+        # the scale takes NaN from y_new, as numpy's maximum does
+        lines += [f"    a, b = abs(y{j}), abs(n{j})",
+                  "    s = atol + (a if a >= b else b) * rtol",
+                  f"    u{j} = ({terms(e5, _STAGES, j)}) / s",
+                  f"    v{j} = ({terms(e3, _STAGES, j)}) / s"]
+    lines += [
+        f"    e5 = {' + '.join(f'u{j} * u{j}' for j in J)}",
+        f"    e3 = {' + '.join(f'v{j} * v{j}' for j in J)}",
+        "    if e5 == 0 and e3 == 0:",
+        "        err = 0.0",
+        "    else:",
+        f"        err = habs * e5 / sqrt((e5 + 0.01 * e3) * {n})",
+        "    if not err < 1:",
+        f"        fac = {_SAFETY!r} * err ** {_ERR_EXP!r}",
+        f"        return False, habs * (fac if fac > {_MIN_FACTOR!r} "
+        f"else {_MIN_FACTOR!r})",
+        "    if err == 0:",
+        f"        grow = {_MAX_FACTOR!r}",
+        "    else:",
+        f"        grow = {_SAFETY!r} * err ** {_ERR_EXP!r}",
+        f"        if not grow < {_MAX_FACTOR!r}:",
+        f"            grow = {_MAX_FACTOR!r}",
+        "    if rej and grow > 1:",
+        "        grow = 1.0",
+        f"    {ks(_STAGES)}, = fun(t_new, [{row('n{j}')}])",
+        *[stage(s) for s in range(_STAGES + 1, 16)],
+        *[f"    dy{j} = n{j} - y{j}" for j in J],
+        "    F = [" + ", ".join([
+            row("dy{j}"), row("h * k0_{j} - dy{j}"),
+            row(f"2 * dy{{j}} - h * (k{_STAGES}_{{j}} + k0_{{j}})"),
+            *[", ".join(f"h * ({terms(dop.D[r], 16, j)})" for j in J)
+              for r in range(4)]]) + "]",
+        f"    return (True, habs * grow, t_new, h, [{row('n{j}')}], "
+        f"[{ks(_STAGES)}], F)",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=None)
+def _dop853_step(n):
+    """The generated step attempt on n floats (see _step_source)."""
+    scope = {"nextafter": math.nextafter, "inf": math.inf,
+             "sqrt": math.sqrt}
+    exec(compile(_step_source(n), f"<dop853 step, n={n}>", "exec"), scope)
+    return scope["step"]
+
+
+def _rms(xs):
+    """scipy's RMS norm of a list of floats, squares added in order."""
+    s = xs[0] * xs[0]
+    for x in xs[1:]:
+        s = s + x * x
+    return math.sqrt(s) / len(xs) ** 0.5
+
+
+def _initial_step(fun, t, y, f, d, t_bound, rtol, atol):
+    """scipy's select_initial_step on floats, as _initial_steps does it
+    for a lane row."""
+    span = abs(t_bound - t)
+    scale = [atol + abs(v) * rtol for v in y]
+    d0 = _rms([v / s for v, s in zip(y, scale)])
+    d1 = _rms([v / s for v, s in zip(f, scale)])
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, span)
+    f1 = fun(t + h0 * d, [v + h0 * d * g for v, g in zip(y, f)])
+    d2 = _rms([(a - b) / s for a, b, s in zip(f1, f, scale)]) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1.0 / 8.0)
+    return min(100 * h0, h1, span)
+
+
+def _dense_value(x, F, y_old):
+    """The DOP853 interpolant at normalized step time x on floats, in the
+    operation order of _dop853_value; F is the flat list of its 7 rows."""
+    w = 1 - x
+    n = len(y_old)
+    return [(((((((0.0 + F[6 * n + j]) * x + F[5 * n + j]) * w
+                 + F[4 * n + j]) * x + F[3 * n + j]) * w + F[2 * n + j])
+              * x + F[n + j]) * w + F[j]) * x + y_old[j] for j in range(n)]
+
+
+def solve_ivp(fun, t_span, y0, events, cfg):
+    """One DOP853 leg of fun(t, y) over t_span from y0, on Python floats,
+    with dense output; returns its _Leg.
+
+    fun takes and returns lists of floats.  The leg stops at t_span[1]
+    or at the first root of a terminal FlowEvent, whose fn sees the
+    state as an array.  Step control, dense output and event handling
+    are scipy's, in the operation order of a lockstep lane row.  nfev
+    counts the calls of fun.  An error raised by fun propagates.
+    """
+    t, t_bound = float(t_span[0]), float(t_span[1])
+    y = np.asarray(y0, dtype=float).tolist()
+    step = _dop853_step(len(y))
+    d = 1.0 if t_bound > t else -1.0
+    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, d, t_bound, rtol, atol)
+    nfev = 2
+    ev_dir = [ev.direction for ev in events]
+    ev_max = np.array([1.0 if ev.terminal else np.inf for ev in events])
+    count = np.zeros(len(events))
+    g = [ev.fn(np.array(y)) for ev in events]
+    t_events = [[] for _ in events]
+    t0, log, rej, status = t, [], False, None
+    while status is None:
+        out = step(fun, t, y, f, h_abs, rej, d, t_bound, rtol, atol)
+        if out is None:
+            status = -1
+            break
+        nfev += 11
+        rej, h_abs = not out[0], out[1]
+        if rej:
+            continue
+        nfev += 4
+        t_old, y_old = t, y
+        t, h, y, f, F = out[2:]
+        rec = [t_old, h, t] + y_old + F
+        log.append(rec)
+        if d * (t - t_bound) >= 0:
+            status = 0
+        y_arr = np.array(y)
+        g_new = [ev.fn(y_arr) for ev in events]
+        act = [e for e, (a, b, w) in enumerate(zip(g, g_new, ev_dir))
+               if (a <= 0 <= b and w >= 0) or (a >= 0 >= b and w <= 0)]
+        g = g_new
+        if act:
+            stop = _member_events(events, np.array(act), count, ev_max,
+                                  t_old, t, h, y_old, F, t_events)
+            if stop is not None:
+                status = 1
+                rec[2] = stop
+                y = _dense_value((stop - t_old) / h, F, y_old)
+                # solve_ivp drops a node that repeats the last one
+                if len(log) > 1 and stop == t_old:
+                    log.pop()
+    return _log_leg(status, t0, np.array(log).reshape(-1, 3 + 8 * len(y)),
+                    t_events, y, nfev,
+                    _TOO_SMALL_STEP if status == -1 else "")
 
 
 def _which_terminal(leg, events):
@@ -465,6 +658,7 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
         xi, eta = (np.asarray(v, dtype=float).copy() for v in start)
         state = None
 
+    c = float(c)
     t_stop = min(t_final, t0 + cfg.max_time) if forward else t_final
     segments = []
     hits = []
@@ -559,10 +753,9 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     rotating-chart legs on solve_ivp.  Two or more run every rotating
     leg on a lockstep lane, and a member whose leg ends is resumed at
     once: it runs any Moser-chart visit and its next leg joins the lane
-    before the next iteration.  A member's result agrees with its
-    ``integrate`` run to integration accuracy and, bit for bit, is the
-    same in every batch of two or more; a failing member leaves the
-    others unchanged.
+    before the next iteration.  A member's result is the same, bit for
+    bit, in every batch, its ``integrate`` run included; a failing
+    member leaves the others unchanged.
     """
     n = len(starts)
     cs = [None] * n if cs is None else list(cs)
@@ -631,15 +824,16 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
 
 def _solo_leg(req, mu, cfg):
     """A rotating-chart leg on solve_ivp; a numerical error is returned."""
+    mu = float(mu)
     try:
-        return _dop853_leg(lambda tt, y: vector_field_ode(tt, y, mu),
-                           (req.t0, req.t_bound), req.y0, req.events, cfg)
+        return solve_ivp(lambda tt, y: vector_field_ode(tt, y, mu),
+                         (req.t0, req.t_bound), req.y0, req.events, cfg)
     except SectionScopeError as exc:
         return exc
 
 
 def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
-    """Integrate one stay inside a Moser chart as one DOP853 solve.
+    """Integrate one stay inside a Moser chart as one solve_ivp leg.
 
     The stay ends at the exit radius, at physical time t_stop, at a
     terminal user event, or after cfg.max_reg_time units of regularized
@@ -664,8 +858,8 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
                 return ev.fn(ch.to_physical(z[:4], z[4:8]))
         chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
 
-    leg = _dop853_leg(lambda s, z: ch.field(z, c), (0.0, cfg.max_reg_time),
-                      np.concatenate([xi, eta, [t]]), chart_events, cfg)
+    leg = solve_ivp(lambda s, z: ch.field(z, c), (0.0, cfg.max_reg_time),
+                    np.concatenate([xi, eta, [t]]), chart_events, cfg)
     if leg.status == -1:
         raise StepSizeUnderflow(leg.message)
     z_end = leg.y_end
@@ -718,12 +912,9 @@ def _safe_physical(ch, z):
 # state array.  A leg's step is rejected, retried and accepted on its own;
 # its stage sums run over the stage axis elementwise and every reduction
 # runs along the leg's own row, so its arithmetic is the same whatever
-# the other rows are and whenever it joins.
-
-_STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
-_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
-_ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
-_ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
+# the other rows are and whenever it joins -- and the same as solve_ivp's
+# on floats.  Powers are taken on Python floats: numpy's may round
+# differently.
 
 
 @functools.lru_cache(maxsize=16)
@@ -740,7 +931,7 @@ def _rot_field_rows(Y, mu):
     q1, q2, q3, p1, p2, p3 = Y.T
     dx = q1 - pos
     d = np.sqrt(dx * dx + (q2 * q2 + q3 * q3))
-    km_ke = mass / d ** 3
+    km_ke = mass / (d * d * d)
     pull = km_ke * dx
     k = km_ke[1] + km_ke[0]
     out = np.empty_like(Y)
@@ -759,13 +950,28 @@ def _rot_field_rows(Y, mu):
 
 
 def _wsum(w, K):
-    """sum_s w[s] K[s] over the leading (stage) axis."""
-    return np.add.reduce(w[:, None, None] * K[:len(w)], axis=0)
+    """sum_s w[s] K[s] over the leading (stage) axis, added in stage
+    order from -0.0."""
+    return np.add.reduce(w[:, None, None] * K[:len(w)], axis=0,
+                         initial=-0.0)
 
 
-def _rms(X):
+def _sum_sq(X):
+    """Sum of squares of each row, added column by column."""
+    s = X[:, 0] * X[:, 0]
+    for j in range(1, X.shape[1]):
+        s = s + X[:, j] * X[:, j]
+    return s
+
+
+def _rms_rows(X):
     """scipy's RMS norm of each row."""
-    return np.sqrt((X * X).sum(axis=1)) / X.shape[1] ** 0.5
+    return np.sqrt(_sum_sq(X)) / X.shape[1] ** 0.5
+
+
+def _pow(x, p):
+    """x ** p elementwise on Python floats, inf at 0 for p < 0."""
+    return np.array([v ** p if v else math.inf for v in x.tolist()])
 
 
 class _Rows:
@@ -783,26 +989,27 @@ class _Rows:
             setattr(self, name, np.concatenate([arr, getattr(other, name)]))
 
 
-def _initial_step(m, mu, cfg):
+def _initial_steps(m, mu, cfg):
     """scipy's select_initial_step for every row; returns (h_abs, rows
     whose trial step hit a collision)."""
     span = np.abs(m.t_bound - m.t)
     scale = cfg.abs_tol + np.abs(m.y) * cfg.rel_tol
-    d0, d1 = _rms(m.y / scale), _rms(m.f / scale)
+    d0, d1 = _rms_rows(m.y / scale), _rms_rows(m.f / scale)
     h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
     h0 = np.minimum(h0, span)
     f1, bad = _rot_field_rows(m.y + (h0 * m.d)[:, None] * m.f, mu)
-    d2 = _rms((f1 - m.f) / scale) / h0
+    d2 = _rms_rows((f1 - m.f) / scale) / h0
     h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
                   np.maximum(1e-6, h0 * 1e-3),
-                  (0.01 / np.maximum(d1, d2)) ** (1.0 / 8.0))
+                  _pow(0.01 / np.maximum(d1, d2), 1.0 / 8.0))
     return np.minimum(np.minimum(100 * h0, h1), span), bad
 
 
 def _rk_stages(y, f, h, mu):
     """All 16 DOP853 stages of a step of every row: the 12 of the step,
     f(y_new) and the 3 of the dense output.  Returns (K, y_new, rows
-    that hit a collision in the step, rows that hit one after it)."""
+    that hit a collision in the step, rows that hit one after it, which
+    count only if the step is accepted)."""
     hc = h[:, None]
     K = np.empty((16,) + y.shape)
     K[0] = f
@@ -811,9 +1018,7 @@ def _rk_stages(y, f, h, mu):
         K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
         bad |= b
     y_new = y + hc * _wsum(dop.B, K)
-    K[_STAGES], b = _rot_field_rows(y_new, mu)
-    bad |= b
-    bad_dense = np.zeros(len(y), dtype=bool)
+    K[_STAGES], bad_dense = _rot_field_rows(y_new, mu)
     for s in range(_STAGES + 1, 16):
         K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
         bad_dense |= b
@@ -821,12 +1026,11 @@ def _rk_stages(y, f, h, mu):
 
 
 def _error_norm(K, y, y_new, h_abs, cfg):
-    """DOP853's error norm (E5 with the E3 correction) of every row."""
+    """DOP853's error norm (E5 with the E3 correction) of every row; its
+    weights of f(y_new) are zero and are left out."""
     scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
-    err5 = _wsum(dop.E5, K) / scale
-    err3 = _wsum(dop.E3, K) / scale
-    e5 = (err5 * err5).sum(axis=1)
-    e3 = (err3 * err3).sum(axis=1)
+    e5 = _sum_sq(_wsum(dop.E5[:_STAGES], K) / scale)
+    e3 = _sum_sq(_wsum(dop.E3[:_STAGES], K) / scale)
     return np.where((e5 == 0) & (e3 == 0), 0.0,
                     h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.shape[1]))
 
@@ -835,7 +1039,7 @@ def _step_factor(err, rejected):
     """scipy's step-size factor: growth after an accepted step (at most 1
     after a rejection), shrinkage after a rejected one.  The comparisons
     mirror Python's min and max, which keep the bound when err is NaN."""
-    fac = _SAFETY * err ** _ERR_EXP
+    fac = _SAFETY * _pow(err, _ERR_EXP)
     grow = np.where(err == 0, _MAX_FACTOR,
                     np.where(fac < _MAX_FACTOR, fac, _MAX_FACTOR))
     grow = np.where(rejected & (grow > 1), 1.0, grow)
@@ -858,13 +1062,14 @@ def _dense_coeffs(K, y, y_new, h):
 
 def _member_events(events, act, count, ev_max, t_old, t_new, h, y_old, F,
                    t_events):
-    """solve_ivp's handle_events for the active events act of one
-    member's step: roots on the step's interpolant, recorded up to and
+    """solve_ivp's handle_events for the active events act of one leg's
+    step from the float t_old over h to t_new: roots on the step's float
+    interpolant (y_old and the flat F, lists), recorded up to and
     including a terminal one.  Returns the terminal root or None."""
     count[act] += 1
     roots = np.array([brentq(
-        lambda tt, fn=events[e].fn: fn(_dop853_value((tt - t_old) / h, F,
-                                                     y_old)),
+        lambda tt, fn=events[e].fn: fn(np.array(_dense_value(
+            (tt - t_old) / h, F, y_old))),
         t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for e in act])
     stop = None
     if np.any(count[act] >= ev_max[act]):
@@ -950,7 +1155,7 @@ class _Lane:
                     rej=np.zeros(n, dtype=bool),
                     n_steps=np.zeros(n, dtype=int),
                     slot=np.zeros(n, dtype=int))
-        new.h_abs, b = _initial_step(new, self.mu, self.cfg)
+        new.h_abs, b = _initial_steps(new, self.mu, self.cfg)
         bad |= b
         out = [(i, _collided()) for i in new.gid[bad]]
         new.drop(bad)
@@ -980,8 +1185,8 @@ class _Lane:
         m.h_abs = np.where(~m.rej & (m.h_abs < min_step), min_step, m.h_abs)
         small = m.h_abs < min_step
         if small.any():
-            out = [(i, _Leg(-1, OdeSolver.TOO_SMALL_STEP, None, None, None,
-                            None)) for i in m.gid[small]]
+            out = [(i, _Leg(-1, _TOO_SMALL_STEP, None, None, None, None))
+                   for i in m.gid[small]]
             self._leave(small)
             if not m.gid.size:
                 return out
@@ -1013,15 +1218,16 @@ class _Lane:
         m.g[a] = g_new
         for p in np.nonzero(active.any(axis=1))[0]:
             i = a[p]
+            to, hi, yo, Fp = (float(t_old[p]), float(h[i]),
+                              y_old[p].tolist(), F[p].ravel().tolist())
             stop = _member_events(
                 self.events, np.nonzero(active[p])[0], m.count[i],
-                self.ev_max, t_old[p], t_new[i], h[i], y_old[p], F[p],
+                self.ev_max, to, float(t_new[i]), hi, yo, Fp,
                 self.t_events[m.gid[i]])
             if stop is not None:
                 stopped[p] = True
                 t_node[p] = stop
-                m.y[i] = _dop853_value((stop - t_old[p]) / h[i], F[p],
-                                       y_old[p])
+                m.y[i] = _dense_value((stop - to) / hi, Fp, yo)
                 # solve_ivp drops a node that repeats the last one
                 if n_kept[p] > 1 and stop == t_old[p]:
                     n_kept[p] -= 1
@@ -1049,13 +1255,8 @@ class _Lane:
     def _leg(self, i, n, status):
         """The _Leg of row i, which ends after its first n logged steps."""
         m = self.rows
-        steps = self.log[m.slot[i], :n].copy()
-        t = np.concatenate([[m.t0[i]], steps[:, 2]])
-        return _Leg(status, "", t,
-                    [np.asarray(te) for te in self.t_events.pop(m.gid[i])],
-                    DenseOutput(t, steps[:, 0], steps[:, 1],
-                                steps[:, 3:9], steps[:, 9:].reshape(n, 7, 6)),
-                    m.y[i].copy())
+        return _log_leg(status, m.t0[i], self.log[m.slot[i], :n].copy(),
+                        self.t_events.pop(m.gid[i]), m.y[i])
 
     def _leave(self, mask):
         m = self.rows

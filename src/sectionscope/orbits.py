@@ -28,12 +28,13 @@ class PeriodicOrbit:
     period: float
     energy: float
     mu: float
-    residual: float
+    residual: float                 # the Newton criterion it met
     symmetry: str = "none"          # planar|spatial|vertical-collision|symmetric-x-axis|none
     k: int = 1
     floquet: Optional[np.ndarray] = None
     newton_history: tuple = ()
     command_line: Optional[str] = None
+    closure: Optional[float] = None  # |x(period) - x|, when flown
 
     def to_json(self):
         d = {
@@ -42,6 +43,7 @@ class PeriodicOrbit:
             "energy": float(self.energy),
             "mu": float(self.mu),
             "residual": float(self.residual),
+            "closure": None if self.closure is None else float(self.closure),
             "symmetry": self.symmetry,
             "k": self.k,
             "floquet": None if self.floquet is None else
@@ -274,8 +276,8 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     traj = integrate(x, mu, cfg, period, c=c)
     closure = float(np.linalg.norm(traj.final_state() - x))
     orbit = PeriodicOrbit(representative=x, period=period, energy=c, mu=mu,
-                          residual=closure, symmetry="symmetric-x-axis", k=1,
-                          newton_history=tuple(history))
+                          residual=abs(p1), symmetry="symmetric-x-axis", k=1,
+                          newton_history=tuple(history), closure=closure)
     orbit.rotation = classify_rotation(traj)
     return orbit
 

@@ -378,7 +378,10 @@ class MoserChart:
         return 0.5 * self.nu ** 2
 
     def field(self, z, c):
-        """Packed right-hand side (dxi/ds, deta/ds, dt/ds) at z = (xi, eta, t)."""
+        """Packed right-hand side (dxi/ds, deta/ds, dt/ds) at z = (xi, eta,
+        t): a list of 9 floats for a list z, an array for an array."""
+        if type(z) is list:
+            return _q_rhs(z[:8], c, self.nu)
         return _q_field(z, c, self.nu)
 
 

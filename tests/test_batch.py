@@ -51,28 +51,25 @@ def _same_bits(a, b):
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1),
        n=st.integers(2, 5))
 def test_return_map_many_matches_solo_return_maps(mu, seed, n):
+    # a solo return map's rotating legs run on solve_ivp, a batch's on the
+    # lockstep lane: the same bits
     pts = _page_points(mu, seed, n)
     batch = return_map_many(pts, mu, c=C_TEST, cfg=CFG)
     assert len(batch) == len(pts)
     for k, (x, got) in enumerate(zip(pts, batch)):
         want, trajs = _solo(x, mu)
-        assert type(got) is type(want)
         if k == 0:
             assert any(seg.chart == "moser-earth"
                        for seg in trajs[1].segments)
-        if isinstance(want, SectionScopeError):
-            continue
-        assert got.crossings == want.crossings
-        assert np.max(np.abs(got.fx - want.fx)) < 1e-11
-        assert abs(got.tau - want.tau) < 1e-11
+        assert _same_bits(got, want)
 
 
 @settings(max_examples=6, deadline=None)
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1))
 def test_member_is_bit_identical_in_different_batches(mu, seed):
-    # Twin members are not needed for bit-identity: in a batch of two or
-    # more every rotating leg runs on the lockstep stepper, whatever its
-    # company (see test_member_is_bit_identical_without_twins).
+    # Twin members are not needed for bit-identity: a lane row's
+    # arithmetic does not depend on its company (see
+    # test_member_is_bit_identical_without_twins).
     p, q, r, s = _page_points(mu, seed, 3)
     a = return_map_many([p, q, p, q, r], mu, c=C_TEST, cfg=CFG)
     b = return_map_many([s, q, p, s, q, p], mu, c=C_TEST, cfg=CFG)
@@ -132,6 +129,12 @@ def test_flight_is_bit_identical_in_different_batches(mu, seed):
     for x, y in ((a[0], b[2]), (a[2], b[6]), (a[1], b[1]), (a[3], b[5]),
                  (a[0], a[2])):
         assert _same_flight(x, y)
+    # and a lone flight, on solve_ivp, is its batch member
+    for x, y in ((s0, a[0]), (s3, b[0])):
+        solo = _solo_flight(x, 3.0, mu, CFG, events)
+        assert _same_flight(solo, y)
+        assert [h[:2] for h in solo.event_hits] == \
+            [h[:2] for h in y.event_hits]
 
 
 def test_failing_return_maps_fail_alone():
@@ -211,8 +214,19 @@ def _q3_event(t, y):
 _q3_event.terminal = True
 
 
+def _dense_from_ode_solution(sol):
+    """scipy's OdeSolution as a DenseOutput, its steps' coefficients
+    copied."""
+    ips = sol.interpolants
+    return DenseOutput(sol.ts, np.array([ip.t_old for ip in ips]),
+                       np.array([ip.h for ip in ips]),
+                       np.array([ip.y_old for ip in ips]),
+                       np.array([ip.F for ip in ips]))
+
+
 @pytest.mark.parametrize("kind", ["forward", "backward", "event"])
 def test_dense_output_bit_identical_to_ode_solution(kind):
+    # DenseOutput picks steps and evaluates them as scipy's OdeSolution
     rng = np.random.default_rng(32)
     y0 = sample_shell_states(1e-3, C_TEST, 1, rng, component="earth",
                              min_primary_dist=0.2)[0]
@@ -220,7 +234,7 @@ def test_dense_output_bit_identical_to_ode_solution(kind):
     sol = _ivp(span, y0, _q3_event if kind == "event" else None)
     if kind == "event":
         assert sol.status == 1       # the last step outlives its node
-    dense = DenseOutput.from_ode_solution(sol.sol)
+    dense = _dense_from_ode_solution(sol.sol)
     lo, hi = sorted((sol.t[0], sol.t[-1]))
     times = np.concatenate([sol.t, rng.uniform(lo, hi, 300)])
     assert np.array_equal(dense(times), sol.sol(times))
@@ -257,3 +271,116 @@ def test_lockstep_constants_are_scipys():
     assert flows._MAX_FACTOR == rk.MAX_FACTOR
     assert flows._STAGES == rk.DOP853.n_stages
     assert flows._ERR_EXP == -1.0 / (rk.DOP853.error_estimator_order + 1)
+
+
+# --- the float step of a lone leg is a lane row, bit for bit ---
+
+_STEP_EVENTS = [FlowEvent(lambda y: y[1], terminal=False, name="q2"),
+                FlowEvent(lambda y: y[2] - 0.05, direction=1.0,
+                          terminal=True, name="q3")]
+
+
+def _random_states(mu, n, rng):
+    """n states around the primaries, 0.05 or more from both, and near
+    both event surfaces; about a third planar, whose stage sums in q3
+    and p3 add signed zeros."""
+    out = []
+    while len(out) < n:
+        y = np.concatenate([rng.uniform([-1.5, -0.1, -0.1], [1.5, 0.1, 0.2]),
+                            rng.uniform(-1.0, 1.0, 3)])
+        if rng.random() < 0.3:
+            y[[2, 5]] = rng.choice([0.0, -0.0], 2)
+        if min(np.linalg.norm(y[:3] - [x, 0.0, 0.0])
+               for x in (mu, mu - 1.0)) > 0.05:
+            out.append(y)
+    return out
+
+
+def _float_step(y, f, t, h_abs, rej, d, t_bound, g, mu):
+    """One step of solve_ivp's loop: (outcome of the generated step,
+    root times per event, state at the step's end after a terminal
+    event); the step's CollisionError is returned."""
+    try:
+        out = flows._dop853_step(6)(
+            lambda tt, yy: vector_field_ode(tt, yy, mu), t, y.tolist(),
+            f.tolist(), h_abs, rej, d, t_bound, CFG.rel_tol, CFG.abs_tol)
+    except CollisionError as exc:
+        return exc, None, None
+    if out is None or not out[0]:
+        return out, None, None
+    _, _, t_new, h, y_new, _, F = out
+    g_new = [ev.fn(np.array(y_new)) for ev in _STEP_EVENTS]
+    act = [e for e, (a, b, ev) in enumerate(zip(g, g_new, _STEP_EVENTS))
+           if (a <= 0 <= b and ev.direction >= 0)
+           or (a >= 0 >= b and ev.direction <= 0)]
+    t_events = [[] for _ in _STEP_EVENTS]
+    y_end = y_new
+    if act:
+        stop = flows._member_events(
+            _STEP_EVENTS, np.array(act), np.zeros(2), np.array([np.inf, 1.0]),
+            t, t_new, h, y.tolist(), F, t_events)
+        if stop is not None:
+            y_end = flows._dense_value((stop - t) / h, F, y.tolist())
+    return out, t_events, y_end
+
+
+@settings(max_examples=60, deadline=None)
+@given(width=st.integers(1, 29),
+       mu=st.sampled_from((0.0, 1e-3, EARTH_MOON_MU, 0.3)),
+       backward=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
+    # accept or reject, the next step size, y_new, F and the event roots,
+    # whatever the lane's width; short spans clip steps at t_bound, tiny
+    # steps meet the minimum step
+    rng = np.random.default_rng(seed)
+    d = -1.0 if backward else 1.0
+    lane = flows._Lane(_STEP_EVENTS, mu, CFG)
+    for i, y0 in enumerate(_random_states(mu, width, rng)):
+        t0 = float(rng.uniform(-3.0, 3.0))
+        span = float(10 ** rng.uniform(-3.0, 0.5))
+        lane.join(i, flows._LegRequest(y0, t0, t0 + d * span, _STEP_EVENTS))
+    collided = {i for i, _ in lane._splice()}
+    m = lane.rows
+    m.h_abs = np.where(rng.random(m.gid.size) < 0.15,
+                       10 ** rng.uniform(-16.0, -13.0, m.gid.size),
+                       10 ** rng.uniform(-3.0, 0.3, m.gid.size))
+    m.rej = rng.random(m.gid.size) < 0.3
+    before = [(m.gid[p], m.y[p].copy(), m.f[p].copy(), m.t[p], m.h_abs[p],
+               bool(m.rej[p]), m.t_bound[p], m.g[p].copy())
+              for p in range(m.gid.size)]
+    with np.errstate(all="ignore"):
+        ended = dict(lane._iterate())
+    live = {gid: p for p, gid in enumerate(lane.rows.gid)}
+    for gid, y, f, t, h_abs, rej, t_bound, g in before:
+        assert gid not in collided
+        out, t_events, y_end = _float_step(y, f, float(t), float(h_abs),
+                                           rej, d, float(t_bound), g, mu)
+        leg = ended.get(gid)
+        if isinstance(out, CollisionError):
+            assert isinstance(leg, CollisionError)
+            continue
+        if out is None:                       # below the minimum step
+            assert leg.status == -1
+            continue
+        if not out[0]:
+            p = live[gid]
+            assert m.rej[p] and m.h_abs[p] == out[1]
+            continue
+        _, h_next, t_new, h, y_new, _, F = out
+        if leg is None:
+            p = live[gid]
+            assert not lane.rows.rej[p] and lane.rows.h_abs[p] == h_next
+            rec = lane.log[lane.rows.slot[p], 0]
+            got_y, got_events = lane.rows.y[p], lane.t_events[gid]
+        else:
+            rec = np.concatenate([[leg.sol.t_old[-1], leg.sol.h[-1],
+                                   leg.t[-1]], leg.sol.y_old[-1],
+                                  leg.sol.F[-1].ravel()])
+            got_y, got_events = leg.y_end, leg.t_events
+        assert rec[0] == t and rec[1] == h
+        assert rec[3:9].tobytes() == y.tobytes()
+        assert rec[9:].tobytes() == np.array(F).tobytes()
+        assert got_y.tobytes() == np.array(y_end).tobytes()
+        assert [list(te) for te in got_events] == t_events
+        if leg is None:
+            assert rec[2] == t_new and y_end is y_new

@@ -157,6 +157,21 @@ def test_find_orbit_vertical(tmp_path):
     assert "find-orbit" in orb["command_line"]
 
 
+def test_find_orbit_planar_symmetric_reports_residual_and_closure(tmp_path):
+    # residual is the Newton criterion |p1| at the half orbit, which meets
+    # --tol; closure is the full period's |x(T) - x|, which need not
+    out = tmp_path / "orbit.json"
+    code = run(["find-orbit", "--mode", "planar-symmetric", "--mu", "0",
+                "--c", "-1.5", "--q1", "0.3", "--tol", "1e-11",
+                "--out", str(out)])
+    assert code == 0
+    orb = json.loads(out.read_text())["orbit"]
+    assert orb["residual"] < 1e-11
+    assert orb["residual"] == orb["newton_history"][-1]
+    assert 0.0 < orb["closure"] < 1e-9
+    assert orb["symmetry"] == "symmetric-x-axis"
+
+
 def test_continue_family(tmp_path):
     out = tmp_path / "family.json"
     code = run(["continue", "--mu", "0.0", "--c", "-1.7", "--param", "mu",

@@ -21,6 +21,7 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
                                 sample_shell_states, validate_mu,
                                 vector_field, vector_field_ode)
 from sectionscope.errors import ConfigError
+from sectionscope.flows import _rot_field_rows
 
 # Collinear points of the Earth-Moon ratio, frozen from a 40-digit
 # bisection of the axis equation (independent of the library's solver).
@@ -142,6 +143,21 @@ def test_lagrange_ordering_and_triangular_equality():
         assert abs(e[3] - e[4]) < 1e-12
         assert lp.ordering_ok
         assert max(lp.gradient_norms) < 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-30.0, math.log10(0.5)))
+def test_collinear_points_bracketed_down_to_tiny_mu(log_mu):
+    # L1 and L2 straddle the Moon at about its Hill radius (mu/3)^(1/3),
+    # which for mu < 3e-27 is closer than the 1e-9 bracket offset
+    mu = 10.0 ** log_mu
+    lp = lagrange_points(mu)
+    x1, x2, x3 = lp.points[:3, 0]
+    moon = mu - 1.0
+    assert x2 < moon < x1 < mu < x3
+    hill = (mu / 3.0) ** (1.0 / 3.0)
+    for x in (x1, x2):
+        assert 0.5 < abs(x - moon) / hill < 1.5
 
 
 def test_lagrange_rejects_degenerate_mu():
@@ -322,28 +338,18 @@ def test_central_jacobian_evaluation_order():
 # --- the rotating field on Python floats ---
 
 
-def _vector_field_on_numpy_scalars(state, mu):
-    """vector_field as it was written on numpy scalars, kept as the oracle
-    of the float rewrite."""
-    q1, q2, q3, p1, p2, p3 = state
-    dx_e = q1 - mu
-    dx_m = q1 - (mu - 1.0)
-    r2 = q2 * q2 + q3 * q3
-    de3 = math.sqrt(dx_e * dx_e + r2) ** 3
-    dm3 = math.sqrt(dx_m * dx_m + r2) ** 3
-    ax = mu * (q1 - (mu - 1.0)) / dm3 + (1.0 - mu) * (q1 - mu) / de3
-    ay = mu * q2 / dm3 + (1.0 - mu) * q2 / de3
-    az = mu * q3 / dm3 + (1.0 - mu) * q3 / de3
-    return np.array([p1 + q2, p2 - q1, p3, p2 - ax, -p1 - ay, -az])
-
-
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
        st.floats(0.0, 1.0))
-def test_vector_field_matches_numpy_scalar_code_bitwise(state, mu):
+def test_vector_field_matches_lane_rows_bitwise(state, mu):
+    # a lone leg's field (a list) and the public one (an array) are the
+    # lockstep lane's row, bit for bit
     state = np.array(state)
     if min(np.linalg.norm(state[:3] - p) for p in primaries(mu)) < 1e-3:
         return
-    got = vector_field(state, mu)
-    want = _vector_field_on_numpy_scalars(state, mu)
-    assert got.tobytes() == want.tobytes()
+    rows, collided = _rot_field_rows(state[None], mu)
+    assert not collided[0]
+    assert vector_field(state, mu).tobytes() == rows[0].tobytes()
+    as_list = vector_field_ode(0.0, state.tolist(), mu)
+    assert type(as_list) is list
+    assert np.array(as_list).tobytes() == rows[0].tobytes()

@@ -58,6 +58,15 @@ def test_config_has_no_fixed_field(field):
         IntegratorConfig(**{field: 0.05})
 
 
+def test_trajectory_energy_is_a_float():
+    # a numpy c would run every Moser field evaluation on numpy scalars
+    traj = integrate(VERTICAL_APEX, 0.0, IntegratorConfig(), 0.1)
+    assert type(traj.energy) is float
+    traj = integrate(VERTICAL_APEX, 0.0, IntegratorConfig(), 0.1,
+                     c=np.float64(C_TEST))
+    assert type(traj.energy) is float
+
+
 def test_circular_orbit_closes_no_switches():
     # mu=0 circular orbit is a rotating-frame equilibrium: ten periods
     s0 = np.array([1.0, 0.0, 0.0, 0.0, 1.0, 0.0])
