@@ -83,12 +83,7 @@ def write_report(path, config, payload):
     doc["version"] = __version__
     doc["config"] = config
     doc["config_hash"] = config_hash(config)
-    text = dumps_json(doc) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    _write_text(path, dumps_json(doc) + "\n")
 
 
 def write_csv(path, header, rows):
@@ -97,7 +92,10 @@ def write_csv(path, header, rows):
         lines.append(",".join(
             fmt_float(v) if isinstance(v, (float, np.floating))
             else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text):
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
@@ -130,11 +128,6 @@ def cmd_hill(args):
     validate_mu(args.mu)
     n = args.grid
     comp = hill_components(args.c, args.mu, n=n)
-    rows = []
-    for i, q1 in enumerate(comp.axes[0]):
-        for j, q2 in enumerate(comp.axes[1]):
-            rows.append((float(q1), float(q2), float(comp.potential[i, j]),
-                         int(comp.labels[i, j] > 0)))
     base = args.out or "hill"
     if args.out in (None, "-"):
         csv_path = "-"
@@ -142,7 +135,15 @@ def cmd_hill(args):
     else:
         csv_path = base + ".csv"
         json_path = base + ".json"
-    write_csv(csv_path, ("q1", "q2", "U", "inside"), rows)
+    # one row per grid node, q2 fastest; U at a primary is a bare -inf
+    fmt = "{:.17g}".format
+    q1s, q2s = ([fmt(v) for v in axis.tolist()] for axis in comp.axes)
+    cells = zip(((a, b) for a in q1s for b in q2s),
+                comp.potential.ravel().tolist(),
+                (comp.labels.ravel() > 0).tolist())
+    _write_text(csv_path, "".join(
+        ["q1,q2,U,inside\n"]
+        + [f"{a},{b},{u:.17g},{i:d}\n" for (a, b), u, i in cells]))
     config = {"mu": args.mu, "c": args.c, "grid": n}
     write_report(json_path, config, {
         "components": comp.count,

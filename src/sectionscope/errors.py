@@ -62,7 +62,14 @@ class FoldDetected(SectionScopeError):
 
 
 class PerturbationEscapeError(SectionScopeError):
-    """FD perturbation left the energy shell beyond re-projection tolerance."""
+    """A point or frame on a page could not be built.
+
+    Raised when the page tangent space at a base point is degenerate
+    (page_frame: grad H and grad theta dependent, or the canonical 2-form
+    degenerate on their complement), when page_embed's re-projection onto
+    {H = c, angle = theta} does not converge, and when a perturbed point
+    of the ellipsoid model leaves the page disk.
+    """
 
 
 class AssumptionViolation(SectionScopeError):

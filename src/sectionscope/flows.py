@@ -21,7 +21,8 @@ takes as many iterations as its longest flight has step attempts.  The
 float step and a lane row do the same arithmetic in the same order, so
 a flight's result is the same bits in every batch, ``integrate`` (the
 one-flight case) included.
-``flight_jacobian`` differentiates a finished flight's accepted steps.
+``flight_jacobian`` differentiates finished flights' accepted steps, the
+steps of all segments in one field at once.
 """
 
 import functools
@@ -47,7 +48,7 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
-                         constraint_residual, project_constraints,
+                         _q_rhs, constraint_residual, project_constraints,
                          project_constraints_jacobian, q_field_jacobian_rows)
 
 _SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
@@ -1272,13 +1273,15 @@ class _Lane:
 # accepted are differentiated exactly, for the step sizes it took.  A
 # tangent has rows (q, p, t, c) in the rotating chart and (xi, eta, t, c)
 # in a Moser chart: physical time is a coordinate, and the energy c a
-# constant one.
+# constant one.  The steps of every segment in one field -- the rotating
+# chart, or one Moser chart at one energy -- are differentiated together,
+# in one pass over the stages.
 
 
 def _rot_jacobian_rows(Y, mu):
-    """Rotating field of each row of Y (m, 6), and its Jacobian in
-    (q, p, t, c), of shape (m, 6, 8); the field depends on neither t nor c."""
-    K, _ = _rot_field_rows(Y, mu)
+    """Jacobian of the rotating field at each row of Y (m, 6) in
+    (q, p, t, c), of shape (m, 6, 8); the field depends on neither t nor
+    c."""
     jac = np.zeros((len(Y), 6, 8))
     jac[:, 0, 1] = jac[:, 3, 4] = 1.0
     jac[:, 1, 0] = jac[:, 4, 3] = -1.0
@@ -1292,47 +1295,107 @@ def _rot_jacobian_rows(Y, mu):
         # dp/dt gets minus the Hessian of the primary's potential -mass/|w|
         jac[:, 3:, :3] -= mass * (np.eye(3) / r3 - 3.0 * w[:, :, None]
                                   * w[:, None, :] / (r2 * r3))
-    return K, jac
+    return jac
 
 
-def _step_derivatives(y, h, theta, field_rows, D):
-    """Derivatives of a segment's DOP853 steps from the rows y (n, d) with
-    sizes h (n,), in a tangent of D rows (the first d the state).
+def _combine(w, X):
+    """sum_s w[s] X[s] over the leading (stage) axis, as one product."""
+    n = len(w)
+    return (w @ X[:n].reshape(n, -1)).reshape(X.shape[1:])
 
-    field_rows(Y) gives the field (m, d) and its Jacobian (m, d, D) at
-    state rows Y (m, d).  The 12 stages of every step are recomputed and
-    differentiated together; the field at the last step's end and its
-    three dense-output stages only for that step.  Returns the step
-    derivatives (n, d, D) and that of the last step's dense output at the
-    normalized time theta (d, D).
+
+def _field_derivatives(y, h, last, theta, field, jacobian, D):
+    """Derivatives of DOP853 steps from the rows y (n, d) with sizes h (n,),
+    in a tangent of D rows (the first d the state).
+
+    field(Y) gives the field (m, d) at state rows Y (m, d) and jacobian(Y)
+    its Jacobian (m, d, D).  The steps ``last`` (L,) are the last of their
+    segments, whose dense output is differentiated at the normalized times
+    theta (L,).  The stage states are recomputed with the field alone: the
+    12 of every step, and f(y_new) and the three dense-output stages of the
+    last steps.  The Jacobian is evaluated once on all of them, and the
+    tangent stages dK_s = J_s (I + h sum_j a_sj dK_j) follow by products.
+    Returns the step derivatives (n, d, D) and the dense-output derivatives
+    of the last steps (L, d, D).
     """
     d = y.shape[1]
     hc, h3 = h[:, None], h[:, None, None]
     eye = np.eye(D)[:d]
     K = np.empty((16, len(y), d))
+    stage_rows = [y]
+    K[0] = field(y)
+    for s in range(1, _STAGES):
+        stage_rows.append(y + hc * _combine(dop.A[s, :s], K))
+        K[s] = field(stage_rows[-1])
+    yl, hl, Kl = y[last], hc[last], K[:, last]
+    stage_rows.append(yl + hl * _combine(dop.B, Kl))
+    Kl[_STAGES] = field(stage_rows[-1])
+    for s in range(_STAGES + 1, 16):
+        stage_rows.append(yl + hl * _combine(dop.A[s, :s], Kl))
+        Kl[s] = field(stage_rows[-1])
+    jac = jacobian(np.concatenate(stage_rows))
+    jac = np.split(jac, np.cumsum([len(r) for r in stage_rows])[:-1])
+
+    def tangent(J, dY):
+        dK = J[..., :d] @ dY
+        dK[..., d:] += J[..., d:]
+        return dK
+
     dK = np.empty((16, len(y), d, D))
-    for s in range(16):
-        if s == 0:
-            Y, dY = y, eye
-        elif s == _STAGES:
-            steps = eye + h3 * np.tensordot(dop.B, dK[:_STAGES], 1)
-            Y = (y + hc * np.tensordot(dop.B, K[:_STAGES], 1))[-1:]
-            dY = steps[-1:]
-            y, hc, h3, K, dK = y[-1:], hc[-1:], h3[-1:], K[:, -1:], dK[:, -1:]
-        else:
-            Y = y + hc * np.tensordot(dop.A[s, :s], K[:s], 1)
-            dY = eye + h3 * np.tensordot(dop.A[s, :s], dK[:s], 1)
-        K[s], jac = field_rows(Y)
-        dK[s] = jac[..., :d] @ dY
-        dK[s][..., d:] += jac[..., d:]
-    h, K, dK = h3[0, 0, 0], K[:, 0], dK[:, 0]
-    dF = np.empty((7, d, D))
-    dF[0] = steps[-1] - eye
-    dF[1] = h * dK[0] - dF[0]
-    dF[2] = 2 * dF[0] - h * (dK[_STAGES] + dK[0])
+    dK[0] = jac[0]
+    for s in range(1, _STAGES):
+        dK[s] = tangent(jac[s], eye + h3 * _combine(dop.A[s, :s], dK))
+    steps = eye + h3 * _combine(dop.B, dK)
+    h3, dK = h3[last], dK[:, last]
+    dK[_STAGES] = tangent(jac[_STAGES], steps[last])
+    for s in range(_STAGES + 1, 16):
+        dK[s] = tangent(jac[s], eye + h3 * _combine(dop.A[s, :s], dK))
+    dF = np.empty((7,) + dK.shape[1:])
+    dF[0] = steps[last] - eye
+    dF[1] = h3 * dK[0] - dF[0]
+    dF[2] = 2 * dF[0] - h3 * (dK[_STAGES] + dK[0])
     for r in range(4):
-        dF[3 + r] = h * np.tensordot(dop.D[r], dK, 1)
-    return steps, _dop853_value(theta, dF, eye)
+        dF[3 + r] = h3 * _combine(dop.D[r], dK)
+    return steps, _dop853_value(theta[:, None, None], dF, eye)
+
+
+def _segment_derivatives(flights):
+    """Step and dense-output derivatives of every segment of the flights,
+    one _field_derivatives pass per field; returns, per segment in flight
+    order, its step derivatives (n, d, D) and the derivative (d, D) of its
+    dense output at its end."""
+    segs = [(traj, seg) for traj in flights for seg in traj.segments]
+    groups = {}
+    for g, (traj, seg) in enumerate(segs):
+        c = None if seg.moser is None else traj.energy
+        groups.setdefault((seg.chart, traj.mu, c), []).append(g)
+    out = [None] * len(segs)
+    for (_, mu, c), members in groups.items():
+        ch = segs[members[0]][1].moser
+        if ch is None:
+            def field(Y):
+                return _rot_field_rows(Y, mu)[0]
+
+            def jacobian(Y):
+                return _rot_jacobian_rows(Y, mu)
+        else:
+            def field(Y):
+                return np.array(_q_rhs(list(Y.T[:8]), c, ch.nu, np.sqrt)).T
+
+            def jacobian(Y):
+                return q_field_jacobian_rows(Y, c, ch.nu)[1]
+        sols = [segs[g][1].sol for g in members]
+        n = np.array([len(sol.h) for sol in sols])
+        ends = np.cumsum(n)
+        theta = np.array([(sol.ts[-1] - sol.t_old[-1]) / sol.h[-1]
+                          for sol in sols])
+        steps, dense = _field_derivatives(
+            np.concatenate([sol.y_old for sol in sols]),
+            np.concatenate([sol.h for sol in sols]), ends - 1, theta,
+            field, jacobian, 8 if ch is None else 10)
+        for g, hi, m, dn in zip(members, ends, n, dense):
+            out[g] = (steps[hi - m:hi], dn)
+    return out
 
 
 def _event_gradient(fn, x):
@@ -1345,64 +1408,64 @@ def _event_gradient(fn, x):
     return np.imag(g) / _CS_STEP
 
 
-def flight_jacobian(traj, V, dc=None):
-    """Derivative of a flown trajectory's end state with respect to its
-    start, from the flight's own DOP853 steps; no flight is flown.
+def flight_jacobian(flights, V, dc=None):
+    """Derivative of flown trajectories' end state with respect to their
+    start, from the flights' own DOP853 steps; no flight is flown.
 
-    V (6, k) is a tangent at the physical start state of a flight that
-    started in the rotating chart, dc (k,) the matching change of the
-    energy c it ran at (default: c held fixed).  Every accepted step is
-    differentiated exactly for its size; the chart maps, and the projection
-    that ends a chart stay, by their Jacobians.  At each segment's end the
-    hit-time correction W - F (grad g . W) / (grad g . F) moves the tangent
-    onto the event g = 0 that ended it (F the field, physical time
-    included).  Returns the tangent (6, k) at the physical end state and
-    the change (k,) of the end time.
+    flights is a Trajectory, or a chain of them, each started in the
+    rotating chart where the one before it ended.  V (6, k) is a tangent
+    at the physical start state of the first, dc (k,) the matching change
+    of the energy c they ran at (default: c held fixed).  Every accepted
+    step is differentiated exactly for its size, all steps in one field at
+    once; the chart maps, and the projection that ends a chart stay, by
+    their Jacobians.  At each segment's end the hit-time correction
+    W - F (grad g . W) / (grad g . F) moves the tangent onto the event
+    g = 0 that ended it (F the field, physical time included).  Returns
+    the tangent (6, k) at the physical end state of the last flight and
+    the change (k,) of that flight's end time: each flight's clock starts
+    unperturbed.
     """
-    mu, c = traj.mu, traj.energy
+    if isinstance(flights, Trajectory):
+        flights = [flights]
+    derivs = iter(_segment_derivatives(flights))
     V = np.asarray(V, dtype=float)
     k = V.shape[1]
     W = np.vstack([V, np.zeros(k), np.zeros(k) if dc is None else dc])
-    for i, seg in enumerate(traj.segments):
-        sol, ch = seg.sol, seg.moser
-        if seg.chart == "rot":
-            def field_rows(Y):
-                return _rot_jacobian_rows(Y, mu)
-        else:
-            def field_rows(Y):
-                return q_field_jacobian_rows(Y, c, ch.nu)
-            if len(W) == 8:           # entering the chart
+    for traj in flights:
+        mu, c = traj.mu, traj.energy
+        W[6] = 0.0
+        for i, seg in enumerate(traj.segments):
+            sol, ch = seg.sol, seg.moser
+            if seg.chart != "rot" and len(W) == 8:     # entering the chart
                 z0 = sol.y_old[0]
                 W = np.vstack([ch.from_physical_jacobian(
                     ch.to_physical(z0[:4], z0[4:8])) @ W[:6], W[6:]])
-        d = sol.y_old.shape[1]
-        t_end = sol.ts[-1]
-        steps, dense = _step_derivatives(
-            sol.y_old, sol.h, (t_end - sol.t_old[-1]) / sol.h[-1],
-            field_rows, len(W))
-        for step in steps[:-1]:
-            W[:d] = step @ W
-        W[:d] = dense @ W
-        x = sol(t_end)
-        if seg.chart == "rot":
-            x_rows = np.append(x, t_end)                  # (q, p, t)
-            F = np.concatenate([_rot_field_rows(x[None], mu)[0][0],
-                                [1.0, 0.0]])
-        else:
-            x_rows = x
-            F = np.append(_q_field(x, c, ch.nu), 0.0)
-        if seg.end is not None:
-            grad = np.zeros(len(W))
-            grad[:len(x_rows)] = _event_gradient(seg.end, x_rows)
-            W -= np.outer(F, grad @ W) / (grad @ F)
-        if seg.chart != "rot":
-            xi, eta = x[:4], x[4:8]
-            jac = np.eye(8)
-            if i + 1 < len(traj.segments):    # leaving the chart
-                jac = project_constraints_jacobian(xi, eta)
-                xi, eta = project_constraints(xi, eta)
-            W = np.vstack([ch.to_physical_jacobian(xi, eta) @ jac @ W[:8],
-                           W[8:]])
+            d = sol.y_old.shape[1]
+            steps, dense = next(derivs)
+            for step in steps[:-1]:
+                W[:d] = step @ W
+            W[:d] = dense @ W
+            t_end = sol.ts[-1]
+            x = sol(t_end)
+            if seg.chart == "rot":
+                x_rows = np.append(x, t_end)                  # (q, p, t)
+                F = np.concatenate([_rot_field_rows(x[None], mu)[0][0],
+                                    [1.0, 0.0]])
+            else:
+                x_rows = x
+                F = np.append(_q_field(x, c, ch.nu), 0.0)
+            if seg.end is not None:
+                grad = np.zeros(len(W))
+                grad[:len(x_rows)] = _event_gradient(seg.end, x_rows)
+                W -= np.outer(F, grad @ W) / (grad @ F)
+            if seg.chart != "rot":
+                xi, eta = x[:4], x[4:8]
+                jac = np.eye(8)
+                if i + 1 < len(traj.segments):    # leaving the chart
+                    jac = project_constraints_jacobian(xi, eta)
+                    xi, eta = project_constraints(xi, eta)
+                W = np.vstack([ch.to_physical_jacobian(xi, eta) @ jac
+                               @ W[:8], W[8:]])
     return W[:6], W[6]
 
 

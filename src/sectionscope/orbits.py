@@ -255,7 +255,7 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
         grad = hamiltonian_gradient(x, mu)
         v = np.zeros((6, 1))
         v[0], v[4] = 1.0, -grad[0] / grad[4]
-        dp = flight_jacobian(traj, flight_jacobian(lead, v)[0])[0][3, 0]
+        dp = flight_jacobian([lead, traj], v)[0][3, 0]
         if abs(dp) < 1e-14:
             raise JacobianSingularError("flat shooting function in q1")
         step = -p1 / dp

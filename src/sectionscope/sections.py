@@ -305,12 +305,11 @@ def page_map_derivative(flights, frame0, frame1):
     to those at their end (frame1).
 
     The frame is page_embed's derivative at u = 0 and the least-squares
-    pinv(frame1) that of page_coords; the flights are differentiated by
-    flows.flight_jacobian at the fixed energy c, as return_map holds it.
+    pinv(frame1) that of page_coords; all the flights are differentiated
+    in one flows.flight_jacobian call at the fixed energy c, as return_map
+    holds it.
     """
-    V = frame0
-    for lead, traj in flights:
-        V = flight_jacobian(traj, flight_jacobian(lead, V)[0])[0]
+    V, _ = flight_jacobian([f for pair in flights for f in pair], frame0)
     return np.linalg.lstsq(frame1, V, rcond=None)[0]
 
 

@@ -16,6 +16,7 @@ from sectionscope.cr3bp import central_jacobian, hamiltonian_gradient
 from sectionscope.flows import (_READ_CAP, _READ_SPAN, FlowEvent,
                                 IntegratorConfig, Segment, event_crossing,
                                 flight_jacobian, integrate)
+from sectionscope import flows
 from sectionscope.regularize import MoserChart
 
 C_TEST = -1.7
@@ -372,3 +373,64 @@ def test_flight_jacobian_through_a_chart_matches_central_differences(mu):
         assert np.abs(got - fd).max() < 1e-5 * np.abs(fd).max()
         if not events:
             assert np.abs(dt).max() == 0.0
+
+
+def _vertical_flight(mu, cfg, t_final, t0=0.0, x=None, events=()):
+    """The vertical collision flight through the Earth chart (or its
+    continuation from x at t0), at the energy of its apex."""
+    apex = VERTICAL_APEX.copy()
+    apex[0] += mu
+    apex[4] += mu
+    return integrate(apex if x is None else x, mu, cfg, t_final,
+                     c=hamiltonian(apex, mu), events=events, t0=t0)
+
+
+def test_flight_jacobian_calls_no_field_and_flies_nothing(monkeypatch):
+    # the derivative pass recomputes its stages with the array fields; the
+    # counted right-hand sides and the one-leg solver are the flights' own
+    mu = 3e-3
+    cfg = IntegratorConfig(max_time=5.0)
+    calls = []
+    for owner, name in ((flows, "vector_field_ode"), (flows, "solve_ivp"),
+                        (MoserChart, "field")):
+        def counted(*args, _orig=getattr(owner, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    traj = _vertical_flight(mu, cfg, 0.7)
+    assert any(seg.chart == "moser-earth" for seg in traj.segments)
+    assert {"vector_field_ode", "solve_ivp", "field"} <= set(calls)
+    calls.clear()
+    w, _ = flight_jacobian(traj, np.eye(6),
+                           hamiltonian_gradient(VERTICAL_APEX, mu))
+    assert np.isfinite(w).all()
+    assert calls == []
+
+
+@pytest.mark.parametrize("mu", [0.0, 3e-3])
+@pytest.mark.parametrize("moving_c", [False, True])
+def test_flight_jacobian_of_a_chain_composes_one_flight_calls(mu, moving_c):
+    # three flights, each from the end of the one before: the first ends
+    # inside the Earth chart, so the second starts there; the second and
+    # the third end at upward crossings of q3 = 0.3 and q3 = 0.5, so the
+    # end-time rows are not zero and each flight's clock must start afresh
+    cfg = IntegratorConfig(max_time=5.0)
+    chain = [_vertical_flight(mu, cfg, 0.505)]
+    for level in (0.3, 0.5):
+        prev = chain[-1]
+        ev = FlowEvent(lambda s, level=level: s[2] - level, direction=1.0)
+        chain.append(_vertical_flight(mu, cfg, 5.0, prev.t_end,
+                                      prev.final_state(), (ev,)))
+        assert chain[-1].stopped_by == 0
+    assert chain[0].segments[-1].chart == "moser-earth"
+    assert chain[1].segments[0].chart == "moser-earth"
+    rng = np.random.default_rng(7)
+    V = rng.normal(size=(6, 3))
+    dc = rng.normal(size=3) if moving_c else None
+    w, dt = flight_jacobian(chain, V, dc)
+    for traj in chain:
+        V, t = flight_jacobian(traj, V, dc)
+    scale = np.abs(V).max()
+    assert np.abs(w - V).max() <= 1e-13 * scale
+    assert np.abs(dt - t).max() <= 1e-13 * max(np.abs(t).max(), 1.0)

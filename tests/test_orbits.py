@@ -322,3 +322,38 @@ def test_shooting_matrix_and_monodromy_match_central_differences(mu):
     mult = floquet_multipliers(orbit, cfg=cfg)
     np.testing.assert_array_equal(mult, np.linalg.eigvals(monodromy))
     assert reciprocal_pair_residual(mult) < 1e-9
+
+
+_VERTICAL_CASES = [(0.0, -1.75), (3e-3, -1.72), (8e-3, -1.78)]
+
+
+@pytest.mark.parametrize("mu,c", _VERTICAL_CASES)
+def test_two_return_derivative_is_the_product_of_one_return_ones(mu, c):
+    # one flight_jacobian pass over both returns' flights equals the
+    # product of the one-return derivatives, each in its own page frames
+    from sectionscope.sections import (page_embed, page_frame,
+                                       page_map_derivative, return_map_iter)
+    cfg = IntegratorConfig(max_time=50.0)
+    x = vertical_seed(mu, c)
+    x = page_embed(x, page_frame(x, mu), np.array([1e-3, 0.0, 5e-4, 0.0]),
+                   mu, c, 0.0)
+    fx, _, samples, flights = return_map_iter(x, 2, mu, c=c, cfg=cfg)
+    frames = [page_frame(y, mu) for y in (x, samples[0].fx, fx)]
+    both = page_map_derivative(flights, frames[0], frames[2])
+    first = page_map_derivative(flights[:1], frames[0], frames[1])
+    second = page_map_derivative(flights[1:], frames[1], frames[2])
+    assert np.abs(both - second @ first).max() <= 1e-10 * np.abs(both).max()
+
+
+@pytest.mark.parametrize("mu,c", _VERTICAL_CASES)
+def test_monodromy_of_vertical_orbits_is_symplectic(mu, c):
+    # the full-period flow map differentiated from its own steps keeps the
+    # symplectic form at integrator precision
+    cfg = IntegratorConfig(max_time=50.0)
+    orbit = find_periodic_point(vertical_seed(mu, c), mu=mu, c=c, cfg=cfg)
+    x = orbit.representative
+    M, _ = flight_jacobian(integrate(x, mu, cfg, orbit.period), np.eye(6),
+                           hamiltonian_gradient(x, mu))
+    omega = np.block([[np.zeros((3, 3)), np.eye(3)],
+                      [-np.eye(3), np.zeros((3, 3))]])
+    assert np.linalg.norm(M.T @ omega @ M - omega) <= 1e-9
