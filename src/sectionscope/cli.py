@@ -16,9 +16,9 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cr3bp import (check_assumptions, cr3bp_stark_zeeman, hill_components,
-                    lagrange_points, sample_page_states, sample_shell_states,
-                    validate_mu)
+from .cr3bp import (EARTH_MOON_MU, check_assumptions, cr3bp_stark_zeeman,
+                    hill_components, lagrange_points, sample_page_states,
+                    sample_shell_states, validate_mu)
 from .errors import (AssumptionViolation, ConfigError, OracleFailure,
                      SectionScopeError)
 from .flows import IntegratorConfig, integrate
@@ -165,17 +165,13 @@ def cmd_integrate(args):
     if args.state is None:
         raise ConfigError("integrate requires --state q1,q2,q3,p1,p2,p3")
     x = _state_from_arg(args.state)
-    cfg = IntegratorConfig(rel_tol=args.tol, abs_tol=args.tol,
-                           max_time=max(args.tf * 2.0, 10.0))
+    cfg = IntegratorConfig(tol=args.tol, max_time=max(args.tf * 2.0, 10.0))
     traj = integrate(x, args.mu, cfg, args.tf)
     config = {"mu": args.mu, "state": [float(v) for v in x],
               "tf": args.tf, "tol": args.tol}
     lines = []
     for t in np.linspace(traj.t0, traj.t_end, args.n):
-        s = traj.state(t)
-        if s is None:
-            continue
-        row = {"t": float(t), "state": [float(v) for v in s]}
+        row = {"t": float(t), "state": [float(v) for v in traj.state(t)]}
         lines.append(dumps_json(row).replace("\n", "").replace("  ", ""))
     header = dumps_json({"version": __version__, "config": config,
                          "config_hash": config_hash(config),
@@ -183,12 +179,7 @@ def cmd_integrate(args):
                          "energy_drift": float(traj.energy_drift()),
                          "chart_switches": traj.chart_switches}
                         ).replace("\n", "").replace("  ", "")
-    text = header + "\n" + "\n".join(lines) + "\n"
-    if args.out in (None, "-"):
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+    _write_text(args.out, header + "\n" + "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -206,8 +197,7 @@ def cmd_section_scan(args):
     validate_mu(args.mu)
     if args.c is None:
         raise ConfigError("section-scan requires --c")
-    cfg = IntegratorConfig(rel_tol=args.tol, abs_tol=args.tol,
-                           max_time=50.0)
+    cfg = IntegratorConfig(tol=args.tol, max_time=50.0)
     spec = SectionSpec(theta=args.pages)
     rng = np.random.default_rng(args.seed)
     component = "earth" if args.mu == 0.0 else args.component
@@ -378,31 +368,36 @@ def build_parser():
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, mu_default=None):
-        sp.add_argument("--mu", type=float, default=mu_default)
-        sp.add_argument("--c", type=float, default=None)
+    def common(sp, c=False, tol=None, seed=False):
+        """--mu and --out, and those of --c, --tol (with its default) and
+        --seed that the command reads."""
+        sp.add_argument("--mu", type=float, default=EARTH_MOON_MU)
         sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--tol", type=float, default=1e-12)
-        sp.add_argument("--seed", type=int, default=0)
+        if c:
+            sp.add_argument("--c", type=float, default=None)
+        if tol is not None:
+            sp.add_argument("--tol", type=float, default=tol)
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
 
     sp = sub.add_parser("lagrange", help="Lagrange points and energies")
     common(sp)
     sp.set_defaults(fn=cmd_lagrange)
 
     sp = sub.add_parser("hill", help="Hill-region grid and components")
-    common(sp)
+    common(sp, c=True)
     sp.add_argument("--grid", type=int, default=256)
     sp.set_defaults(fn=cmd_hill)
 
     sp = sub.add_parser("integrate", help="integrate a trajectory (JSONL)")
-    common(sp)
+    common(sp, tol=1e-12)
     sp.add_argument("--state", type=str, default=None)
     sp.add_argument("--tf", type=float, default=10.0)
     sp.add_argument("--n", type=int, default=200)
     sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("section-scan", help="return-map scan (CSV+JSON)")
-    common(sp)
+    common(sp, c=True, tol=1e-10, seed=True)
     sp.add_argument("--n", type=int, default=100)
     sp.add_argument("--pages", type=float, default=0.0,
                     help="page angle theta")
@@ -411,26 +406,26 @@ def build_parser():
     sp.add_argument("--component", type=str, default="earth",
                     choices=("earth", "moon"))
     sp.add_argument("--ellipsoid-b", type=float, default=2.0)
-    sp.set_defaults(fn=cmd_section_scan, tol=1e-10)
+    sp.set_defaults(fn=cmd_section_scan)
 
     sp = sub.add_parser("find-orbit", help="periodic-orbit search")
-    common(sp)
+    common(sp, c=True, tol=1e-10)
     sp.add_argument("--mode", type=str, default="vertical",
                     choices=("vertical", "planar-symmetric"))
     sp.add_argument("--q1", type=float, default=None)
     sp.add_argument("--branch", type=int, default=-1, choices=(-1, 1))
-    sp.set_defaults(fn=cmd_find_orbit, tol=1e-10)
+    sp.set_defaults(fn=cmd_find_orbit)
 
     sp = sub.add_parser("continue", help="natural-parameter continuation")
-    common(sp)
+    common(sp, c=True)
     sp.add_argument("--param", type=str, default="mu", choices=("mu", "c"))
     sp.add_argument("--target", type=float, required=True)
     sp.add_argument("--step", type=float, default=1e-3)
     sp.set_defaults(fn=cmd_continue)
 
     sp = sub.add_parser("verify", help="invariant suites report")
-    common(sp, mu_default=0.0121505856)
-    sp.set_defaults(fn=cmd_verify, tol=1e-12)
+    common(sp, tol=1e-12, seed=True)
+    sp.set_defaults(fn=cmd_verify)
 
     return p
 
@@ -451,10 +446,6 @@ def main(argv=None):
             raise SystemExit(EXIT_CONFIG)
         raise
     args.argv = list(sys.argv[1:] if argv is None else argv)
-    if getattr(args, "mu", None) is None:
-        args.mu = 0.0121505856
-    if getattr(args, "tol", None) is None:
-        args.tol = 1e-10
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -92,28 +92,38 @@ def vector_field(state, mu):
 def vector_field_ode(t, state, mu):
     """Right-hand side (autonomous) in the form fun(t, y) of a one-leg
     solve: a list of 6 floats for a list state, an array for an array.
-
-    The arithmetic runs on Python floats in the operation order of the
-    lockstep lane's flows._rot_field_rows, so that a lone leg equals a
-    lane row bit for bit.  Raises CollisionError within
-    COLLISION_THRESHOLD of either primary.
+    Raises CollisionError within COLLISION_THRESHOLD of either primary.
     """
     if type(state) is not list:
         return np.array(vector_field_ode(
             t, np.asarray(state, dtype=float).tolist(), mu))
-    q1, q2, q3, p1, p2, p3 = state
+    return _rot_rhs(state, mu)[0]
+
+
+def _rot_rhs(v, mu, sqrt=math.sqrt):
+    """Rotating vector field at v = [q1, q2, q3, p1, p2, p3]: a list of 6
+    values, and the distances to the Moon and to the Earth.
+
+    The one copy of the field, for the one-leg solves and the rows of the
+    lockstep lane alike, so that a lone leg equals a lane row bit for
+    bit.  On floats it raises CollisionError within COLLISION_THRESHOLD
+    of either primary; with sqrt=np.sqrt the same formula runs
+    elementwise on arrays (no collision check).
+    """
+    q1, q2, q3, p1, p2, p3 = v
     dx_m = q1 - (mu - 1.0)
     dx_e = q1 - mu
     r2 = q2 * q2 + q3 * q3
-    dm = math.sqrt(dx_m * dx_m + r2)
-    de = math.sqrt(dx_e * dx_e + r2)
-    if dm < COLLISION_THRESHOLD or de < COLLISION_THRESHOLD:
+    dm = sqrt(dx_m * dx_m + r2)
+    de = sqrt(dx_e * dx_e + r2)
+    if sqrt is math.sqrt and (dm < COLLISION_THRESHOLD
+                              or de < COLLISION_THRESHOLD):
         raise CollisionError("state within collision threshold of a primary")
     km = mu / (dm * dm * dm)
     ke = (1.0 - mu) / (de * de * de)
     k = ke + km
     return [p1 + q2, p2 - q1, p3, p2 - (km * dx_m + ke * dx_e),
-            -(k * q2 + p1), -(k * q3)]
+            -(k * q2 + p1), -(k * q3)], dm, de
 
 
 def effective_potential(q, mu):

@@ -36,8 +36,8 @@ from scipy.integrate._ivp import dop853_coefficients as dop
 from scipy.optimize import brentq, minimize_scalar
 
 from . import __version__
-from .cr3bp import (COLLISION_THRESHOLD, hamiltonian, hamiltonian_columns,
-                    primaries, vector_field_ode)
+from .cr3bp import (COLLISION_THRESHOLD, _rot_rhs, hamiltonian,
+                    hamiltonian_columns, primaries, vector_field_ode)
 from .errors import (
     CollisionError,
     ConfigError,
@@ -53,26 +53,23 @@ from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
 
 _SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
 _CONSTRAINT_TOL = 1e-6  # pre-projection residual limit at a chart stay's end
+_MAX_REG_TIME = 1e4     # regularized-time budget per chart stay
 
 
 @dataclass
 class IntegratorConfig:
-    rel_tol: float = 1e-12
-    abs_tol: float = 1e-12
+    tol: float = 1e-12              # relative and absolute step tolerance
     max_time: float = 1000.0
     switching: bool = True
-    max_reg_time: float = 1e4       # regularized-time budget per chart visit
 
     def __post_init__(self):
         # written as not (valid) so that NaN fails every check
-        if not (0.0 < self.rel_tol <= 1e-3 and 0.0 < self.abs_tol <= 1e-3):
-            raise ConfigError("integrator tolerances must lie in (0, 1e-3]")
+        if not 0.0 < self.tol <= 1e-3:
+            raise ConfigError("integrator tolerance must lie in (0, 1e-3]")
         if not self.max_time > 0.0:
             raise ConfigError("max_time must be positive")
         if not isinstance(self.switching, bool):
             raise ConfigError("switching must be True or False")
-        if not (0.0 < self.max_reg_time < math.inf):
-            raise ConfigError("max_reg_time must be positive and finite")
 
 
 class FlowEvent:
@@ -224,7 +221,8 @@ class Trajectory:
     stopped_by: Optional[int] = None   # index of terminal user event, if any
 
     def state(self, t):
-        """Physical 6-state at physical time t (collision fiber excepted)."""
+        """Physical 6-state at physical time t; raises NorthPoleError on
+        the collision fiber, which has no physical image."""
         if not (min(self.t0, self.t_end) - 1e-9 <= t
                 <= max(self.t0, self.t_end) + 1e-9):
             raise ConfigError(f"time {t} outside trajectory range")
@@ -362,21 +360,21 @@ class _LegRequest:
 class _Leg:
     """Outcome of one leg, from solve_ivp or from the lockstep stepper."""
     status: int                   # 0 reached t_bound, 1 terminal event, -1 failed
-    message: str
     t: Optional[np.ndarray]       # node times
-    t_events: Optional[list]      # root times, one array per event
+    hits: Optional[list]          # (root time, event index) in flight order
+    stop: Optional[int]           # the terminal event that ended the leg
     sol: Optional[DenseOutput]
     y_end: Optional[np.ndarray]   # state at t[-1]
     nfev: int = 0                 # right-hand side calls (solve_ivp only)
 
 
-def _log_leg(status, t0, steps, t_events, y_end, nfev=0, message=""):
+def _log_leg(status, t0, steps, hits, stop, y_end, nfev=0):
     """The _Leg from t0 whose accepted steps are the rows of ``steps``
     (n, 3 + 8 d): t_old, h, node time, y_old (d) and the dense-output
     coefficients F (7 x d, power first)."""
     n, d = len(steps), len(y_end)
     t = np.concatenate([[t0], steps[:, 2]])
-    return _Leg(status, message, t, [np.asarray(te) for te in t_events],
+    return _Leg(status, t, hits, stop,
                 DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:3 + d],
                             steps[:, 3 + d:].reshape(n, 7, d)),
                 np.array(y_end, dtype=float), nfev)
@@ -401,7 +399,7 @@ _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 def _step_source(n):
     """Source of ``step``, one DOP853 step attempt on n floats.
 
-    step(fun, t, y, f, h_abs, rej, d, t_bound, rtol, atol) tries a step
+    step(fun, t, y, f, h_abs, rej, d, t_bound, tol) tries a step
     of size h_abs in direction d from (t, y) with f = fun(t, y); rej says
     the last attempt was rejected.  It returns None when the step is
     below the minimum, (False, next h_abs) on rejection and (True, next
@@ -425,7 +423,7 @@ def _step_source(n):
 
     e5, e3 = dop.E5[:_STAGES], dop.E3[:_STAGES]
     lines = [
-        "def step(fun, t, y, f, h_abs, rej, d, t_bound, rtol, atol):",
+        "def step(fun, t, y, f, h_abs, rej, d, t_bound, tol):",
         "    min_step = 10 * abs(nextafter(t, d * inf) - t)",
         "    if h_abs < min_step:",
         "        if rej:",
@@ -444,7 +442,7 @@ def _step_source(n):
     for j in J:
         # the scale takes NaN from y_new, as numpy's maximum does
         lines += [f"    a, b = abs(y{j}), abs(n{j})",
-                  "    s = atol + (a if a >= b else b) * rtol",
+                  "    s = tol + (a if a >= b else b) * tol",
                   f"    u{j} = ({terms(e5, _STAGES, j)}) / s",
                   f"    v{j} = ({terms(e3, _STAGES, j)}) / s"]
     lines += [
@@ -497,11 +495,11 @@ def _rms(xs):
     return math.sqrt(s) / len(xs) ** 0.5
 
 
-def _initial_step(fun, t, y, f, d, t_bound, rtol, atol):
-    """scipy's select_initial_step on floats, as _initial_steps does it
-    for a lane row."""
+def _initial_step(fun, t, y, f, d, t_bound, tol):
+    """scipy's select_initial_step on floats, for a lone leg and for a
+    lane row alike."""
     span = abs(t_bound - t)
-    scale = [atol + abs(v) * rtol for v in y]
+    scale = [tol + abs(v) * tol for v in y]
     d0 = _rms([v / s for v, s in zip(y, scale)])
     d1 = _rms([v / s for v, s in zip(f, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
@@ -539,18 +537,15 @@ def solve_ivp(fun, t_span, y0, events, cfg):
     y = np.asarray(y0, dtype=float).tolist()
     step = _dop853_step(len(y))
     d = 1.0 if t_bound > t else -1.0
-    rtol, atol = cfg.rel_tol, cfg.abs_tol
+    tol = cfg.tol
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, d, t_bound, rtol, atol)
+    h_abs = _initial_step(fun, t, y, f, d, t_bound, tol)
     nfev = 2
     ev_dir = [ev.direction for ev in events]
-    ev_max = np.array([1.0 if ev.terminal else np.inf for ev in events])
-    count = np.zeros(len(events))
     g = [ev.fn(np.array(y)) for ev in events]
-    t_events = [[] for _ in events]
-    t0, log, rej, status = t, [], False, None
+    t0, log, hits, rej, status, stop = t, [], [], False, None, None
     while status is None:
-        out = step(fun, t, y, f, h_abs, rej, d, t_bound, rtol, atol)
+        out = step(fun, t, y, f, h_abs, rej, d, t_bound, tol)
         if out is None:
             status = -1
             break
@@ -571,41 +566,16 @@ def solve_ivp(fun, t_span, y0, events, cfg):
                if (a <= 0 <= b and w >= 0) or (a >= 0 >= b and w <= 0)]
         g = g_new
         if act:
-            stop = _member_events(events, np.array(act), count, ev_max,
-                                  t_old, t, h, y_old, F, t_events)
+            stop = _member_events(events, act, t_old, t, h, y_old, F, hits)
             if stop is not None:
                 status = 1
-                rec[2] = stop
-                y = _dense_value((stop - t_old) / h, F, y_old)
+                root = rec[2] = hits[-1][0]
+                y = _dense_value((root - t_old) / h, F, y_old)
                 # solve_ivp drops a node that repeats the last one
-                if len(log) > 1 and stop == t_old:
+                if len(log) > 1 and root == t_old:
                     log.pop()
     return _log_leg(status, t0, np.array(log).reshape(-1, 3 + 8 * len(y)),
-                    t_events, y, nfev,
-                    _TOO_SMALL_STEP if status == -1 else "")
-
-
-def _which_terminal(leg, events):
-    """Index of the terminal event that stopped a leg, or None.
-
-    A terminal event ends the leg at its first root, so the one that
-    stopped it is the only terminal event with a recorded root.
-    """
-    if leg.status != 1:
-        return None
-    for idx, ev in enumerate(events):
-        if ev.terminal and leg.t_events[idx].size:
-            return idx
-    return None
-
-
-def _user_hits(leg, first):
-    """(solver time, user event index) of every user-event root of a leg,
-    in flight order; user events start at event index ``first``."""
-    hits = [(float(te), k) for k, tes in enumerate(leg.t_events[first:])
-            for te in tes]
-    hits.sort(reverse=bool(leg.t[-1] < leg.t[0]))
-    return hits
+                    hits, stop, y, nfev)
 
 
 def _switch_events(mu, cfg):
@@ -696,7 +666,7 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
                 continue
             leg = yield _LegRequest(state, t, t_stop, leg_events)
             if leg.status == -1:
-                raise StepSizeUnderflow(leg.message)
+                raise StepSizeUnderflow(_TOO_SMALL_STEP)
             t_end = leg.t[-1]
             if forward:
                 seg = Segment(chart="rot", sol=leg.sol, t0=t, t1=t_end,
@@ -706,12 +676,13 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
                               nodes=leg.t[::-1].copy())
             segments.append(seg)
             n_sw = len(switch)
-            for te, k in _user_hits(leg, n_sw):
-                hits.append((k, te, leg.sol(te).copy()))
-            cause = _which_terminal(leg, leg_events)
+            for te, k in leg.hits:
+                if k >= n_sw:
+                    hits.append((k - n_sw, te, leg.sol(te).copy()))
+            cause = leg.stop
             t = t_end
             if cause is None:
-                if leg.status == 0 and t_stop < t_final - 1e-13:
+                if t_stop < t_final - 1e-13:
                     raise time_out(t)
                 seg.end = _time_end(6, t_stop)
                 return build_traj(t)
@@ -837,7 +808,7 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     """Integrate one stay inside a Moser chart as one solve_ivp leg.
 
     The stay ends at the exit radius, at physical time t_stop, at a
-    terminal user event, or after cfg.max_reg_time units of regularized
+    terminal user event, or after _MAX_REG_TIME units of regularized
     time; its end state is projected onto T*S^3.  Returns (xi, eta, t,
     reason, residual, stopped) where reason is 'exit' | 'time' | 'user' |
     'budget', residual is the pre-projection constraint residual and
@@ -859,10 +830,10 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
                 return ev.fn(ch.to_physical(z[:4], z[4:8]))
         chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
 
-    leg = solve_ivp(lambda s, z: ch.field(z, c), (0.0, cfg.max_reg_time),
+    leg = solve_ivp(lambda s, z: ch.field(z, c), (0.0, _MAX_REG_TIME),
                     np.concatenate([xi, eta, [t]]), chart_events, cfg)
     if leg.status == -1:
-        raise StepSizeUnderflow(leg.message)
+        raise StepSizeUnderflow(_TOO_SMALL_STEP)
     z_end = leg.y_end
     segments.append(Segment(chart=f"moser-{ch.primary}", sol=leg.sol, t0=t,
                             t1=float(z_end[8]), nodes=leg.t, moser=ch))
@@ -871,10 +842,11 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     if res > _CONSTRAINT_TOL:
         raise ConstraintDriftError(
             f"constraint residual {res:.3e} exceeds tolerance")
-    for te, k in _user_hits(leg, 2):
-        ze = leg.sol(te)
-        hits.append((k, float(ze[8]), _safe_physical(ch, ze)))
-    cause = _which_terminal(leg, chart_events)
+    for te, k in leg.hits:
+        if k >= 2:
+            ze = leg.sol(te)
+            hits.append((k - 2, float(ze[8]), _safe_physical(ch, ze)))
+    cause = leg.stop
     xi, eta = project_constraints(z_end[:4], z_end[4:8])
     if cause is None:
         return xi, eta, t, "budget", res, None
@@ -918,36 +890,12 @@ def _safe_physical(ch, z):
 # differently.
 
 
-@functools.lru_cache(maxsize=16)
-def _primary_columns(mu):
-    """(x position, mass) of the Moon and the Earth as (2, 1) columns."""
-    return np.array([[mu - 1.0], [mu]]), np.array([[mu], [1.0 - mu]])
-
-
 def _rot_field_rows(Y, mu):
-    """Rotating vector field of each row of Y (m, 6), and the mask of
-    rows within the collision threshold of a primary.  Both primaries'
-    terms are computed at once, on (2, m) arrays, Moon first."""
-    pos, mass = _primary_columns(mu)
-    q1, q2, q3, p1, p2, p3 = Y.T
-    dx = q1 - pos
-    d = np.sqrt(dx * dx + (q2 * q2 + q3 * q3))
-    km_ke = mass / (d * d * d)
-    pull = km_ke * dx
-    k = km_ke[1] + km_ke[0]
-    out = np.empty_like(Y)
-    out[:, 0] = p1 + q2
-    out[:, 1] = p2 - q1
-    out[:, 2] = p3
-    out[:, 3] = p2 - (pull[0] + pull[1])
-    # -(p1 + k q2) and -(k q3), in place on fresh arrays (negation is
-    # exact); q1..p3 are views of Y and are not written
-    kq2 = k * q2
-    kq2 += p1
-    np.negative(kq2, out=out[:, 4])
-    k *= q3
-    np.negative(k, out=out[:, 5])
-    return out, d.min(axis=0) < COLLISION_THRESHOLD
+    """Rotating vector field of each row of Y (m, 6), the float field's
+    formula run elementwise, and the mask of rows within the collision
+    threshold of a primary."""
+    f, dm, de = _rot_rhs(Y.T, mu, np.sqrt)
+    return np.array(f).T, np.minimum(dm, de) < COLLISION_THRESHOLD
 
 
 def _wsum(w, K):
@@ -963,11 +911,6 @@ def _sum_sq(X):
     for j in range(1, X.shape[1]):
         s = s + X[:, j] * X[:, j]
     return s
-
-
-def _rms_rows(X):
-    """scipy's RMS norm of each row."""
-    return np.sqrt(_sum_sq(X)) / X.shape[1] ** 0.5
 
 
 def _pow(x, p):
@@ -988,22 +931,6 @@ class _Rows:
     def extend(self, other):
         for name, arr in vars(self).items():
             setattr(self, name, np.concatenate([arr, getattr(other, name)]))
-
-
-def _initial_steps(m, mu, cfg):
-    """scipy's select_initial_step for every row; returns (h_abs, rows
-    whose trial step hit a collision)."""
-    span = np.abs(m.t_bound - m.t)
-    scale = cfg.abs_tol + np.abs(m.y) * cfg.rel_tol
-    d0, d1 = _rms_rows(m.y / scale), _rms_rows(m.f / scale)
-    h0 = np.where((d0 < 1e-5) | (d1 < 1e-5), 1e-6, 0.01 * d0 / d1)
-    h0 = np.minimum(h0, span)
-    f1, bad = _rot_field_rows(m.y + (h0 * m.d)[:, None] * m.f, mu)
-    d2 = _rms_rows((f1 - m.f) / scale) / h0
-    h1 = np.where((d1 <= 1e-15) & (d2 <= 1e-15),
-                  np.maximum(1e-6, h0 * 1e-3),
-                  _pow(0.01 / np.maximum(d1, d2), 1.0 / 8.0))
-    return np.minimum(np.minimum(100 * h0, h1), span), bad
 
 
 def _rk_stages(y, f, h, mu):
@@ -1029,7 +956,7 @@ def _rk_stages(y, f, h, mu):
 def _error_norm(K, y, y_new, h_abs, cfg):
     """DOP853's error norm (E5 with the E3 correction) of every row; its
     weights of f(y_new) are zero and are left out."""
-    scale = cfg.abs_tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.rel_tol
+    scale = cfg.tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.tol
     e5 = _sum_sq(_wsum(dop.E5[:_STAGES], K) / scale)
     e3 = _sum_sq(_wsum(dop.E3[:_STAGES], K) / scale)
     return np.where((e5 == 0) & (e3 == 0), 0.0,
@@ -1061,27 +988,23 @@ def _dense_coeffs(K, y, y_new, h):
     return F
 
 
-def _member_events(events, act, count, ev_max, t_old, t_new, h, y_old, F,
-                   t_events):
-    """solve_ivp's handle_events for the active events act of one leg's
-    step from the float t_old over h to t_new: roots on the step's float
-    interpolant (y_old and the flat F, lists), recorded up to and
-    including a terminal one.  Returns the terminal root or None."""
-    count[act] += 1
-    roots = np.array([brentq(
+def _member_events(events, act, t_old, t_new, h, y_old, F, hits):
+    """solve_ivp's handle_events for the active events act (a list) of
+    one leg's step from the float t_old over h to t_new: their roots on
+    the step's float interpolant (y_old and the flat F, lists) are
+    appended to hits as (root, event) in flight order, ties in event
+    order, up to and including the first root of a terminal event.
+    Returns that event, or None."""
+    roots = sorted(((brentq(
         lambda tt, fn=events[e].fn: fn(np.array(_dense_value(
             (tt - t_old) / h, F, y_old))),
-        t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL) for e in act])
-    stop = None
-    if np.any(count[act] >= ev_max[act]):
-        order = np.argsort(roots if t_new > t_old else -roots)
-        act, roots = act[order], roots[order]
-        last = np.nonzero(count[act] >= ev_max[act])[0][0]
-        act, roots = act[:last + 1], roots[:last + 1]
-        stop = roots[-1]
-    for e, te in zip(act, roots):
-        t_events[e].append(te)
-    return stop
+        t_old, t_new, xtol=_ROOT_TOL, rtol=_ROOT_TOL), e) for e in act),
+        key=lambda hit: hit[0], reverse=t_new < t_old)
+    for hit in roots:
+        hits.append(hit)
+        if events[hit[1]].terminal:
+            return hit[1]
+    return None
 
 
 # one accepted step in a lane's step log: t_old, h, node time, y_old (6)
@@ -1110,11 +1033,9 @@ class _Lane:
         # solve_ivp's event directions: which sign changes fire each event
         ev_dir = np.array([ev.direction for ev in events])
         self.fires_up, self.fires_down = ev_dir >= 0, ev_dir <= 0
-        self.ev_max = np.array([1.0 if ev.terminal else np.inf
-                                for ev in events])
         self.queue = []             # (member, _LegRequest) waiting to join
         self.rows = None
-        self.t_events = {}          # member -> root times, one list per event
+        self.hits = {}              # member -> its leg's (root, event) hits
         self.log = np.empty((0, 64, _LOG_WIDTH))    # slot, step, column
         self.free = []              # unused log slots
 
@@ -1140,26 +1061,35 @@ class _Lane:
             len(self.events), len(y)).T
 
     def _splice(self):
-        """Start the queued legs: each new row gets its own field, event
-        values, counters and initial step."""
-        members, reqs = zip(*self.queue)
+        """Start the queued legs: each new row gets its field, event
+        values and initial step, the field and the initial step on
+        floats as solve_ivp gets them."""
+        def fun(tt, yy):
+            return _rot_rhs(yy, self.mu)[0]
+
+        out, starts = [], []
+        for member, req in self.queue:
+            t, t_bound = float(req.t0), float(req.t_bound)
+            y = np.asarray(req.y0, dtype=float).tolist()
+            d = 1.0 if t_bound > t else -1.0
+            try:
+                f = fun(t, y)
+                h_abs = _initial_step(fun, t, y, f, d, t_bound, self.cfg.tol)
+            except CollisionError as exc:
+                out.append((member, exc))
+                continue
+            starts.append((member, y, f, t, t_bound, d, h_abs))
         self.queue = []
-        n = len(reqs)
-        y = np.array([r.y0 for r in reqs], dtype=float)
-        t = np.array([r.t0 for r in reqs], dtype=float)
-        t_bound = np.array([r.t_bound for r in reqs], dtype=float)
-        f, bad = _rot_field_rows(y, self.mu)
-        new = _Rows(gid=np.array(members), y=y, f=f, t=t, t0=t.copy(),
-                    t_bound=t_bound, d=np.sign(t_bound - t),
+        if not starts:
+            return out
+        members, y, f, t, t_bound, d, h_abs = map(np.array, zip(*starts))
+        n = len(members)
+        new = _Rows(gid=members, y=y, f=f, t=t, t0=t.copy(),
+                    t_bound=t_bound, d=d, h_abs=h_abs,
                     g=self._eval_events(y),
-                    count=np.zeros((n, len(self.events))),
                     rej=np.zeros(n, dtype=bool),
                     n_steps=np.zeros(n, dtype=int),
                     slot=np.zeros(n, dtype=int))
-        new.h_abs, b = _initial_steps(new, self.mu, self.cfg)
-        bad |= b
-        out = [(i, _collided()) for i in new.gid[bad]]
-        new.drop(bad)
         short = new.gid.size - len(self.free)
         if short > 0:
             size = len(self.log)
@@ -1169,7 +1099,7 @@ class _Lane:
             self.free.extend(range(size, size + grow))
         for k, i in enumerate(new.gid):
             new.slot[k] = self.free.pop()
-            self.t_events[i] = [[] for _ in self.events]
+            self.hits[i] = []
         if self.rows is None:
             self.rows = new
         else:
@@ -1186,7 +1116,7 @@ class _Lane:
         m.h_abs = np.where(~m.rej & (m.h_abs < min_step), min_step, m.h_abs)
         small = m.h_abs < min_step
         if small.any():
-            out = [(i, _Leg(-1, _TOO_SMALL_STEP, None, None, None, None))
+            out = [(i, _Leg(-1, None, None, None, None, None))
                    for i in m.gid[small]]
             self._leave(small)
             if not m.gid.size:
@@ -1208,7 +1138,7 @@ class _Lane:
         F = _dense_coeffs(K[:, a], y_old, y_a, h_a)
         m.t[a], m.y[a], m.f[a] = t_node, y_a, K[_STAGES, a]
         ended = m.d[a] * (t_node - m.t_bound[a]) >= 0
-        stopped = np.zeros(a.size, dtype=bool)   # by a terminal event
+        stops = {}                  # p -> the terminal event that stopped it
         n_kept = m.n_steps[a] + 1
 
         # events: solve_ivp's find_active_events on every new state
@@ -1221,16 +1151,16 @@ class _Lane:
             i = a[p]
             to, hi, yo, Fp = (float(t_old[p]), float(h[i]),
                               y_old[p].tolist(), F[p].ravel().tolist())
+            hits = self.hits[m.gid[i]]
             stop = _member_events(
-                self.events, np.nonzero(active[p])[0], m.count[i],
-                self.ev_max, to, float(t_new[i]), hi, yo, Fp,
-                self.t_events[m.gid[i]])
+                self.events, np.nonzero(active[p])[0].tolist(), to,
+                float(t_new[i]), hi, yo, Fp, hits)
             if stop is not None:
-                stopped[p] = True
-                t_node[p] = stop
-                m.y[i] = _dense_value((stop - to) / hi, Fp, yo)
+                stops[p] = stop
+                root = t_node[p] = hits[-1][0]
+                m.y[i] = _dense_value((root - to) / hi, Fp, yo)
                 # solve_ivp drops a node that repeats the last one
-                if n_kept[p] > 1 and stop == t_old[p]:
+                if n_kept[p] > 1 and root == t_old[p]:
                     n_kept[p] -= 1
 
         k = m.n_steps[a]
@@ -1243,27 +1173,30 @@ class _Lane:
         rec[:, 9:] = F.reshape(a.size, 7 * 6)
         self.log[m.slot[a], k] = rec
         m.n_steps[a] = k + 1
-        for p in np.nonzero(ended | stopped)[0]:
+        ended[list(stops)] = True
+        for p in np.nonzero(ended)[0]:
             out.append((m.gid[a[p]], self._leg(a[p], n_kept[p],
-                                               int(stopped[p]))))
+                                               stops.get(p))))
         out += [(i, _collided()) for i in m.gid[bad]]
         leave = bad.copy()
-        leave[a] = ended | stopped
+        leave[a] = ended
         if leave.any():
             self._leave(leave)
         return out
 
-    def _leg(self, i, n, status):
-        """The _Leg of row i, which ends after its first n logged steps."""
+    def _leg(self, i, n, stop):
+        """The _Leg of row i, which ends after its first n logged steps,
+        stopped by the terminal event ``stop`` or at its t_bound."""
         m = self.rows
-        return _log_leg(status, m.t0[i], self.log[m.slot[i], :n].copy(),
-                        self.t_events.pop(m.gid[i]), m.y[i])
+        return _log_leg(0 if stop is None else 1, m.t0[i],
+                        self.log[m.slot[i], :n].copy(),
+                        self.hits.pop(m.gid[i]), stop, m.y[i])
 
     def _leave(self, mask):
         m = self.rows
         self.free.extend(m.slot[mask])
         for i in m.gid[mask]:
-            self.t_events.pop(i, None)
+            self.hits.pop(i, None)
         m.drop(mask)
 
 

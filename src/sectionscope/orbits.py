@@ -294,8 +294,7 @@ def classify_rotation(traj, mu=None, n_samples=200):
     if mu is None:
         mu = traj.mu
     ts = np.linspace(traj.t0, traj.t_end, n_samples)
-    states = [traj.state(t) for t in ts]
-    states = np.array([s for s in states if s is not None])
+    states = np.array([traj.state(t) for t in ts])
     e, m = primaries(mu)
     center = np.mean(states[:, :2], axis=0)
     prim = m if (np.linalg.norm(center - m[:2])

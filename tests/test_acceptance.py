@@ -230,7 +230,7 @@ def test_ac12_energy_conservation():
         mu = EARTH_MOON_MU
         c = lagrange_points(mu).energies[0] - 0.05
         rng = np.random.default_rng(106)
-        cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, max_time=150.0)
+        cfg = IntegratorConfig(tol=1e-12, max_time=150.0)
         pts = sample_shell_states(mu, c, 10, rng, component="earth")
         for traj in integrate_many(pts, mu, cfg, [100.0] * len(pts),
                                    [c] * len(pts)):

@@ -297,31 +297,29 @@ def _random_states(mu, n, rng):
 
 
 def _float_step(y, f, t, h_abs, rej, d, t_bound, g, mu):
-    """One step of solve_ivp's loop: (outcome of the generated step,
-    root times per event, state at the step's end after a terminal
-    event); the step's CollisionError is returned."""
+    """One step of solve_ivp's loop: (outcome of the generated step, its
+    (root, event) hits, the terminal event that stopped it or None,
+    state at the step's end); the step's CollisionError is returned."""
     try:
         out = flows._dop853_step(6)(
             lambda tt, yy: vector_field_ode(tt, yy, mu), t, y.tolist(),
-            f.tolist(), h_abs, rej, d, t_bound, CFG.rel_tol, CFG.abs_tol)
+            f.tolist(), h_abs, rej, d, t_bound, CFG.tol)
     except CollisionError as exc:
-        return exc, None, None
+        return exc, None, None, None
     if out is None or not out[0]:
-        return out, None, None
+        return out, None, None, None
     _, _, t_new, h, y_new, _, F = out
     g_new = [ev.fn(np.array(y_new)) for ev in _STEP_EVENTS]
     act = [e for e, (a, b, ev) in enumerate(zip(g, g_new, _STEP_EVENTS))
            if (a <= 0 <= b and ev.direction >= 0)
            or (a >= 0 >= b and ev.direction <= 0)]
-    t_events = [[] for _ in _STEP_EVENTS]
-    y_end = y_new
+    hits, stop, y_end = [], None, y_new
     if act:
-        stop = flows._member_events(
-            _STEP_EVENTS, np.array(act), np.zeros(2), np.array([np.inf, 1.0]),
-            t, t_new, h, y.tolist(), F, t_events)
+        stop = flows._member_events(_STEP_EVENTS, act, t, t_new, h,
+                                    y.tolist(), F, hits)
         if stop is not None:
-            y_end = flows._dense_value((stop - t) / h, F, y.tolist())
-    return out, t_events, y_end
+            y_end = flows._dense_value((hits[-1][0] - t) / h, F, y.tolist())
+    return out, hits, stop, y_end
 
 
 @settings(max_examples=60, deadline=None)
@@ -329,9 +327,10 @@ def _float_step(y, f, t, h_abs, rej, d, t_bound, g, mu):
        mu=st.sampled_from((0.0, 1e-3, EARTH_MOON_MU, 0.3)),
        backward=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
 def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
-    # accept or reject, the next step size, y_new, F and the event roots,
+    # accept or reject, the next step size, y_new, F and the event hits,
     # whatever the lane's width; short spans clip steps at t_bound, tiny
-    # steps meet the minimum step
+    # steps meet the minimum step.  Hits run in the flight direction, and
+    # a terminal event that stopped the leg is the last of them
     rng = np.random.default_rng(seed)
     d = -1.0 if backward else 1.0
     lane = flows._Lane(_STEP_EVENTS, mu, CFG)
@@ -353,8 +352,8 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
     live = {gid: p for p, gid in enumerate(lane.rows.gid)}
     for gid, y, f, t, h_abs, rej, t_bound, g in before:
         assert gid not in collided
-        out, t_events, y_end = _float_step(y, f, float(t), float(h_abs),
-                                           rej, d, float(t_bound), g, mu)
+        out, hits, stop, y_end = _float_step(y, f, float(t), float(h_abs),
+                                             rej, d, float(t_bound), g, mu)
         leg = ended.get(gid)
         if isinstance(out, CollisionError):
             assert isinstance(leg, CollisionError)
@@ -371,16 +370,23 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
             p = live[gid]
             assert not lane.rows.rej[p] and lane.rows.h_abs[p] == h_next
             rec = lane.log[lane.rows.slot[p], 0]
-            got_y, got_events = lane.rows.y[p], lane.t_events[gid]
+            got_y, got_hits = lane.rows.y[p], lane.hits[gid]
+            assert stop is None
         else:
             rec = np.concatenate([[leg.sol.t_old[-1], leg.sol.h[-1],
                                    leg.t[-1]], leg.sol.y_old[-1],
                                   leg.sol.F[-1].ravel()])
-            got_y, got_events = leg.y_end, leg.t_events
+            got_y, got_hits = leg.y_end, leg.hits
+            assert leg.stop == stop
+            assert leg.status == (0 if stop is None else 1)
         assert rec[0] == t and rec[1] == h
         assert rec[3:9].tobytes() == y.tobytes()
         assert rec[9:].tobytes() == np.array(F).tobytes()
         assert got_y.tobytes() == np.array(y_end).tobytes()
-        assert [list(te) for te in got_events] == t_events
+        assert got_hits == hits
+        times = [te for te, _ in hits]
+        assert times == sorted(times, reverse=backward)
+        if stop is not None:
+            assert hits[-1][1] == stop and _STEP_EVENTS[stop].terminal
         if leg is None:
             assert rec[2] == t_new and y_end is y_new

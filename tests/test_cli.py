@@ -52,6 +52,19 @@ def test_bad_usage_exits_one():
     assert exc.value.code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["lagrange", "--mu", "0.3", "--seed", "1"],
+    ["continue", "--mu", "0.0", "--c", "-1.7", "--target", "2e-3",
+     "--tol", "1e-9"],
+])
+def test_options_a_command_does_not_read_are_refused(argv):
+    # lagrange draws nothing at random, and continue's Newton tolerance
+    # is not --tol: each command takes only the options it reads
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 1
+
+
 def test_byte_stable_outputs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

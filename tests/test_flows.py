@@ -26,17 +26,16 @@ VERTICAL_PERIOD = 1.0022163715043540  # 2 pi (-1/(2c))^{3/2} at c = -1.7
 
 def test_config_validation():
     with pytest.raises(ConfigError):
-        IntegratorConfig(rel_tol=0.1)
+        IntegratorConfig(tol=0.1)
     with pytest.raises(ConfigError):
-        IntegratorConfig(abs_tol=0.5)
+        IntegratorConfig(tol=math.nan)
 
 
 @pytest.mark.parametrize("field,bad", [
-    ("rel_tol", 0.0),
-    ("abs_tol", -1e-12),
+    ("tol", 0.0),
+    ("tol", -1e-12),
     ("max_time", -1.0),
     ("switching", "yes"),
-    ("max_reg_time", -1.0),
 ])
 def test_config_rejects_each_bad_field(field, bad):
     # construction only
@@ -51,10 +50,12 @@ def test_config_has_no_reg_chunk():
 
 
 @pytest.mark.parametrize("field", ["max_step", "collision_switch_radius",
-                                   "constraint_tol"])
+                                   "constraint_tol", "max_reg_time",
+                                   "rel_tol", "abs_tol"])
 def test_config_has_no_fixed_field(field):
-    # no step limit; the switch radius and the constraint limit are
-    # module constants
+    # no step limit; the switch radius, the constraint limit and the
+    # regularized-time budget are module constants, and one tolerance
+    # is both the relative and the absolute one
     with pytest.raises(TypeError):
         IntegratorConfig(**{field: 0.05})
 
@@ -324,19 +325,19 @@ def test_return_inside_chart_blames_page_event(r):
 
 
 @pytest.mark.parametrize("budget", [1.0, 5.0])
-def test_chart_stay_stops_at_regularized_time_budget(budget):
+def test_chart_stay_stops_at_regularized_time_budget(budget, monkeypatch):
     # a tight circular Kepler orbit at mu = 0 never leaves the Earth chart,
     # so its stay runs until the regularized-time budget is spent, and
     # not beyond it
+    monkeypatch.setattr(flows, "_MAX_REG_TIME", budget)
     r = 0.03
     q = r * np.array([0.0, math.cos(0.6), math.sin(0.6)])
     p = np.array([-math.sqrt(1.0 / r), 0.0, 0.0]) + \
         np.array([-q[1], q[0], 0.0])
     x = np.concatenate([q, p])
-    cfg = IntegratorConfig(max_reg_time=budget)
     with pytest.raises(MaxTimeExceeded, match="regularized-time budget") \
             as exc:
-        integrate(x, 0.0, cfg, 10.0)
+        integrate(x, 0.0, IntegratorConfig(), 10.0)
     moser = [seg for seg in exc.value.trajectory.segments
              if seg.chart != "rot"]
     assert moser

@@ -307,7 +307,7 @@ def test_binding_min_of_long_chart_stays(seed):
     # dense (one evenly spaced reading of the whole stay is 30-1,500x off)
     mu = EARTH_MOON_MU
     c = float(lagrange_points(mu).energies[0]) - 0.05
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, max_time=50.0)
+    cfg = IntegratorConfig(tol=1e-12, max_time=50.0)
     x = sample_page_states(mu, c, 1, np.random.default_rng(seed),
                            component="moon")[0]
     sample, (lead, traj) = return_map(x, mu, c=c, cfg=cfg, return_traj=True)
@@ -322,7 +322,7 @@ def test_binding_min_refines_a_close_approach_between_samples():
     # approach by 6x; refined on the dense output it meets the oracle
     mu = EARTH_MOON_MU
     c = float(lagrange_points(mu).energies[0]) - 0.05
-    cfg = IntegratorConfig(rel_tol=1e-12, abs_tol=1e-12, max_time=50.0)
+    cfg = IntegratorConfig(tol=1e-12, max_time=50.0)
     x = sample_page_states(mu, c, 1, np.random.default_rng(10),
                            component="moon")[0]
     sample, (lead, traj) = return_map(x, mu, c=c, cfg=cfg, return_traj=True)
