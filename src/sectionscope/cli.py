@@ -270,7 +270,7 @@ def cmd_find_orbit(args):
                                             tol=args.tol)
     else:
         raise ConfigError(f"unknown find-orbit mode {args.mode!r}")
-    mult = floquet_multipliers(orbit, cfg=cfg)
+    mult = floquet_multipliers(orbit)
     orbit.floquet = mult
     orbit.command_line = "sectionscope " + " ".join(args.argv)
     config = {"mu": args.mu, "c": args.c, "mode": args.mode,

@@ -3,7 +3,7 @@ planar shooting, natural-parameter continuation, Floquet analysis."""
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -35,6 +35,9 @@ class PeriodicOrbit:
     newton_history: tuple = ()
     command_line: Optional[str] = None
     closure: Optional[float] = None  # |x(period) - x|, when flown
+    # the flights that close it: the converged iterate's return pairs, or
+    # a symmetric orbit's full-period flight; not serialized or compared
+    flights: list = field(default_factory=list, repr=False, compare=False)
 
     def to_json(self):
         d = {
@@ -75,10 +78,11 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
     Armijo backtracking on the raw closure norm.  The shooting matrix
     pinv(frame) Df^k frame - I is the derivative of the iterate's own
     flights (flows.flight_jacobian); an accepted trial point's flights
-    serve the next iteration.  Raises JacobianSingularError when the
-    shooting matrix is numerically rank deficient (degenerate root or a
-    continuum of periodic points) and ConvergenceError after max_iter
-    iterations.
+    serve the next iteration, and the converged iterate's stay on the
+    orbit (PeriodicOrbit.flights) for floquet_multipliers.  Raises
+    JacobianSingularError when the shooting matrix is numerically rank
+    deficient (degenerate root or a continuum of periodic points) and
+    ConvergenceError after max_iter iterations.
     """
     if mu is None:
         raise ConfigError("mu is required for the CR3BP search")
@@ -97,7 +101,7 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
             return PeriodicOrbit(
                 representative=x, period=tau, energy=c, mu=mu,
                 residual=res, symmetry=_classify_flights(flights), k=k,
-                newton_history=tuple(history))
+                newton_history=tuple(history), flights=flights)
         frame = page_frame(x, mu)
         g0 = page_coords(x, frame, fx)
         jac = page_map_derivative(flights, frame, frame) - np.eye(4)
@@ -241,8 +245,10 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     dp1/dq1 is the derivative of the half orbit's own flights
     (flows.flight_jacobian) along the start tangent that keeps H = c; an
     accepted trial's half orbit serves the next iteration.  The full
-    orbit is the half-orbit and its mirror; the label direct/retrograde
-    comes from the sign of the average angular momentum p1 q2 - p2 q1.
+    orbit is the half-orbit and its mirror; its full-period flight gives
+    the closure, is kept on the orbit (PeriodicOrbit.flights) for
+    floquet_multipliers, and the label direct/retrograde comes from the
+    sign of its average angular momentum p1 q2 - p2 q1.
     """
     cfg = cfg or IntegratorConfig()
     history = []
@@ -277,7 +283,8 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     closure = float(np.linalg.norm(traj.final_state() - x))
     orbit = PeriodicOrbit(representative=x, period=period, energy=c, mu=mu,
                           residual=abs(p1), symmetry="symmetric-x-axis", k=1,
-                          newton_history=tuple(history), closure=closure)
+                          newton_history=tuple(history), closure=closure,
+                          flights=[traj])
     orbit.rotation = classify_rotation(traj)
     return orbit
 
@@ -361,26 +368,38 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
 # --- Floquet analysis ---
 
 
-def floquet_multipliers(orbit, cfg=None):
-    """Eigenvalues of the monodromy of the full-period flow map.
+def floquet_multipliers(orbit):
+    """Floquet multipliers of a found orbit, from the flights that close
+    it; no flight is flown.
 
-    The 6x6 monodromy is the derivative of one full-period flight's own
-    DOP853 steps (flows.flight_jacobian).  The flight runs at the energy
-    of its start, so the energy moves with the start tangent: the
-    regularized-chart clock is only correct on the energy level the state
-    lives on.  The monodromy always carries a reciprocal-pair spectrum
-    with (at least) a double unit eigenvalue along the orbit/energy
-    directions.  Warns when its condition number exceeds 1e10.
+    A page orbit's four nontrivial multipliers are the eigenvalues of the
+    derivative J (4x4) of its return map at the representative, in the
+    page frame there (sections.page_map_derivative over the converged
+    iterate's flights); the trivial pair along the orbit and the energy
+    follows as exactly 1.0, 1.0.  A symmetric planar orbit has no page: its
+    multipliers are the eigenvalues of the 6x6 monodromy, the derivative of
+    its full-period closure flight with the energy moving with the start
+    tangent (the regularized-chart clock is only correct on the energy
+    level the state lives on).  Raises ConfigError for an unconverged
+    orbit or one without flights; warns when the matrix's condition number
+    exceeds 1e10.
     """
     if orbit.residual > 1e-9:
         raise ConfigError("orbit residual above 1e-9; refine first")
-    cfg = cfg or IntegratorConfig()
+    if not orbit.flights:
+        raise ConfigError("orbit carries no flights to differentiate")
     x = np.asarray(orbit.representative, dtype=float)
-    mu, T = orbit.mu, orbit.period
-    traj = integrate(x, mu, cfg, T)
-    M, _ = flight_jacobian(traj, np.eye(6), hamiltonian_gradient(x, mu))
+    mu = orbit.mu
+    if orbit.symmetry == "symmetric-x-axis":
+        M, _ = flight_jacobian(orbit.flights, np.eye(6),
+                               hamiltonian_gradient(x, mu))
+        trivial = []
+    else:
+        frame = page_frame(x, mu)
+        M = page_map_derivative(orbit.flights, frame, frame)
+        trivial = [1.0, 1.0]
     cond = np.linalg.cond(M)
     if cond > 1e10:
         warnings.warn(f"ill-conditioned monodromy (cond {cond:.2e})",
                       RuntimeWarning)
-    return np.linalg.eigvals(M)
+    return np.concatenate([np.linalg.eigvals(M), trivial])

@@ -221,7 +221,7 @@ def test_ac11_continued_vertical_orbit_floquet():
                          c=c)
         assert np.linalg.norm(traj.final_state()
                               - orbit.representative) < 1e-8
-        mult = floquet_multipliers(orbit, cfg=cfg)
+        mult = floquet_multipliers(orbit)
         assert reciprocal_pair_residual(mult) < 1e-6
 
 

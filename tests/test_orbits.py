@@ -5,6 +5,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
                                 hamiltonian, hamiltonian_gradient,
@@ -248,13 +250,11 @@ def test_floquet_reciprocal_pairs_and_unit_multipliers():
     cfg = IntegratorConfig(max_time=5.0)
     orbit = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,
                                 c=C_TEST, cfg=cfg)
-    mult = floquet_multipliers(orbit, cfg=cfg)
+    mult = floquet_multipliers(orbit)
     assert len(mult) == 6
     assert reciprocal_pair_residual(mult) < 1e-6
-    # the trivial pair along the orbit/energy directions sits at 1; the
-    # monodromy splits the defective pair by about the square root of its
-    # error (4.3e-5 on this orbit), so the count is taken at 1e-3 rather
-    # than the ideal 1e-6
+    # the trivial pair along the orbit/energy directions sits at 1 (the
+    # exact pair is checked by the property test below)
     assert np.sum(np.abs(mult - 1.0) < 1e-3) >= 2
 
 
@@ -263,7 +263,7 @@ def test_floquet_symmetric_orbit():
     orbit = find_symmetric_planar_orbit(-1.5, 0.0, 0.3, branch=-1, cfg=cfg)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        mult = floquet_multipliers(orbit, cfg=cfg)
+        mult = floquet_multipliers(orbit)
     assert reciprocal_pair_residual(mult) < 1e-5
 
 
@@ -273,7 +273,48 @@ def test_floquet_refuses_unconverged_orbit():
                                 c=C_TEST, cfg=cfg)
     orbit.residual = 1e-6
     with pytest.raises(ConfigError):
-        floquet_multipliers(orbit, cfg=cfg)
+        floquet_multipliers(orbit)
+
+
+def test_floquet_refuses_orbit_without_flights():
+    cfg = IntegratorConfig(max_time=5.0)
+    orbit = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,
+                                c=C_TEST, cfg=cfg)
+    orbit.flights = []
+    with pytest.raises(ConfigError):
+        floquet_multipliers(orbit)
+
+
+def test_floquet_flies_nothing(monkeypatch):
+    # the multipliers come from the flights the search already flew
+    from sectionscope import flows, orbits
+    cfg = IntegratorConfig(max_time=5.0)
+    found = [find_periodic_point(vertical_seed(3e-3, C_TEST), k=1, mu=3e-3,
+                                 c=C_TEST, cfg=cfg),
+             find_symmetric_planar_orbit(-1.5, 0.0, 0.3, branch=-1, cfg=cfg)]
+    calls = []
+    for owner, name in ((flows, "solve_ivp"), (orbits, "integrate")):
+        def counted(*args, _orig=getattr(owner, name), _name=name,
+                    **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        for orbit in found:
+            assert len(floquet_multipliers(orbit)) == 6
+    assert calls == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(mu=st.floats(0.0, 1e-2), c=st.floats(-1.80, -1.70))
+def test_vertical_multipliers_pair_up_with_an_exact_unit_pair(mu, c):
+    cfg = IntegratorConfig(max_time=5.0)
+    orbit = find_periodic_point(vertical_seed(mu, c), k=1, mu=mu, c=c,
+                                cfg=cfg)
+    mult = floquet_multipliers(orbit)
+    assert reciprocal_pair_residual(mult) <= 1e-10
+    assert mult[4] == 1.0 and mult[5] == 1.0
 
 
 def test_orbit_json_round_trip():
@@ -319,8 +360,14 @@ def test_shooting_matrix_and_monodromy_match_central_differences(mu):
     fd = central_jacobian(
         lambda y: integrate(y, mu, cfg, period).final_state(), x, 1e-7)
     assert np.abs(monodromy - fd).max() < 1e-5 * np.abs(fd).max()
-    mult = floquet_multipliers(orbit, cfg=cfg)
-    np.testing.assert_array_equal(mult, np.linalg.eigvals(monodromy))
+    mult = floquet_multipliers(orbit)
+    # the page map's four multipliers are the monodromy's nontrivial ones;
+    # the trivial pair, which the monodromy splits, is exactly 1
+    flown = np.linalg.eigvals(monodromy)
+    trivial = np.argsort(np.abs(flown - 1.0))[:2]
+    for lam in np.delete(flown, trivial):
+        assert np.abs(mult[:4] - lam).min() < 1e-10
+    assert np.count_nonzero(mult == 1.0) == 2
     assert reciprocal_pair_residual(mult) < 1e-9
 
 
