@@ -48,8 +48,9 @@ from .errors import (
     StepSizeUnderflow,
 )
 from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
-                         _q_rhs, constraint_residual, project_constraints,
-                         project_constraints_jacobian, q_field_jacobian_rows)
+                         _q_rhs, chart_rows, constraint_residual,
+                         project_constraints, project_constraints_jacobian,
+                         q_field_jacobian_rows)
 
 _SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
 _CONSTRAINT_TOL = 1e-6  # pre-projection residual limit at a chart stay's end
@@ -94,13 +95,12 @@ class FlowEvent:
 def _dop853_value(x, F, y_old):
     """DOP853 interpolant at normalized step times x, in the operation
     order of scipy's Dop853DenseOutput.  F is indexed by power first."""
-    y = np.zeros_like(F[0])
-    for i, f in enumerate(F[::-1]):
+    w = 1 - x
+    y = F[6] + 0.0      # scipy's loop starts from zeros: -0.0 becomes 0.0
+    y *= x
+    for i, f in enumerate(F[5::-1]):
         y += f
-        if i % 2 == 0:
-            y *= x
-        else:
-            y *= 1 - x
+        y *= w if i % 2 == 0 else x
     y += y_old
     return y
 
@@ -126,24 +126,32 @@ class DenseOutput:
         self._sorted = self.ts[::-1] if self._descending else self.ts
         self._side = "right" if self._descending else "left"
 
-    def __call__(self, t):
-        """State at t (shape (d,)) or at each of an array of times (d, m)."""
+    def __call__(self, t, rows=None):
+        """State at t (shape (d,)) or at each of an array of times (d, m);
+        with ``rows``, a sequence of component indices, only those
+        components, in that order.  Each component is interpolated on its
+        own, so it has the same bits either way."""
         t = np.asarray(t)
+        rows = slice(None) if rows is None else list(rows)
         last = len(self.h) - 1
         if t.ndim == 0:
             k = int(np.searchsorted(self._sorted, t, side=self._side)) - 1
             k = min(max(k, 0), last)
             if self._descending:
                 k = last - k
-            return _dop853_value((t - self.t_old[k]) / self.h[k], self.F[k],
-                                 self.y_old[k])
+            return _dop853_value((t - self.t_old[k]) / self.h[k],
+                                 self.F[k][:, rows], self.y_old[k][rows])
         k = np.searchsorted(self._sorted, t, side=self._side) - 1
         np.clip(k, 0, last, out=k)
         if self._descending:
             k = last - k
-        x = ((t - self.t_old[k]) / self.h[k])[:, None]
-        y = _dop853_value(x, self.F[k].transpose(1, 0, 2), self.y_old[k])
-        return np.ascontiguousarray(y.T)
+        x = (t - self.t_old[k]) / self.h[k]
+        # the listed components' F and y_old as one small table, steps
+        # last, gathered at once: samples last, so the result is (rows, m)
+        table = np.concatenate([self.F[:, :, rows], self.y_old[:, None, rows]],
+                               axis=1)
+        G = np.take(np.ascontiguousarray(table.transpose(1, 2, 0)), k, axis=2)
+        return _dop853_value(x, G[:7], G[7])
 
 
 # Regularized time per block of samples when a Moser segment is read, so
@@ -194,11 +202,15 @@ class Segment:
 
     def _s_of_t(self, t):
         lo, hi = float(self.nodes[0]), float(self.nodes[-1])
-        if t <= self.sol(lo)[8]:
+
+        def clock(s):
+            return self.sol(s, (8,))[0]     # physical time, row 8
+
+        if t <= clock(lo):
             return lo
-        if t >= self.sol(hi)[8]:
+        if t >= clock(hi):
             return hi
-        return brentq(lambda s: self.sol(s)[8] - t, lo, hi, xtol=1e-14)
+        return brentq(lambda s: clock(s) - t, lo, hi, xtol=1e-14)
 
     def state_at(self, t, mu):
         """Physical 6-state at physical time t."""
@@ -206,6 +218,28 @@ class Segment:
         if self.chart == "rot":
             return z
         return self.moser.to_physical(z[:4], z[4:8])
+
+    def physical_rows(self, s, rows):
+        """The samples s (an array of the segment variable) off the
+        collision fiber, and the physical state rows ``rows`` there: a
+        list indexed by physical row, None at the rows not read.  A Moser
+        segment interpolates and maps only the chart rows they need."""
+        z = [None] * 6
+        if self.chart == "rot":
+            vals = self.sol(s, rows)
+        else:
+            need = chart_rows(rows)
+            zc = [None] * 8
+            for r, v in zip(need, self.sol(s, need)):
+                zc[r] = v
+            keep = 1.0 - zc[0] >= 1e-9
+            if not keep.all():
+                s = s[keep]
+                zc = [None if v is None else v[keep] for v in zc]
+            vals = self.moser.physical_rows(zc, rows)
+        for r, v in zip(rows, vals):
+            z[r] = v
+        return s, z
 
 
 @dataclass
@@ -235,16 +269,14 @@ class Trajectory:
         return self.segments[-1].state_at(self.t_end, self.mu)
 
     def _sample_groups(self, n_per_segment):
-        """(segment, its blocks, s, z) per group of consecutive sample
-        blocks (Segment.sample_blocks) of each segment, up to _READ_CAP
-        samples a group: s the group's samples of the segment variable,
-        z the raw segment states there, one column per sample."""
+        """(segment, its blocks, s) per group of consecutive sample blocks
+        (Segment.sample_blocks) of each segment, up to _READ_CAP samples a
+        group: s the group's samples of the segment variable."""
         per = max(1, _READ_CAP // n_per_segment)
         for seg in self.segments:
             blocks = seg.sample_blocks(n_per_segment)
             for g in range(0, len(blocks), per):
-                s = blocks[g:g + per].ravel()
-                yield seg, blocks, s, seg.sol(s)
+                yield seg, blocks, blocks[g:g + per].ravel()
 
     def energy_drift(self, n_per_segment=30):
         """Max relative deviation of the conserved quantity along the flight,
@@ -254,7 +286,8 @@ class Trajectory:
         (evaluating H there is ill-conditioned near the collision fiber).
         """
         worst = 0.0
-        for seg, _, _, z in self._sample_groups(n_per_segment):
+        for seg, _, s in self._sample_groups(n_per_segment):
+            z = seg.sol(s)
             if seg.chart == "rot":
                 dev = hamiltonian_columns(z, self.mu) - self.energy
             else:
@@ -264,31 +297,31 @@ class Trajectory:
             worst = max(worst, float(np.abs(dev).max()))
         return worst / max(1.0, abs(self.energy))
 
-    def min_over(self, fn, n_per_segment=60, refine_below=None):
+    def min_over(self, fn, n_per_segment=60, refine_below=None,
+                 rows=range(6)):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
         The samples are those of Segment.sample_blocks, evaluated in the
-        groups of _sample_groups.  fn is called on a (6, n) array of states
-        (one column per sample) and must return n values.  Samples on the
-        collision fiber have no physical image and are skipped.  When the
-        sampled minimum lies below refine_below, it is refined by a bounded
-        scalar minimization on the dense output between the neighbours of
-        the minimum sample.
+        groups of _sample_groups.  rows names the physical rows (q1..q3,
+        p1..p3 numbered 0..5) that fn reads, and only those are evaluated:
+        fn is called on a list indexed by physical row, holding at each of
+        ``rows`` an array of n values (one per sample) and None elsewhere,
+        and must return n values.  Samples on the collision fiber have no
+        physical image and are skipped.  When the sampled minimum lies
+        below refine_below, it is refined by a bounded scalar minimization
+        on the dense output between the neighbours of the minimum sample.
         """
         best, where = math.inf, None
-        for seg, blocks, s, z in self._sample_groups(n_per_segment):
-            if seg.chart != "rot":
-                keep = 1.0 - z[0] >= 1e-9
-                if not keep.any():
-                    continue
-                s = s[keep]
-                z = seg.moser.to_physical(z[:4, keep], z[4:8, keep])
+        for seg, blocks, s in self._sample_groups(n_per_segment):
+            s, z = seg.physical_rows(s, rows)
+            if not s.size:
+                continue
             vals = fn(z)
             i = int(np.argmin(vals))
             if vals[i] < best:
                 best, where = float(vals[i]), (seg, blocks, s[i])
         if refine_below is not None and best < refine_below:
-            best = min(best, _refine_min(fn, *where))
+            best = min(best, _refine_min(fn, rows, *where))
         return best
 
     def to_jsonl(self, path, config_hash=""):
@@ -322,9 +355,10 @@ class Trajectory:
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def _refine_min(fn, seg, blocks, s_min):
-    """Minimum of fn on seg's dense output between the samples next to
-    s_min (in the segment variable)."""
+def _refine_min(fn, rows, seg, blocks, s_min):
+    """Minimum of fn, which reads the physical rows ``rows``, on seg's
+    dense output between the samples next to s_min (in the segment
+    variable)."""
     s_all = blocks.ravel()
     lo = s_all[max(np.searchsorted(s_all, s_min, "left") - 1, 0)]
     hi = s_all[min(np.searchsorted(s_all, s_min, "right"), len(s_all) - 1)]
@@ -332,12 +366,8 @@ def _refine_min(fn, seg, blocks, s_min):
         return math.inf
 
     def value(s):
-        z = seg.sol(np.array([s]))
-        if seg.chart != "rot":
-            if 1.0 - z[0, 0] < 1e-9:
-                return math.inf
-            z = seg.moser.to_physical(z[:4], z[4:8])
-        return float(fn(z)[0])
+        s, z = seg.physical_rows(np.array([s]), rows)
+        return float(fn(z)[0]) if s.size else math.inf
 
     res = minimize_scalar(value, bounds=(lo, hi), method="bounded",
                           options={"xatol": 1e-12})

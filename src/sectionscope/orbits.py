@@ -9,7 +9,7 @@ from typing import Optional
 import numpy as np
 
 from .cr3bp import (central_jacobian, effective_potential, hamiltonian,
-                    hamiltonian_gradient, primaries)
+                    hamiltonian_gradient, primaries, vector_field_ode)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
                      JacobianSingularError, NoCrossingError)
 from .flows import FlowEvent, IntegratorConfig, flight_jacobian, integrate
@@ -59,12 +59,14 @@ class PeriodicOrbit:
 
 def _classify_spatial(traj):
     """planar / spatial / vertical-collision from the flight geometry."""
-    planar_size = traj.min_over(lambda s: -(abs(s[2]) + abs(s[5])))
+    planar_size = traj.min_over(lambda s: -(abs(s[2]) + abs(s[5])),
+                                rows=(2, 5))
     planar_size = -planar_size  # max of |q3|+|p3|
     if planar_size < 1e-8:
         return "planar"
     horiz = traj.min_over(lambda s: -(s[0] ** 2 + s[1] ** 2
-                                      + s[3] ** 2 + s[4] ** 2))
+                                      + s[3] ** 2 + s[4] ** 2),
+                          rows=(0, 1, 3, 4))
     if -horiz < 1e-10:
         return "vertical-collision"
     return "spatial"
@@ -376,13 +378,13 @@ def floquet_multipliers(orbit):
     derivative J (4x4) of its return map at the representative, in the
     page frame there (sections.page_map_derivative over the converged
     iterate's flights); the trivial pair along the orbit and the energy
-    follows as exactly 1.0, 1.0.  A symmetric planar orbit has no page: its
-    multipliers are the eigenvalues of the 6x6 monodromy, the derivative of
-    its full-period closure flight with the energy moving with the start
-    tangent (the regularized-chart clock is only correct on the energy
-    level the state lives on).  Raises ConfigError for an unconverged
-    orbit or one without flights; warns when the matrix's condition number
-    exceeds 1e10.
+    follows as exactly 1.0, 1.0.  A symmetric planar orbit lies in the
+    binding and has no page: its four are the eigenvalues of its full-period
+    closure flight's monodromy reduced to the transversal {q2 = 0} and
+    {grad H . v = 0} at the representative (_axis_return_derivative), and
+    the same exact pair follows.  Raises ConfigError for an unconverged
+    orbit or one without flights; warns when the 4x4 matrix's condition
+    number exceeds 1e10.
     """
     if orbit.residual > 1e-9:
         raise ConfigError("orbit residual above 1e-9; refine first")
@@ -391,15 +393,24 @@ def floquet_multipliers(orbit):
     x = np.asarray(orbit.representative, dtype=float)
     mu = orbit.mu
     if orbit.symmetry == "symmetric-x-axis":
-        M, _ = flight_jacobian(orbit.flights, np.eye(6),
-                               hamiltonian_gradient(x, mu))
-        trivial = []
+        M = _axis_return_derivative(orbit.flights[-1], x, mu)
     else:
         frame = page_frame(x, mu)
         M = page_map_derivative(orbit.flights, frame, frame)
-        trivial = [1.0, 1.0]
     cond = np.linalg.cond(M)
     if cond > 1e10:
         warnings.warn(f"ill-conditioned monodromy (cond {cond:.2e})",
                       RuntimeWarning)
-    return np.concatenate([np.linalg.eigvals(M), trivial])
+    return np.concatenate([np.linalg.eigvals(M), [1.0, 1.0]])
+
+
+def _axis_return_derivative(traj, x, mu):
+    """The closure flight's monodromy reduced to a 4x4 map of the
+    transversal {q2 = 0} and {grad H . v = 0} at x, in an orthonormal basis
+    of it: the basis tangents keep the energy, and the hit-time correction
+    along the flow moves their images back onto q2 = 0."""
+    grad = hamiltonian_gradient(x, mu)
+    basis = np.linalg.svd(np.vstack([np.eye(6)[1], grad]))[2][2:].T
+    W, _ = flight_jacobian(traj, basis)
+    f = vector_field_ode(0.0, traj.final_state(), mu)
+    return basis.T @ (W - np.outer(f, W[1]) / f[1])

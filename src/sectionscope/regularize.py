@@ -56,6 +56,18 @@ def stereo_to_chart(xi, eta):
     return x, y
 
 
+def chart_rows(rows):
+    """The chart rows (xi0..xi3, eta0..eta3 numbered 0..7) that the
+    physical rows ``rows`` (q1..q3, p1..p3 numbered 0..5) of a chart's
+    to_physical depend on, sorted: p_i needs xi0 and xi_i, q_i also eta0
+    and eta_i."""
+    need = set()
+    for r in rows:
+        i = r % 3 + 1
+        need.update((0, i) if r >= 3 else (0, i, 4, i + 4))
+    return sorted(need)
+
+
 def chart_to_stereo(x, y):
     """Chart (x, y) -> regularized (xi, eta); total (defined for all inputs)."""
     x = np.asarray(x, dtype=float)
@@ -340,6 +352,26 @@ class MoserChart:
         q = self._to_relabeled((y.T + self._center).T)
         p = self._to_relabeled(-x)
         return np.concatenate([q, p])
+
+    def physical_rows(self, z, rows):
+        """Rows ``rows`` of to_physical(z[:4], z[4:8]), bit for bit, each
+        built from only the chart rows it needs (chart_rows): z is indexed
+        by chart row (xi0..xi3, eta0..eta3), its entries arrays of the same
+        shape, and only those entries are read.  Returns the list of rows;
+        the north pole has no image."""
+        s = 1.0 - z[0]
+        if (np.abs(s) < NORTH_POLE_TOL).any():
+            raise NorthPoleError("state on the collision fiber xi0 = 1")
+        out = []
+        for r in rows:
+            i = r % 3
+            if r < 3:
+                v = (z[4] * z[i + 1] + s * z[i + 5]) + self._center[i]
+            else:
+                v = -(z[i + 1] / s)
+            # the relabeled Earth chart turns the frame by pi about q3
+            out.append(-v if self._rotate and i < 2 else v)
+        return out
 
     def _frame_jacobian(self):
         """d(x, y)/d(q, p) of the chart coordinates x = -p, y = q - center

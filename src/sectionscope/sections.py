@@ -200,9 +200,9 @@ def _return_sample(x, mu, theta, lead, traj):
     ang_f = physical_angle(fx)
     binding_min = min(
         lead.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
-                      refine_below=BINDING_REFINE_BELOW),
+                      refine_below=BINDING_REFINE_BELOW, rows=(2, 5)),
         traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
-                      refine_below=BINDING_REFINE_BELOW),
+                      refine_below=BINDING_REFINE_BELOW, rows=(2, 5)),
     )
     return ReturnSample(
         x=x, fx=np.asarray(fx, float), tau=t_hit, crossings=crossings,

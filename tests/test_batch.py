@@ -243,6 +243,31 @@ def test_dense_output_bit_identical_to_ode_solution(kind):
     assert np.array_equal(dense(sol.t[-1]), sol.sol(sol.t[-1]))
 
 
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 9), n_steps=st.integers(1, 6),
+       descending=st.booleans(), seed=st.integers(0, 2 ** 32 - 1),
+       data=st.data())
+def test_dense_output_rows_are_the_bits_of_the_full_state(
+        d, n_steps, descending, seed, data):
+    # each component is interpolated on its own: reading some of them
+    # gives the full state's bits there, in any order, repeats allowed
+    rng = np.random.default_rng(seed)
+    h = rng.uniform(0.1, 1.0, n_steps) * (-1.0 if descending else 1.0)
+    ts = np.concatenate([[0.0], np.cumsum(h)])
+    scale = 10.0 ** rng.integers(-12, 3, size=(n_steps, 7, d))
+    sol = DenseOutput(ts, ts[:-1], h, rng.normal(size=(n_steps, d)),
+                      rng.normal(size=(n_steps, 7, d)) * scale)
+    rows = data.draw(st.lists(st.integers(0, d - 1), min_size=1,
+                              max_size=d + 2))
+    lo, hi = sorted((ts[0], ts[-1]))
+    times = np.array(data.draw(st.lists(
+        st.floats(lo - 0.5, hi + 0.5) | st.sampled_from(list(ts)),
+        min_size=1, max_size=40)))
+    assert sol(times, rows).tobytes() == sol(times)[rows].tobytes()
+    for t in times:
+        assert sol(t, rows).tobytes() == sol(t)[rows].tobytes()
+
+
 def test_section_scan_takes_about_as_many_iterations_as_its_longest_flight(
         tmp_path, monkeypatch):
     # section-scan --mu 1e-3 --c -1.7 --n 25 --seed 0 at tol 1e-12: one

@@ -262,11 +262,17 @@ def test_min_over_matches_per_sample_oracle():
     first = traj.segments[0]
     assert first.chart == "moser-earth"
     assert 1.0 - first.sol(first.nodes[0])[0] < 1e-9
-    fns = [lambda s, k=k, sign=sign: sign * s[k]
+    fns = [(lambda s, k=k, sign=sign: sign * s[k], (k,))
            for k in range(6) for sign in (1.0, -1.0)]
-    fns.append(lambda s: s[2] ** 2 + s[5] ** 2)
-    for fn in fns:
-        assert traj.min_over(fn) == _oracle_min_over(traj, fn)
+    # the binding read of sections and the two reads of orbits
+    fns += [(lambda s: s[2] ** 2 + s[5] ** 2, (2, 5)),
+            (lambda s: -(abs(s[2]) + abs(s[5])), (2, 5)),
+            (lambda s: -(s[0] ** 2 + s[1] ** 2 + s[3] ** 2 + s[4] ** 2),
+             (0, 1, 3, 4))]
+    for fn, rows in fns:
+        want = _oracle_min_over(traj, fn)
+        assert traj.min_over(fn) == want
+        assert traj.min_over(fn, rows=rows) == want
     # a tight circular Kepler orbit stays in the chart for about 330 units
     # of regularized time: 166 blocks, read in several groups
     r = 0.03
@@ -276,8 +282,10 @@ def test_min_over_matches_per_sample_oracle():
     traj = integrate(np.concatenate([q, p]), 0.0, IntegratorConfig(), 10.0)
     stay, = [seg for seg in traj.segments if seg.chart != "rot"]
     assert len(stay.sample_blocks(60)) > 2 * (_READ_CAP // 60)
-    for fn in (fns[0], fns[-1]):
-        assert traj.min_over(fn) == _oracle_min_over(traj, fn)
+    for fn, rows in fns[:1] + fns[-3:]:
+        want = _oracle_min_over(traj, fn)
+        assert traj.min_over(fn) == want
+        assert traj.min_over(fn, rows=rows) == want
 
 
 def test_energy_drift_matches_per_sample_oracle():

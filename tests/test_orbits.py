@@ -259,12 +259,24 @@ def test_floquet_reciprocal_pairs_and_unit_multipliers():
 
 
 def test_floquet_symmetric_orbit():
+    # the closure flight's monodromy reduced to the transversal at the
+    # representative: its four eigenvalues are the 6x6 monodromy's
+    # nontrivial ones, and the trivial pair, which the monodromy splits by
+    # up to 2.6e-5, is exactly 1
     cfg = IntegratorConfig(max_time=3.0)
-    orbit = find_symmetric_planar_orbit(-1.5, 0.0, 0.3, branch=-1, cfg=cfg)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    for c, mu, q1 in [(-1.5, 0.0, 0.3), (-1.6, 1e-3, 0.3),
+                      (-1.5, EARTH_MOON_MU, 0.25)]:
+        orbit = find_symmetric_planar_orbit(c, mu, q1, branch=-1, cfg=cfg)
         mult = floquet_multipliers(orbit)
-    assert reciprocal_pair_residual(mult) < 1e-5
+        assert len(mult) == 6 and mult[4] == mult[5] == 1.0
+        monodromy, _ = flight_jacobian(
+            orbit.flights, np.eye(6),
+            hamiltonian_gradient(orbit.representative, mu))
+        flown = np.linalg.eigvals(monodromy)
+        trivial = np.argsort(np.abs(flown - 1.0))[:2]
+        for lam in np.delete(flown, trivial):
+            assert np.abs(mult[:4] - lam).min() < 1e-9
+        assert reciprocal_pair_residual(mult) < 1e-9
 
 
 def test_floquet_refuses_unconverged_orbit():

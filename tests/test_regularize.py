@@ -14,7 +14,7 @@ from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points, \
 from sectionscope.errors import (ConfigError, NorthPoleError,
                                  SecondaryCollisionError, ZeroVError)
 from sectionscope.cr3bp import central_jacobian
-from sectionscope.regularize import (MoserChart, chart_to_stereo,
+from sectionscope.regularize import (MoserChart, chart_rows, chart_to_stereo,
                                      constraint_residual, kepler_oracles,
                                      lc_hamiltonian, levi_civita, moser_fbM,
                                      project_constraints,
@@ -403,6 +403,37 @@ def test_array_to_physical_matches_columns(states, primary):
     cols = np.column_stack([ch.to_physical(a, b) for a, b in states])
     assert np.array_equal(out, cols)
     assert ch.to_physical(xi[:, 0], eta[:, 0]).shape == (6,)
+
+
+@settings(max_examples=200, deadline=None)
+@given(states=st.lists(ts3_states(eta_scale=5.0, off_fiber=True),
+                       min_size=1, max_size=8),
+       gaps=st.lists(st.floats(1e-11, 1e-3), max_size=4),
+       primary=st.sampled_from(["moon", "earth"]),
+       rows=st.lists(st.integers(0, 5), min_size=1, max_size=6,
+                     unique=True))
+def test_physical_rows_are_the_bits_of_to_physical(states, gaps, primary,
+                                                   rows):
+    # columns near the collision fiber too, at xi0 = 1 - gap; the chart
+    # rows outside chart_rows(rows) are None, so they are never read
+    cols = list(states)
+    for k, gap in enumerate(gaps):
+        xi = np.zeros(4)
+        xi[0], xi[1 + k % 3] = 1.0 - gap, math.sqrt(gap * (2.0 - gap))
+        eta = states[k % len(states)][1].copy()
+        eta -= (eta @ xi) * xi
+        cols.append((xi, eta))
+    ch = MoserChart(EARTH_MOON_MU, primary)
+    z = np.vstack([np.column_stack([s[0] for s in cols]),
+                   np.column_stack([s[1] for s in cols])])
+    want = ch.to_physical(z[:4], z[4:])
+    read = [None] * 8
+    for r in chart_rows(rows):
+        read[r] = z[r]
+    got = ch.physical_rows(read, rows)
+    assert len(got) == len(rows)
+    for r, v in zip(rows, got):
+        assert v.tobytes() == want[r].tobytes()
 
 
 def test_array_to_physical_rejects_fiber_column():

@@ -12,7 +12,8 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian, hamiltonian,
 from sectionscope.errors import BindingError, ConfigError, OffSurfaceError
 from sectionscope.flows import IntegratorConfig, integrate
 from sectionscope.regularize import MoserChart
-from sectionscope.sections import (OMEGA4, SectionSpec, ellipsoid_flow,
+from sectionscope.sections import (BINDING_REFINE_BELOW, OMEGA4,
+                                   SectionSpec, ellipsoid_flow,
                                    ellipsoid_page_point,
                                    ellipsoid_page_rotation, ellipsoid_return,
                                    ellipsoid_return_jacobian,
@@ -329,6 +330,17 @@ def test_binding_min_refines_a_close_approach_between_samples():
     oracle = min(_oracle_binding_min(lead), _oracle_binding_min(traj))
     assert oracle < 1e-7
     assert sample.binding_min <= 1.05 * oracle
+    # the binding read evaluates the rows of q3 and p3 alone, refinement
+    # included; a read of the full state gives the same bits
+
+    def binding(s):
+        return s[2] ** 2 + s[5] ** 2
+
+    sampled = min(t.min_over(binding) for t in (lead, traj))
+    full = min(t.min_over(binding, refine_below=BINDING_REFINE_BELOW)
+               for t in (lead, traj))
+    assert sample.binding_min < sampled
+    assert sample.binding_min == full
 
 
 # --- return-map Jacobians from the flights' own steps ---
