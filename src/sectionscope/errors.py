@@ -53,6 +53,12 @@ class ConvergenceError(SectionScopeError):
     """Newton/continuation iteration failed to reach the residual target."""
 
 
+class IntegrationFloorError(ConvergenceError):
+    """Newton damping stalled within 10x its residual target: the closure
+    cannot go lower at the integrator's tolerance, and a shorter
+    continuation step would not help."""
+
+
 class JacobianSingularError(ConvergenceError):
     """Newton matrix is singular (degenerate or non-isolated solutions)."""
 

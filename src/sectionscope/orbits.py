@@ -11,7 +11,8 @@ import numpy as np
 from .cr3bp import (central_jacobian, effective_potential, hamiltonian,
                     hamiltonian_gradient, primaries, vector_field_ode)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
-                     JacobianSingularError, NoCrossingError)
+                     IntegrationFloorError, JacobianSingularError,
+                     NoCrossingError)
 from .flows import FlowEvent, IntegratorConfig, flight_jacobian, integrate
 # reciprocal_pair_residual is re-exported: it is part of the orbits API
 from .sections import (SectionSpec, ellipsoid_return, page_coords, page_embed,
@@ -83,8 +84,10 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
     serve the next iteration, and the converged iterate's stay on the
     orbit (PeriodicOrbit.flights) for floquet_multipliers.  Raises
     JacobianSingularError when the shooting matrix is numerically rank
-    deficient (degenerate root or a continuum of periodic points) and
-    ConvergenceError after max_iter iterations.
+    deficient (degenerate root or a continuum of periodic points),
+    IntegrationFloorError when the damping stalls within 10 tol (the
+    closure the integrator can reach), and ConvergenceError on any other
+    stall or after max_iter iterations.
     """
     if mu is None:
         raise ConfigError("mu is required for the CR3BP search")
@@ -125,8 +128,9 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
                 break
             lam *= 0.5
         else:
-            raise ConvergenceError(
-                f"Newton damping stalled at residual {res:.3e}")
+            # a stall within 10x the target is the integration floor
+            err = IntegrationFloorError if res < 10 * tol else ConvergenceError
+            raise err(f"Newton damping stalled at residual {res:.3e}")
     raise ConvergenceError(
         f"no convergence after {max_iter} iterations (residual {res:.3e})")
 
@@ -325,8 +329,10 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
 
     param is 'mu' or 'c'; the seed orbit's parameter moves toward target
     in increments of step, halving on corrector failure.  Raises
-    FoldDetected when the step underflows min_step.  Returns the list of
-    converged members (including the seed).
+    FoldDetected when the step underflows min_step; an
+    IntegrationFloorError of the corrector propagates, since no step
+    length mends it.  Returns the list of converged members (including
+    the seed).
     """
     if param not in ("mu", "c"):
         raise ConfigError("param must be 'mu' or 'c'")
@@ -355,6 +361,8 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
                                              c=c_n, cfg=cfg, spec=spec,
                                              **newton_kw)
                 break
+            except IntegrationFloorError:
+                raise
             except (ConvergenceError, NoCrossingError):
                 h_try *= 0.5
                 if h_try < min_step:

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .cr3bp import validate_mu
 from .errors import (
@@ -445,20 +444,21 @@ def lc_vector_field(z):
     oscillators of common angular rate 1/4.
     """
     u1, u2, v1, v2 = z
-    return np.array([-v1 / 4.0, -v2 / 4.0, u1 / 4.0, u2 / 4.0])
+    return [-v1 / 4.0, -v2 / 4.0, u1 / 4.0, u2 / 4.0]
 
 
 # --- Kepler oracles ---
 
 
 def _kepler_chart_field(t, z):
-    x, y = z[:2], z[2:]
-    s = float(x @ x)
-    ny = math.sqrt(float(y @ y))
+    """Regularized Kepler field on the planar chart z = (x, y), as floats."""
+    x1, x2, y1, y2 = z
+    s = x1 * x1 + x2 * x2
+    ny = math.sqrt(y1 * y1 + y2 * y2)
     g = 0.5 * (s + 1.0) * ny
-    dkdy = g * 0.5 * (s + 1.0) * y / ny
-    dkdx = g * ny * x
-    return np.concatenate([dkdy, -dkdx])
+    a = g * 0.5 * (s + 1.0)
+    b = g * ny
+    return [a * y1 / ny, a * y2 / ny, -b * x1, -b * x2]
 
 
 @dataclass(frozen=True)
@@ -470,8 +470,9 @@ class KeplerOracleReport:
     passed: bool
 
 
-def kepler_oracles(seed=0, n_orbits=10, rtol=1e-12, atol=1e-12):
-    """Closed-form checks of the two Kepler regularizations.
+def kepler_oracles(seed=0):
+    """Closed-form checks of the two Kepler regularizations, over 10
+    random orbits each, flown on the package's own DOP853 (flows.solve_ivp).
 
     (a) The flow of the regularized Kepler Hamiltonian in the planar
         Moser chart maps to great circles on S^2 (the xi samples of each
@@ -480,49 +481,39 @@ def kepler_oracles(seed=0, n_orbits=10, rtol=1e-12, atol=1e-12):
         periodic with one common period (harmonic oscillators).
     (c) The Kepler circular orbit at energy -1/2 maps to the equator.
     """
+    # flows imports this module, so its names are imported at call time
+    from .flows import FlowEvent, IntegratorConfig, solve_ivp
+
     rng = np.random.default_rng(seed)
+    cfg = IntegratorConfig(tol=1e-12)
 
     # (a) great circles
     worst_sv = 0.0
-    for _ in range(n_orbits):
+    for _ in range(10):
         x = rng.uniform(-1.5, 1.5, size=2)
         y = rng.uniform(-1.5, 1.5, size=2)
         if np.linalg.norm(y) < 0.2:
             y += 0.5
-        sol = solve_ivp(_kepler_chart_field, (0.0, 6.0),
-                        np.concatenate([x, y]), method="DOP853",
-                        rtol=rtol, atol=atol, dense_output=True)
-        ts = np.linspace(0.0, 6.0, 400)
-        pts = np.empty((len(ts), 3))
-        for i, t in enumerate(ts):
-            z = sol.sol(t)
-            xi, _ = chart_to_stereo(z[:2], z[2:])
-            pts[i] = xi
+        leg = solve_ivp(_kepler_chart_field, (0.0, 6.0),
+                        np.concatenate([x, y]), [], cfg)
+        pts = [chart_to_stereo(z[:2], z[2:])[0]
+               for z in leg.sol(np.linspace(0.0, 6.0, 400)).T]
         sv = np.linalg.svd(pts, compute_uv=False)
         worst_sv = max(worst_sv, sv[2])
 
     # (b) common LC period (exact value 8*pi) via event-located returns
     periods = []
-    for _ in range(n_orbits):
+    for _ in range(10):
         z0 = rng.normal(size=4)
         z0 /= np.linalg.norm(z0)  # Q = 0 level is the unit sphere
         w0 = np.array([-z0[2], -z0[3], z0[0], z0[1]])
-
-        def phase(t, z, w0=w0):
-            return float(z @ w0)
-
-        phase.terminal = True
-        phase.direction = 1.0
+        phase = FlowEvent(lambda z, w0=w0: float(z @ w0), direction=1.0)
         # burn-in leg so the event does not fire on the initial zero
         lead = solve_ivp(lambda t, z: lc_vector_field(z), (0.0, 1.0), z0,
-                         method="DOP853", rtol=rtol, atol=atol)
-        sol = solve_ivp(lambda t, z: lc_vector_field(z), (1.0, 40.0),
-                        lead.y[:, -1],
-                        method="DOP853", rtol=rtol, atol=atol, events=phase)
-        if not sol.t_events[0].size:
-            periods.append(math.nan)
-        else:
-            periods.append(float(sol.t_events[0][0]))
+                         [], cfg)
+        leg = solve_ivp(lambda t, z: lc_vector_field(z), (1.0, 40.0),
+                        lead.y_end, [phase], cfg)
+        periods.append(leg.hits[0][0] if leg.hits else math.nan)
     periods = np.asarray(periods)
     spread = float(np.max(periods) - np.min(periods))
 

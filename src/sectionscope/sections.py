@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import null_space
 
 from .cr3bp import (central_jacobian, hamiltonian, hamiltonian_gradient,
                     primaries)
@@ -33,7 +31,7 @@ from .errors import (
     SectionScopeError,
 )
 from .flows import (FlowEvent, IntegratorConfig, flight_jacobian, integrate,
-                    integrate_many)
+                    integrate_many, solve_ivp)
 from .regularize import MoserChart
 
 BINDING_SQ_TOL = 1e-24
@@ -347,10 +345,11 @@ def page_frame(x, mu):
     """
     n1 = hamiltonian_gradient(x, mu)
     n2 = _angle_gradient(x)
-    basis = null_space(np.vstack([n1, n2]))
-    if basis.shape != (6, 4):
+    sv, vh = np.linalg.svd(np.vstack([n1, n2]))[1:]
+    # scipy.linalg.null_space's rank rule, and its basis bit for bit
+    if not sv[1] > 6 * np.finfo(float).eps * sv[0]:
         raise PerturbationEscapeError("degenerate page tangent space")
-    vecs = [basis[:, j] for j in range(4)]
+    vecs = list(vh[2:])
     a1 = vecs[0]
     pair_vals = [abs(_omega(a1, v)) for v in vecs[1:]]
     j = int(np.argmax(pair_vals)) + 1
@@ -510,7 +509,7 @@ def _ellipsoid_rhs(a, b):
 
     def rhs(t, w):
         x1, y1, x2, y2 = w
-        return np.array([-wa * y1, wa * x1, -wb * y2, wb * x2])
+        return [-wa * y1, wa * x1, -wb * y2, wb * x2]
 
     return rhs
 
@@ -526,8 +525,9 @@ def ellipsoid_page_point(a, b, rho=0.45, phase=0.3):
     return np.array([z1, complex(math.sqrt(r2sq), 0.0)])
 
 
-def ellipsoid_return(a, b, z, rtol=1e-12, atol=1e-12):
-    """Numerical return to the page {arg z2 = 0} with the page rotation.
+def ellipsoid_return(a, b, z):
+    """Numerical return to the page {arg z2 = 0} with the page rotation,
+    flown on flows.solve_ivp at tol 1e-12.
 
     The page coordinate is z1; the measured (unwrapped) rotation of z1
     over one return is the Exercise's 2 pi a / b.  Returns
@@ -537,38 +537,31 @@ def ellipsoid_return(a, b, z, rtol=1e-12, atol=1e-12):
     ellipsoid_check_surface(a, b, z)
     if abs(z[1].imag) > 1e-12 or z[1].real <= 0:
         raise ConfigError("start point must lie on the page arg z2 = 0")
-    w0 = np.array([z[0].real, z[0].imag, z[1].real, z[1].imag])
+    w0 = [z[0].real, z[0].imag, z[1].real, z[1].imag]
     rhs = _ellipsoid_rhs(a, b)
-
-    def page(t, w):
-        return w[3]
-    page.terminal = True
-    page.direction = 1.0
-
+    cfg = IntegratorConfig(tol=1e-12)
     t_lead = 0.1 / b
-    lead = solve_ivp(rhs, (0.0, t_lead), w0, method="DOP853",
-                     rtol=rtol, atol=atol, dense_output=True)
-    sol = solve_ivp(rhs, (t_lead, t_lead + 3.0 / b), lead.y[:, -1],
-                    method="DOP853", rtol=rtol, atol=atol, events=page,
-                    dense_output=True)
-    if not sol.t_events[0].size:
+    lead = solve_ivp(rhs, (0.0, t_lead), w0, [], cfg)
+    leg = solve_ivp(rhs, (t_lead, t_lead + 3.0 / b), lead.y_end,
+                    [FlowEvent(lambda w: w[3], direction=1.0)], cfg)
+    if not leg.hits:
         raise NoCrossingError("ellipsoid flow did not return to the page")
-    tau = float(sol.t_events[0][0])
-    wf = sol.sol(tau)
-    ang = []
-    for t in np.linspace(0.0, tau, 600):
-        w = lead.sol(t) if t < t_lead else sol.sol(t)
-        ang.append(math.atan2(w[1], w[0]))
-    unwrapped = np.unwrap(ang)
+    tau = leg.hits[0][0]
+    ts = np.linspace(0.0, tau, 600)
+    on_lead = ts < t_lead
+    w = np.concatenate([lead.sol(ts[on_lead]), leg.sol(ts[~on_lead])],
+                       axis=1)
+    unwrapped = np.unwrap(np.arctan2(w[1], w[0]))
     rotation = float(unwrapped[-1] - unwrapped[0])
+    wf = leg.y_end
     z_ret = np.array([complex(wf[0], wf[1]), complex(wf[2], wf[3])])
     return z_ret, tau, rotation
 
 
-def ellipsoid_page_rotation(a, b, **kw):
+def ellipsoid_page_rotation(a, b):
     """Measured page rotation of the boundary flow (expected 2 pi a / b)."""
     z = ellipsoid_page_point(a, b)
-    _, _, rotation = ellipsoid_return(a, b, z, **kw)
+    _, _, rotation = ellipsoid_return(a, b, z)
     return rotation
 
 

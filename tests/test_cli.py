@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -193,6 +194,19 @@ def test_continue_family(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["n_members"] == 3
     assert doc["members"][-1]["mu"] == pytest.approx(2e-3, abs=1e-15)
+
+
+def test_continue_stops_at_the_integration_floor(tmp_path, capsys):
+    # near c = -1.55 the closure cannot go below about 1.3e-11 at
+    # integrator tol 1e-12; a shorter step would not help, so the run stops
+    # at the first such stall instead of halving down to a FoldDetected
+    t0 = time.perf_counter()
+    code = run(["continue", "--mu", "0", "--c", "-1.7", "--param", "c",
+                "--target", "-1.4", "--step", "2e-2",
+                "--out", str(tmp_path / "family.json")])
+    assert time.perf_counter() - t0 < 5.0
+    assert code == 3
+    assert "IntegrationFloorError" in capsys.readouterr().err
 
 
 def test_verify_passes(tmp_path):

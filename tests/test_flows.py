@@ -1,7 +1,10 @@
 """Adaptive integration with chart switching: closure, conservation,
 events, error modes."""
 
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ from sectionscope.cr3bp import central_jacobian, hamiltonian_gradient
 from sectionscope.flows import (_READ_CAP, _READ_SPAN, FlowEvent,
                                 IntegratorConfig, Segment, event_crossing,
                                 flight_jacobian, integrate)
+import sectionscope
 from sectionscope import flows
 from sectionscope.regularize import MoserChart
 
@@ -443,3 +447,17 @@ def test_flight_jacobian_of_a_chain_composes_one_flight_calls(mu, moving_c):
     scale = np.abs(V).max()
     assert np.abs(w - V).max() <= 1e-13 * scale
     assert np.abs(dt - t).max() <= 1e-13 * max(np.abs(t).max(), 1.0)
+
+
+def test_src_binds_no_second_integrator():
+    # the closed-form oracles fly flows.solve_ivp like everything else:
+    # no module binds scipy's solve_ivp or a scipy.linalg name
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    for info in pkgutil.iter_modules(sectionscope.__path__):
+        module = importlib.import_module(f"sectionscope.{info.name}")
+        for name, value in vars(module).items():
+            assert value is not scipy_solve_ivp, (info.name, name)
+            owner = (value.__name__ if inspect.ismodule(value)
+                     else getattr(value, "__module__", None))
+            assert not str(owner).startswith("scipy.linalg"), (
+                info.name, name)
