@@ -16,14 +16,16 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.ndimage import label as ndi_label
-from scipy.optimize import brentq
 
+from ._numerics import brentq
 from .errors import CollisionError, ConfigError, RootBracketingError
 
 EARTH_MOON_MU = 0.0121505856
 
 COLLISION_THRESHOLD = 1e-10
+
+# shell sampling gives up at _MAX_REJECTIONS * (accepted + 1) rejected draws
+_MAX_REJECTIONS = 20000
 
 
 def validate_mu(mu, strict=False):
@@ -231,7 +233,8 @@ def _collinear_root(lo, hi, mu):
         raise RootBracketingError(
             f"no collinear sign change in [{lo}, {hi}] for mu={mu}"
         )
-    x = brentq(_collinear_equation, lo, hi, args=(mu,), xtol=1e-15, rtol=8.9e-16)
+    x = brentq(lambda x: _collinear_equation(x, mu), lo, hi, xtol=1e-15,
+               rtol=8.9e-16)
     # Newton polish to drive the residual to rounding level
     for _ in range(4):
         fx = _collinear_equation(x, mu)
@@ -323,8 +326,10 @@ def hill_components(c, mu, box=(-2.0, 2.0), n=256, three_d=False,
     (lo, hi) pairs.  2-D slices (q3 = 0) use 8-connectivity, 3-D grids
     26-connectivity.  Components touching the box boundary are flagged
     unbounded.  A resolution-doubling check warns when the count is not
-    yet grid-stable.
+    yet grid-stable.  The only function of the package that needs scipy.
     """
+    from scipy.ndimage import label as ndi_label
+
     ndim = 3 if three_d else 2
     box = np.asarray(box, dtype=float)
     if box.ndim == 1:
@@ -525,7 +530,8 @@ def bounded_component_radius(mu, c, component="moon"):
 
 def sample_shell_states(mu, c, n, rng, component="moon",
                         min_primary_dist=0.06, planar_momentum=False,
-                        q3_positive=False, max_radius=None):
+                        q3_positive=False, max_radius=None,
+                        min_q3=-math.inf):
     """Random states on the energy shell H = c in a bounded Hill component.
 
     Positions are drawn uniformly in a ball around the chosen primary and
@@ -533,18 +539,21 @@ def sample_shell_states(mu, c, n, rng, component="moon",
     take a random direction with |p + A| fixed by the energy.  With
     planar_momentum=True the third momentum component is forced to zero
     (page of the physical open book at angle 0 together with q3 > 0).
+    A drawn state with q3 < min_q3 is rejected too.  ConfigError is
+    raised once the rejected draws reach _MAX_REJECTIONS * (accepted + 1):
+    with nothing accepted that is a fixed number of draws, whatever n is,
+    and an acceptance rate above about 1 / _MAX_REJECTIONS succeeds.
     """
     e, m = primaries(mu)
     prim = m if component == "moon" else e
     rad = max_radius if max_radius is not None else \
         bounded_component_radius(mu, c, component)
     out = np.empty((n, 6))
-    got = 0
-    attempts = 0
+    got = drawn = 0
     while got < n:
-        attempts += 1
-        if attempts > 10000 * (n + 1):
+        if drawn - got >= _MAX_REJECTIONS * (got + 1):
             raise ConfigError("shell sampling rejection rate too high")
+        drawn += 1
         direction = rng.normal(size=3)
         direction /= np.linalg.norm(direction)
         q = prim + rad * rng.uniform() ** (1.0 / 3.0) * direction
@@ -564,9 +573,10 @@ def sample_shell_states(mu, c, n, rng, component="moon",
         else:
             nhat = rng.normal(size=3)
             nhat /= np.linalg.norm(nhat)
-        p = sigma * nhat - np.array([q[1], -q[0], 0.0])
+        if q[2] < min_q3:
+            continue
         out[got, :3] = q
-        out[got, 3:] = p
+        out[got, 3:] = sigma * nhat - np.array([q[1], -q[0], 0.0])
         got += 1
     return out
 
@@ -574,16 +584,10 @@ def sample_shell_states(mu, c, n, rng, component="moon",
 def sample_page_states(mu, c, n, rng, component="moon",
                        min_primary_dist=0.06, min_binding=1e-2,
                        max_radius=None):
-    """Random states on the page {p3 = 0, q3 > 0} of the physical open book."""
-    out = np.empty((n, 6))
-    got = 0
-    while got < n:
-        batch = sample_shell_states(
-            mu, c, n - got, rng, component=component,
-            min_primary_dist=min_primary_dist, planar_momentum=True,
-            q3_positive=True, max_radius=max_radius,
-        )
-        keep = batch[batch[:, 2] >= min_binding]
-        out[got:got + len(keep)] = keep
-        got += len(keep)
-    return out
+    """Random states on the page {p3 = 0, q3 > 0} of the physical open book,
+    with q3 >= min_binding."""
+    return sample_shell_states(
+        mu, c, n, rng, component=component,
+        min_primary_dist=min_primary_dist, planar_momentum=True,
+        q3_positive=True, max_radius=max_radius, min_q3=min_binding,
+    )

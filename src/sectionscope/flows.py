@@ -32,10 +32,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate._ivp import dop853_coefficients as dop
-from scipy.optimize import brentq, minimize_scalar
 
 from . import __version__
+from . import _numerics as dop
+from ._numerics import brentq, minimize_bounded
 from .cr3bp import (COLLISION_THRESHOLD, _rot_rhs, hamiltonian,
                     hamiltonian_columns, primaries, vector_field_ode)
 from .errors import (
@@ -369,9 +369,7 @@ def _refine_min(fn, rows, seg, blocks, s_min):
         s, z = seg.physical_rows(np.array([s]), rows)
         return float(fn(z)[0]) if s.size else math.inf
 
-    res = minimize_scalar(value, bounds=(lo, hi), method="bounded",
-                          options={"xatol": 1e-12})
-    return float(res.fun)
+    return minimize_bounded(value, lo, hi)[1]
 
 
 # --- one leg of a flight: the request and its outcome ---

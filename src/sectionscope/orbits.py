@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 
+from ._numerics import brentq
 from .cr3bp import (central_jacobian, effective_potential, hamiltonian,
                     hamiltonian_gradient, primaries, vector_field_ode)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
@@ -193,8 +194,6 @@ def vertical_seed(mu, c):
     H = U(q); solving U = c for z > 0 gives a seed for the vertical
     collision fixed point (exact at mu = 0).
     """
-    from scipy.optimize import brentq
-
     def f(z):
         return effective_potential(np.array([mu, 0.0, z]), mu) - c
 

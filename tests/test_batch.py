@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
-from scipy.integrate._ivp import rk
+from scipy.integrate._ivp import dop853_coefficients, rk
 
 from sectionscope import flows
 from sectionscope.cli import main
@@ -296,6 +296,11 @@ def test_lockstep_constants_are_scipys():
     assert flows._MAX_FACTOR == rk.MAX_FACTOR
     assert flows._STAGES == rk.DOP853.n_stages
     assert flows._ERR_EXP == -1.0 / (rk.DOP853.error_estimator_order + 1)
+    # the package's copy of the DOP853 tableau
+    assert flows.dop.N_STAGES == dop853_coefficients.N_STAGES
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        assert np.array_equal(getattr(flows.dop, name),
+                              getattr(dop853_coefficients, name)), name
 
 
 # --- the float step of a lone leg is a lane row, bit for bit ---

@@ -225,6 +225,31 @@ def test_console_script_version():
     assert res.returncode == 0
 
 
+def test_commands_but_hill_import_no_scipy(tmp_path):
+    # brentq, the bounded minimizer and the DOP853 tableau are the
+    # package's own, so only hill loads scipy in a fresh process
+    calls = [
+        ["lagrange", "--mu", "0.3"],
+        ["integrate", "--mu", "1e-3", "--state",
+         "0.001,0,0.58794536965218558,0,0.001,0", "--tf", "1", "--n", "5"],
+        ["section-scan", "--mu", "1e-3", "--c", "-1.7", "--n", "1"],
+        ["find-orbit", "--mode", "vertical", "--mu", "3e-3", "--c", "-1.72"],
+        ["continue", "--mu", "0", "--c", "-1.7", "--param", "mu",
+         "--target", "2e-3", "--step", "1e-3"],
+        ["verify", "--seed", "0"],
+    ]
+    code = (f"import sys\n"
+            f"from sectionscope.cli import main\n"
+            f"for k, argv in enumerate({calls!r}):\n"
+            f"    out = {str(tmp_path)!r} + f'/call{{k}}'\n"
+            f"    assert main(argv + ['--out', out]) == 0, argv\n"
+            f"print('scipy' in sys.modules)\n")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 def test_interleaved_calls_match_fresh_runs(tmp_path):
     # main reuses one parser for every call in a process
     calls = [

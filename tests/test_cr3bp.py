@@ -18,7 +18,8 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
                                 equilibrium_momentum, hamiltonian,
                                 hamiltonian_gradient, hill_components,
                                 hill_membership, lagrange_points, primaries,
-                                sample_shell_states, validate_mu,
+                                sample_page_states, sample_shell_states,
+                                validate_mu,
                                 vector_field, vector_field_ode)
 from sectionscope.errors import ConfigError
 from sectionscope.flows import _rot_field_rows
@@ -294,6 +295,57 @@ def test_shell_sampler_hits_energy_level():
                               min_primary_dist=0.03)
     for s in pts:
         assert hamiltonian(s, mu) == pytest.approx(c, abs=1e-12)
+
+
+class _CountingRng:
+    """A numpy Generator that counts its draws."""
+
+    def __init__(self, seed):
+        self._rng, self.draws = np.random.default_rng(seed), 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            self.draws += 1
+            return method(*args, **kwargs)
+        return draw
+
+
+@pytest.mark.parametrize("sample", [sample_shell_states, sample_page_states])
+def test_shell_sampling_gives_up_after_draws_independent_of_n(sample):
+    # just below H(L1) at mu = 1e-3 the sampling ball around the Moon
+    # (radius 0.063) barely exceeds min_primary_dist (0.06): no draw is
+    # accepted
+    mu = 1e-3
+    c = lagrange_points(mu).energies[0] - 0.01
+    draws = []
+    for n in (1, 400):
+        rng = _CountingRng(0)
+        with pytest.raises(ConfigError):
+            sample(mu, c, n, rng, component="moon")
+        draws.append(rng.draws)
+    assert draws[0] == draws[1]
+
+
+def test_sampling_budget_grows_with_accepted_states(monkeypatch):
+    # about 27% of these page draws are accepted: 400 states need ~1,100
+    # rejections, far more than 10, but never 10 per state accepted so far
+    c = lagrange_points(EARTH_MOON_MU).energies[0] - 0.001
+    want = sample_page_states(EARTH_MOON_MU, c, 400,
+                              np.random.default_rng(0))
+    monkeypatch.setattr("sectionscope.cr3bp._MAX_REJECTIONS", 10)
+    got = sample_page_states(EARTH_MOON_MU, c, 400, np.random.default_rng(0))
+    assert np.array_equal(got, want)
+
+
+def test_page_sampling_shares_the_rejection_budget():
+    # shell states are accepted, but none reaches min_binding: the page
+    # filter's rejections count towards the same budget, so sampling
+    # stops instead of drawing forever
+    with pytest.raises(ConfigError):
+        sample_page_states(1e-3, -1.7, 5, np.random.default_rng(0),
+                           component="earth", min_binding=10.0)
 
 
 # --- central differences ---

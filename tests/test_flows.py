@@ -450,14 +450,12 @@ def test_flight_jacobian_of_a_chain_composes_one_flight_calls(mu, moving_c):
 
 
 def test_src_binds_no_second_integrator():
-    # the closed-form oracles fly flows.solve_ivp like everything else:
-    # no module binds scipy's solve_ivp or a scipy.linalg name
-    from scipy.integrate import solve_ivp as scipy_solve_ivp
+    # the closed-form oracles fly flows.solve_ivp like everything else, and
+    # the root finder, the minimizer and the DOP853 tableau are the
+    # package's own: no module binds a scipy-owned name
     for info in pkgutil.iter_modules(sectionscope.__path__):
         module = importlib.import_module(f"sectionscope.{info.name}")
         for name, value in vars(module).items():
-            assert value is not scipy_solve_ivp, (info.name, name)
             owner = (value.__name__ if inspect.ismodule(value)
                      else getattr(value, "__module__", None))
-            assert not str(owner).startswith("scipy.linalg"), (
-                info.name, name)
+            assert str(owner).split(".")[0] != "scipy", (info.name, name)
