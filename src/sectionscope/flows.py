@@ -8,19 +8,21 @@ of Q is integrated instead; the physical time is accumulated alongside
 (dt/ds = g |q_loc|).  The chart is left again at twice the radius
 (hysteresis).
 
-A lone leg -- every Moser-chart stay, and the rotating legs of a
-one-flight batch -- runs on ``solve_ivp``, this module's DOP853 on Python
-floats, whose step is generated once per state dimension as straight-line
-code.  ``integrate_many`` flies a batch of independent flights.  With two
-or more members, every rotating-chart leg runs on a lockstep lane: one
-long-lived, numpy-vectorized DOP853 on an array of states, each row with
-its own step control, events and retirement.  When a leg ends, its
-flight is resumed at once: a Moser-chart visit runs then, and the
-flight's next leg joins the lane before the next iteration, so a batch
-takes as many iterations as its longest flight has step attempts.  The
-float step and a lane row do the same arithmetic in the same order, so
-a flight's result is the same bits in every batch, ``integrate`` (the
-one-flight case) included.
+A lone leg -- every Moser-chart stay, and the rotating legs of a batch
+of fewer than _LANE_MIN_BATCH flights -- runs on ``solve_ivp``, this
+module's DOP853 on Python floats, whose step is generated once per state
+dimension as straight-line code over the tableau's nonzero weights.
+``integrate_many`` flies a batch of independent flights: one at a time
+below _LANE_MIN_BATCH members, and from there every rotating-chart leg
+on a lockstep lane, one long-lived, numpy-vectorized DOP853 on an array
+of states, each row with its own step control, events and retirement.
+When a leg ends, its flight is resumed at once: a Moser-chart visit runs
+then, and the flight's next leg joins the lane before the next
+iteration, so a batch takes as many iterations as its longest flight
+has step attempts.  The float step and a lane row do the same arithmetic
+in the same order, up to zero terms that change no bit (see the float
+step), so a flight's result is the same bits in every batch,
+``integrate`` (the one-flight case) included.
 ``flight_jacobian`` differentiates finished flights' accepted steps, the
 steps of all segments in one field at once.
 """
@@ -55,6 +57,9 @@ from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
 _SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
 _CONSTRAINT_TOL = 1e-6  # pre-projection residual limit at a chart stay's end
 _MAX_REG_TIME = 1e4     # regularized-time budget per chart stay
+# the smallest batch whose rotating legs share a lockstep lane: a smaller
+# one flies member by member on the float step (see integrate_many)
+_LANE_MIN_BATCH = 21
 
 
 @dataclass
@@ -414,8 +419,14 @@ def _log_leg(status, t0, steps, hits, stop, y_end, nfev=0):
 # solve_ivp's event handling, for one leg.  A step attempt is generated
 # once per state dimension as straight-line Python over floats, in the
 # operation order of the lockstep lane below: stage sums are added in
-# stage order from -0.0, zero coefficients included, and powers are
-# Python's.  A lone leg is therefore a lane row, bit for bit.
+# stage order, and powers are Python's.  The step multiplies only the
+# tableau's nonzero weights, where the lane's sums run over every stage.
+# A dropped term 0.0 * k is a signed zero for a finite k, and adding a
+# zero leaves a nonzero partial sum unchanged; so the two can differ only
+# in the sign of a sum whose terms are all zeros.  In the rotating chart
+# those are the q3 and p3 sums of a planar row, whose zeros' signs follow
+# from those of q3, p3 and h alone: eight cases, which the lane test's
+# planar rows cover.  A lone leg is therefore a lane row, bit for bit.
 
 _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
@@ -436,14 +447,15 @@ def _step_source(n):
     """
     J = range(n)
 
-    def terms(w, s, j):
-        return " + ".join(f"{float(w[i])!r} * k{i}_{j}" for i in range(s))
+    def terms(w, j):
+        return " + ".join(f"{float(c)!r} * k{i}_{j}"
+                          for i, c in enumerate(w) if c)
 
     def ks(s):
         return ", ".join(f"k{s}_{j}" for j in J)
 
     def stage(s):
-        arg = ", ".join(f"y{j} + ({terms(dop.A[s], s, j)}) * h" for j in J)
+        arg = ", ".join(f"y{j} + ({terms(dop.A[s, :s], j)}) * h" for j in J)
         return f"    {ks(s)}, = fun(t + {float(dop.C[s])!r} * h, [{arg}])"
 
     def row(fmt):
@@ -464,15 +476,15 @@ def _step_source(n):
         f"    {row('y{j}')}, = y",
         f"    {ks(0)}, = f",
         *[stage(s) for s in range(1, _STAGES)],
-        *[f"    n{j} = y{j} + h * ({terms(dop.B, _STAGES, j)})" for j in J],
+        *[f"    n{j} = y{j} + h * ({terms(dop.B, j)})" for j in J],
         "    habs = abs(h)",
     ]
     for j in J:
         # the scale takes NaN from y_new, as numpy's maximum does
         lines += [f"    a, b = abs(y{j}), abs(n{j})",
                   "    s = tol + (a if a >= b else b) * tol",
-                  f"    u{j} = ({terms(e5, _STAGES, j)}) / s",
-                  f"    v{j} = ({terms(e3, _STAGES, j)}) / s"]
+                  f"    u{j} = ({terms(e5, j)}) / s",
+                  f"    v{j} = ({terms(e3, j)}) / s"]
     lines += [
         f"    e5 = {' + '.join(f'u{j} * u{j}' for j in J)}",
         f"    e3 = {' + '.join(f'v{j} * v{j}' for j in J)}",
@@ -498,7 +510,7 @@ def _step_source(n):
         "    F = [" + ", ".join([
             row("dy{j}"), row("h * k0_{j} - dy{j}"),
             row(f"2 * dy{{j}} - h * (k{_STAGES}_{{j}} + k0_{{j}})"),
-            *[", ".join(f"h * ({terms(dop.D[r], 16, j)})" for j in J)
+            *[", ".join(f"h * ({terms(dop.D[r], j)})" for j in J)
               for r in range(4)]]) + "]",
         f"    return (True, habs * grow, t_new, h, [{row('n{j}')}], "
         f"[{ks(_STAGES)}], F)",
@@ -749,13 +761,16 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
 
     Member i flows starts[i] from t0s[i] (default 0) to t_finals[i] at
     energy cs[i] (default: H of the start), as ``integrate`` would; all
-    share mu, cfg, the events and the start chart.  One flight runs its
-    rotating-chart legs on solve_ivp.  Two or more run every rotating
-    leg on a lockstep lane, and a member whose leg ends is resumed at
-    once: it runs any Moser-chart visit and its next leg joins the lane
-    before the next iteration.  A member's result is the same, bit for
-    bit, in every batch, its ``integrate`` run included; a failing
-    member leaves the others unchanged.
+    share mu, cfg, the events and the start chart.  A batch of fewer than
+    _LANE_MIN_BATCH flights flies them one at a time, every leg on
+    solve_ivp: there the lane's fixed cost per iteration outweighs its
+    width (the threshold comes from a sweep of batch sizes on short
+    section-scan flights and on long shell flights).  A larger batch runs
+    every rotating leg on a lockstep lane, and a member whose leg ends is
+    resumed at once: it runs any Moser-chart visit and its next leg joins
+    the lane before the next iteration.  A member's result is the same,
+    bit for bit, in every batch, its ``integrate`` run included; a
+    failing member leaves the others unchanged.
     """
     n = len(starts)
     cs = [None] * n if cs is None else list(cs)
@@ -782,7 +797,7 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
 
     def run(i, leg):
         req = resume(i, leg)
-        if n == 1:
+        if n < _LANE_MIN_BATCH:
             while req is not None:
                 req = resume(i, _solo_leg(req, mu, cfg))
         elif req is not None:
@@ -928,7 +943,9 @@ def _rot_field_rows(Y, mu):
 
 def _wsum(w, K):
     """sum_s w[s] K[s] over the leading (stage) axis, added in stage
-    order from -0.0."""
+    order from -0.0.  Zero weights are kept: a term 0.0 * K[s] is a signed
+    zero, which changes no nonzero sum (see the float step), and gathering
+    the nonzero stages costs more than multiplying the zero ones."""
     return np.add.reduce(w[:, None, None] * K[:len(w)], axis=0,
                          initial=-0.0)
 
@@ -1320,6 +1337,15 @@ def _field_derivatives(y, h, last, theta, field, jacobian, D):
     return steps, _dop853_value(theta[:, None, None], dF, eye)
 
 
+def _moser_field_rows(Y, c, nu):
+    """Packed Moser field of each row of Y (m, 9), row by row on floats: a
+    Moser group has few rows, where _q_rhs on arrays costs the same ~100
+    numpy calls as on many.  The operations are those of the array form
+    and sqrt is correctly rounded in both, so the bits are the same."""
+    return np.array([_q_rhs(row[:8], c, nu)
+                     for row in Y.tolist()]).reshape(Y.shape)
+
+
 def _segment_derivatives(flights):
     """Step and dense-output derivatives of every segment of the flights,
     one _field_derivatives pass per field; returns, per segment in flight
@@ -1341,7 +1367,7 @@ def _segment_derivatives(flights):
                 return _rot_jacobian_rows(Y, mu)
         else:
             def field(Y):
-                return np.array(_q_rhs(list(Y.T[:8]), c, ch.nu, np.sqrt)).T
+                return _moser_field_rows(Y, c, ch.nu)
 
             def jacobian(Y):
                 return q_field_jacobian_rows(Y, c, ch.nu)[1]

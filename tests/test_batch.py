@@ -1,6 +1,9 @@
 """Batched flights: integrate_many and its lockstep DOP853 stepper,
 return_map_many, and the array-backed dense output."""
 
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +25,12 @@ from sectionscope.sections import return_map, return_map_many
 C_TEST = -1.7
 MUS = (0.0, 1e-3, EARTH_MOON_MU)
 CFG = IntegratorConfig(max_time=50.0)
+
+
+def _on_the_lane():
+    """Every batch of two or more members on the lockstep lane, as a batch
+    of flows._LANE_MIN_BATCH is: the small batches below test the lane."""
+    return mock.patch.object(flows, "_LANE_MIN_BATCH", 2)
 
 
 def _page_points(mu, seed, n):
@@ -47,6 +56,7 @@ def _same_bits(a, b):
             and a.binding_min == b.binding_min)
 
 
+@_on_the_lane()
 @settings(max_examples=12, deadline=None)
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1),
        n=st.integers(2, 5))
@@ -64,6 +74,7 @@ def test_return_map_many_matches_solo_return_maps(mu, seed, n):
         assert _same_bits(got, want)
 
 
+@_on_the_lane()
 @settings(max_examples=6, deadline=None)
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1))
 def test_member_is_bit_identical_in_different_batches(mu, seed):
@@ -78,6 +89,7 @@ def test_member_is_bit_identical_in_different_batches(mu, seed):
         assert _same_bits(x, y)
 
 
+@_on_the_lane()
 @settings(max_examples=6, deadline=None)
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1))
 def test_member_is_bit_identical_without_twins(mu, seed):
@@ -112,6 +124,7 @@ def _same_flight(a, b):
         for sa, sb in zip(a.segments, b.segments)))
 
 
+@_on_the_lane()
 @settings(max_examples=4, deadline=None)
 @given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1))
 def test_flight_is_bit_identical_in_different_batches(mu, seed):
@@ -137,6 +150,7 @@ def test_flight_is_bit_identical_in_different_batches(mu, seed):
             [h[:2] for h in y.event_hits]
 
 
+@_on_the_lane()
 def test_failing_return_maps_fail_alone():
     mu = 1e-3
     p, q, r = _page_points(mu, 7, 2)
@@ -169,6 +183,7 @@ def _solo_flight(start, t_final, mu, cfg, events):
         return exc
 
 
+@_on_the_lane()
 def test_stepper_failures_stay_with_their_member():
     mu = 1e-3
     cfg = IntegratorConfig(max_time=2.0, switching=False)
@@ -199,6 +214,38 @@ def test_stepper_failures_stay_with_their_member():
         for (k, t, s), (k2, t2, s2) in zip(solo.event_hits, x.event_hits):
             assert k == k2 and abs(t - t2) < 1e-11
             assert np.max(np.abs(s - s2)) < 1e-11
+
+
+def test_batch_below_the_threshold_has_the_bits_of_the_lane(monkeypatch):
+    # a batch of flows._LANE_MIN_BATCH members shares the lane; one member
+    # fewer flies member by member on the float step, with the same bits
+    mu = 1e-3
+    rng = np.random.default_rng(33)
+    starts = list(sample_shell_states(mu, C_TEST, flows._LANE_MIN_BATCH,
+                                      rng, component="earth"))
+    events = [FlowEvent(lambda s: s[2], direction=0.0, terminal=False)]
+    iterations = 0
+    rk_stages = flows._rk_stages
+
+    def counted(*args):
+        nonlocal iterations
+        iterations += 1
+        return rk_stages(*args)
+
+    def fly(batch):
+        return integrate_many(batch, mu, CFG, [1.0] * len(batch),
+                              [C_TEST] * len(batch), events)
+
+    monkeypatch.setattr(flows, "_rk_stages", counted)
+    below = fly(starts[:-1])
+    assert iterations == 0
+    at = fly(starts)
+    assert iterations > 0
+    for a, b in zip(below, at):
+        assert _same_flight(a, b)
+        assert a.final_state().tobytes() == b.final_state().tobytes()
+        assert [(k, t, s.tobytes()) for k, t, s in a.event_hits] == \
+            [(k, t, s.tobytes()) for k, t, s in b.event_hits]
 
 
 def _ivp(t_span, y0, events=None):
@@ -304,6 +351,26 @@ def test_lockstep_constants_are_scipys():
 
 
 # --- the float step of a lone leg is a lane row, bit for bit ---
+
+@pytest.mark.parametrize("n", [2, 6, 9])
+def test_generated_step_multiplies_only_nonzero_weights(n):
+    # every weight of the step comes from the tableau, the zero ones left
+    # out: 146 products per component where the full stage sums have 208
+    # (a dropped 0.0 * k is a signed zero, see the property below)
+    read = ([flows.dop.A[s, :s] for s in range(1, flows._STAGES)]
+            + [flows.dop.A[s, :s] for s in range(flows._STAGES + 1, 16)]
+            + [flows.dop.B, flows.dop.E5[:flows._STAGES],
+               flows.dop.E3[:flows._STAGES], *flows.dop.D])
+    assert sum(map(len, read)) == 208
+    nonzero = sum(np.count_nonzero(w) for w in read)
+    assert nonzero == 146
+    src = flows._step_source(n)
+    for j in range(n):
+        weights = [float(w) for w in re.findall(
+            rf"(-?[\d.]+(?:e-?\d+)?) \* k\d+_{j}\b", src)]
+        assert len(weights) == nonzero
+        assert 0.0 not in weights
+
 
 _STEP_EVENTS = [FlowEvent(lambda y: y[1], terminal=False, name="q2"),
                 FlowEvent(lambda y: y[2] - 0.05, direction=1.0,

@@ -399,8 +399,9 @@ def _vertical_flight(mu, cfg, t_final, t0=0.0, x=None, events=()):
 
 
 def test_flight_jacobian_calls_no_field_and_flies_nothing(monkeypatch):
-    # the derivative pass recomputes its stages with the array fields; the
-    # counted right-hand sides and the one-leg solver are the flights' own
+    # the derivative pass recomputes its stages with the fields' own
+    # formulas; the counted right-hand sides and the one-leg solver are
+    # the flights' own
     mu = 3e-3
     cfg = IntegratorConfig(max_time=5.0)
     calls = []

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
@@ -13,9 +13,11 @@ from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points, \
     sample_shell_states
 from sectionscope.errors import (ConfigError, NorthPoleError,
                                  SecondaryCollisionError, ZeroVError)
+from sectionscope import flows
 from sectionscope.cr3bp import central_jacobian
-from sectionscope.regularize import (MoserChart, chart_rows, chart_to_stereo,
-                                     constraint_residual, kepler_oracles,
+from sectionscope.regularize import (MoserChart, _q_rhs, chart_rows,
+                                     chart_to_stereo, constraint_residual,
+                                     kepler_oracles,
                                      lc_hamiltonian, levi_civita, moser_fbM,
                                      project_constraints,
                                      project_constraints_jacobian,
@@ -388,6 +390,32 @@ def test_field_raises_at_other_primary(x, primary, mu, c):
     ch = MoserChart(mu, primary)
     with pytest.raises(SecondaryCollisionError):
         ch.field(np.concatenate([xi, eta, [0.0]]), c)
+
+
+_stage_coord = st.floats(-3.0, 3.0, allow_nan=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.one_of(
+           ts3_states().map(lambda s: tuple(np.concatenate(s))),
+           st.tuples(*[_stage_coord] * 8)), min_size=1, max_size=20),
+       t=_stage_coord, primary=st.sampled_from(["moon", "earth"]),
+       mu=st.sampled_from([EARTH_MOON_MU, 0.1, 0.3]),
+       c=st.sampled_from([-2.0, -1.7, -1.5, -1.2]))
+def test_float_field_rows_are_the_bits_of_the_array_field(rows, t, primary,
+                                                          mu, c):
+    # flight Jacobians take a Moser group's stage field row by row on
+    # floats: the operations of _q_rhs on arrays, so its bits, signed zeros
+    # included.  Stage states lie near T*S^3, not on it
+    nu = MoserChart(mu, primary).nu
+    Y = np.array([list(r) + [t] for r in rows])
+    try:
+        got = flows._moser_field_rows(Y, c, nu)
+    except SecondaryCollisionError:
+        reject()        # on the other primary, where a flight stops first
+    want = np.array(_q_rhs(list(Y.T[:8]), c, nu, np.sqrt)).T
+    assert got.shape == want.shape == Y.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=100, deadline=None)
