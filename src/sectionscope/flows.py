@@ -23,6 +23,12 @@ has step attempts.  The float step and a lane row do the same arithmetic
 in the same order, up to zero terms that change no bit (see the float
 step), so a flight's result is the same bits in every batch,
 ``integrate`` (the one-flight case) included.
+The float step stops at f(y_new) and the error norm; a step's
+interpolant (three more stages and the dense-output coefficients) is
+computed by a second generated function: inline only on a step where an
+event changes sign, otherwise when a read of the segment first needs it
+(see DenseOutput).  A lane computes every accepted step's interpolant
+in its iteration, so its legs arrive filled.
 ``flight_jacobian`` differentiates finished flights' accepted steps, the
 steps of all segments in one field at once.
 """
@@ -31,7 +37,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -60,6 +66,9 @@ _MAX_REG_TIME = 1e4     # regularized-time budget per chart stay
 # the smallest batch whose rotating legs share a lockstep lane: a smaller
 # one flies member by member on the float step (see integrate_many)
 _LANE_MIN_BATCH = 21
+# the fewest pending steps that a read fills in one array pass, whose
+# fixed cost (~200 us) is that of about 10 steps filled on floats
+_ARRAY_FILL_MIN = 12
 
 
 @dataclass
@@ -119,17 +128,62 @@ class DenseOutput:
     F[k] (7, d) around y_old[k].  Steps are picked the way scipy's
     OdeSolution picks them and evaluated in its operation order, so values
     are bit-identical to it; an array of times is evaluated in one pass.
+
+    A step may come without its coefficients (``pending[k]``, from
+    solve_ivp): it keeps instead its y_new[k] and the stages K[k] (9, d)
+    its interpolant reads (_DENSE_STAGES), and ``field`` (a _Field)
+    fills it when it is first read.  A read at one time fills that one
+    step on floats with the generated dense function; a read at an array
+    of times, or of ``F``, fills every pending step: in one array pass
+    with the same bits (_fill_rows), or step by step on floats when
+    fewer than _ARRAY_FILL_MIN are pending.  A fill raises CollisionError
+    where one of the interpolant's stages comes within the collision
+    threshold of a primary, and the step stays pending.
     """
 
-    def __init__(self, ts, t_old, h, y_old, F):
+    def __init__(self, ts, t_old, h, y_old, F, pending=None, y_new=None,
+                 K=None, field=None):
         self.ts = np.asarray(ts, dtype=float)
         self.t_old = t_old
         self.h = h
         self.y_old = y_old
-        self.F = F
+        self._F = F
+        self._pending = pending if pending is not None and pending.any() \
+            else None
+        self._y_new, self._K, self._field = y_new, K, field
+        self._tables = {}       # rows -> gather table, once all are filled
         self._descending = bool(self.ts[-1] < self.ts[0])
         self._sorted = self.ts[::-1] if self._descending else self.ts
         self._side = "right" if self._descending else "left"
+
+    @property
+    def F(self):
+        """The coefficients (n, 7, d) of every step, all filled."""
+        self._fill_all()
+        return self._F
+
+    def _fill_floats(self, k):
+        """Fill the steps k (a list of indices) one by one on floats."""
+        n, d = len(k), self.y_old.shape[1]
+        dense, one = _dop853_dense(d), self._field.one
+        F = [dense(one, *step) for step in zip(
+            self.t_old[k].tolist(), self.y_old[k].tolist(),
+            self._y_new[k].tolist(), self.h[k].tolist(),
+            self._K[k].reshape(n, len(_DENSE_STAGES) * d).tolist())]
+        self._F[k] = np.reshape(F, (n, 7, d))
+        self._pending[k] = False
+
+    def _fill_all(self):
+        if self._pending is None:
+            return
+        k = np.flatnonzero(self._pending)
+        if len(k) < _ARRAY_FILL_MIN:
+            self._fill_floats(k)
+        else:
+            self._F[k] = _fill_rows(self._field.rows, self.t_old[k],
+                                    self.h[k], self.y_old[k],
+                                    self._y_new[k], self._K[k])
+        self._pending = None
 
     def __call__(self, t, rows=None):
         """State at t (shape (d,)) or at each of an array of times (d, m);
@@ -137,6 +191,7 @@ class DenseOutput:
         components, in that order.  Each component is interpolated on its
         own, so it has the same bits either way."""
         t = np.asarray(t)
+        key = None if rows is None else tuple(rows)
         rows = slice(None) if rows is None else list(rows)
         last = len(self.h) - 1
         if t.ndim == 0:
@@ -144,18 +199,25 @@ class DenseOutput:
             k = min(max(k, 0), last)
             if self._descending:
                 k = last - k
+            if self._pending is not None and self._pending[k]:
+                self._fill_floats([k])
             return _dop853_value((t - self.t_old[k]) / self.h[k],
-                                 self.F[k][:, rows], self.y_old[k][rows])
+                                 self._F[k][:, rows], self.y_old[k][rows])
         k = np.searchsorted(self._sorted, t, side=self._side) - 1
         np.clip(k, 0, last, out=k)
         if self._descending:
             k = last - k
         x = (t - self.t_old[k]) / self.h[k]
-        # the listed components' F and y_old as one small table, steps
-        # last, gathered at once: samples last, so the result is (rows, m)
-        table = np.concatenate([self.F[:, :, rows], self.y_old[:, None, rows]],
-                               axis=1)
-        G = np.take(np.ascontiguousarray(table.transpose(1, 2, 0)), k, axis=2)
+        table = self._tables.get(key)
+        if table is None:
+            # the listed components' F and y_old as one small table,
+            # steps last, kept for the next read of these rows
+            table = np.concatenate([self.F[:, :, rows],
+                                    self.y_old[:, None, rows]], axis=1)
+            table = self._tables[key] = np.ascontiguousarray(
+                table.transpose(1, 2, 0))
+        # gathered at once: samples last, so the result is (rows, m)
+        G = np.take(table, k, axis=2)
         return _dop853_value(x, G[:7], G[7])
 
 
@@ -303,7 +365,7 @@ class Trajectory:
         return worst / max(1.0, abs(self.energy))
 
     def min_over(self, fn, n_per_segment=60, refine_below=None,
-                 rows=range(6)):
+                 rows=range(6), stop_below=None):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
         The samples are those of Segment.sample_blocks, evaluated in the
@@ -315,6 +377,9 @@ class Trajectory:
         physical image and are skipped.  When the sampled minimum lies
         below refine_below, it is refined by a bounded scalar minimization
         on the dense output between the neighbours of the minimum sample.
+        With stop_below, the reading stops at the first sample group that
+        takes the minimum below it, and the value returned is then below
+        stop_below but need not be the minimum.
         """
         best, where = math.inf, None
         for seg, blocks, s in self._sample_groups(n_per_segment):
@@ -325,6 +390,8 @@ class Trajectory:
             i = int(np.argmin(vals))
             if vals[i] < best:
                 best, where = float(vals[i]), (seg, blocks, s[i])
+            if stop_below is not None and best < stop_below:
+                break
         if refine_below is not None and best < refine_below:
             best = min(best, _refine_min(fn, rows, *where))
         return best
@@ -416,35 +483,42 @@ def _log_leg(status, t0, steps, hits, stop, y_end, nfev=0):
 # --- DOP853 on Python floats: a lone leg ---
 #
 # scipy's RungeKutta._step_impl, DOP853 error norm and dense output, and
-# solve_ivp's event handling, for one leg.  A step attempt is generated
+# solve_ivp's event handling, for one leg.  Two functions are generated
 # once per state dimension as straight-line Python over floats, in the
 # operation order of the lockstep lane below: stage sums are added in
-# stage order, and powers are Python's.  The step multiplies only the
-# tableau's nonzero weights, where the lane's sums run over every stage.
-# A dropped term 0.0 * k is a signed zero for a finite k, and adding a
-# zero leaves a nonzero partial sum unchanged; so the two can differ only
-# in the sign of a sum whose terms are all zeros.  In the rotating chart
-# those are the q3 and p3 sums of a planar row, whose zeros' signs follow
-# from those of q3, p3 and h alone: eight cases, which the lane test's
-# planar rows cover.  A lone leg is therefore a lane row, bit for bit.
+# stage order, and powers are Python's.  The step attempt does the 12
+# stages, the error norm and f(y_new): A's rows 1-11, B, E5 and E3, 74
+# products per component.  The dense function does the rest of the
+# interpolant from the stages the step hands over: A's rows 13-15 and the
+# 4 D rows, 72 products per component.  solve_ivp calls it at once only
+# on a step where an event changes sign; every other step is filled when
+# its dense output is first read (DenseOutput), by the same function on
+# floats or by _fill_rows on arrays, with the same bits.
+#
+# Both multiply only the tableau's nonzero weights, where the lane's sums
+# run over every stage.  A dropped term 0.0 * k is a signed zero for a
+# finite k, and adding a zero leaves a nonzero partial sum unchanged; so
+# the two can differ only in the sign of a sum whose terms are all zeros.
+# In the rotating chart those are the q3 and p3 sums of a planar row,
+# whose zeros' signs follow from those of q3, p3 and h alone: eight cases,
+# which the lane test's planar rows cover.  A lone leg is therefore a lane
+# row, bit for bit.
 
 _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
+# the stages of a step that its interpolant reads: k0, k5..k11, f(y_new)
+_DENSE_STAGES = tuple(sorted(
+    {int(i) for w in (*dop.A[_STAGES + 1:16], *dop.D)
+     for i in np.flatnonzero(w) if i <= _STAGES}))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
 _ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 
-def _step_source(n):
-    """Source of ``step``, one DOP853 step attempt on n floats.
-
-    step(fun, t, y, f, h_abs, rej, d, t_bound, tol) tries a step
-    of size h_abs in direction d from (t, y) with f = fun(t, y); rej says
-    the last attempt was rejected.  It returns None when the step is
-    below the minimum, (False, next h_abs) on rejection and (True, next
-    h_abs, t_new, h, y_new, f(y_new), F) on acceptance, F the 7 rows of
-    dense-output coefficients, flat.
-    """
+def _codegen(n):
+    """Source helpers for the generated functions on n floats: terms(w,
+    j), the nonzero w[i] * k{i}_{j}; ks(s), the names of stage s; stage(s),
+    the line that evaluates it; row(fmt), fmt for every component."""
     J = range(n)
 
     def terms(w, j):
@@ -461,6 +535,21 @@ def _step_source(n):
     def row(fmt):
         return ", ".join(fmt.format(j=j) for j in J)
 
+    return terms, ks, stage, row
+
+
+def _step_source(n):
+    """Source of ``step``, one DOP853 step attempt on n floats.
+
+    step(fun, t, y, f, h_abs, rej, d, t_bound, tol) tries a step
+    of size h_abs in direction d from (t, y) with f = fun(t, y); rej says
+    the last attempt was rejected.  It returns None when the step is
+    below the minimum, (False, next h_abs) on rejection and (True, next
+    h_abs, t_new, h, y_new, f(y_new), K) on acceptance, K the stages of
+    _DENSE_STAGES, flat, for the dense function (_dense_source).
+    """
+    terms, ks, stage, row = _codegen(n)
+    J = range(n)
     e5, e3 = dop.E5[:_STAGES], dop.E3[:_STAGES]
     lines = [
         "def step(fun, t, y, f, h_abs, rej, d, t_bound, tol):",
@@ -505,26 +594,90 @@ def _step_source(n):
         "    if rej and grow > 1:",
         "        grow = 1.0",
         f"    {ks(_STAGES)}, = fun(t_new, [{row('n{j}')}])",
+        f"    return (True, habs * grow, t_new, h, [{row('n{j}')}], "
+        f"[{ks(_STAGES)}], [{', '.join(map(ks, _DENSE_STAGES))}])",
+    ]
+    return "\n".join(lines) + "\n"
+
+
+def _dense_source(n):
+    """Source of ``dense``, one accepted step's dense output on n floats.
+
+    dense(fun, t, y, y_new, h, K) takes the step from (t, y) over h to
+    y_new, with K the stages of _DENSE_STAGES as ``step`` returns them;
+    it evaluates the interpolant's three stages with fun and returns F,
+    the 7 rows of dense-output coefficients, flat.
+    """
+    terms, ks, stage, row = _codegen(n)
+    J = range(n)
+    lines = [
+        "def dense(fun, t, y, y_new, h, K):",
+        f"    {row('y{j}')}, = y",
+        f"    {row('n{j}')}, = y_new",
+        f"    {', '.join(map(ks, _DENSE_STAGES))}, = K",
         *[stage(s) for s in range(_STAGES + 1, 16)],
         *[f"    dy{j} = n{j} - y{j}" for j in J],
-        "    F = [" + ", ".join([
+        "    return [" + ", ".join([
             row("dy{j}"), row("h * k0_{j} - dy{j}"),
             row(f"2 * dy{{j}} - h * (k{_STAGES}_{{j}} + k0_{{j}})"),
             *[", ".join(f"h * ({terms(dop.D[r], j)})" for j in J)
               for r in range(4)]]) + "]",
-        f"    return (True, habs * grow, t_new, h, [{row('n{j}')}], "
-        f"[{ks(_STAGES)}], F)",
     ]
     return "\n".join(lines) + "\n"
+
+
+def _generated(source, name, n):
+    """The function ``name`` that source(n) defines, compiled."""
+    scope = {"nextafter": math.nextafter, "inf": math.inf,
+             "sqrt": math.sqrt}
+    exec(compile(source(n), f"<dop853 {name}, n={n}>", "exec"), scope)
+    return scope[name]
 
 
 @functools.lru_cache(maxsize=None)
 def _dop853_step(n):
     """The generated step attempt on n floats (see _step_source)."""
-    scope = {"nextafter": math.nextafter, "inf": math.inf,
-             "sqrt": math.sqrt}
-    exec(compile(_step_source(n), f"<dop853 step, n={n}>", "exec"), scope)
-    return scope["step"]
+    return _generated(_step_source, "step", n)
+
+
+@functools.lru_cache(maxsize=None)
+def _dop853_dense(n):
+    """The generated dense function on n floats (see _dense_source)."""
+    return _generated(_dense_source, "dense", n)
+
+
+class _Field(NamedTuple):
+    """A leg's field, for filling its dense output after the leg:
+    one(t, y) on a list of floats, and rows(T, Y) on each row of Y (m, d)
+    at the times T (m,), with one's bits.  Both raise CollisionError
+    where the leg's own right-hand side does."""
+    one: Callable
+    rows: Callable
+
+
+def _nonzero_sum(w, K):
+    """sum_s w[s] K[s] over the nonzero weights only, added in stage
+    order from -0.0: the generated functions' sum, bit for bit (-0.0 + x
+    is x, signed zeros included).  w may also be rows of weights with
+    the same nonzero stages, D's, each summed on its own (r, m, d)."""
+    acc = -0.0
+    for s in np.flatnonzero(np.atleast_2d(w)[0]):
+        acc = acc + w[..., s, None, None] * K[s]
+    return acc
+
+
+def _fill_rows(field, t, h, y, y_new, K):
+    """The dense function on arrays: the coefficients F (m, 7, d) of m
+    steps from y (m, d) at t (m,) over h (m,) to y_new (m, d), K (m, 9,
+    d) their stages of _DENSE_STAGES, with the field rows of a _Field."""
+    # stages 1-4, which no weight of the interpolant reads, stay unset
+    Ks = np.empty((16,) + y.shape)
+    Ks[list(_DENSE_STAGES)] = K.transpose(1, 0, 2)
+    hc = h[:, None]
+    for s in range(_STAGES + 1, 16):
+        Ks[s] = field(t + dop.C[s] * h,
+                      y + _nonzero_sum(dop.A[s, :s], Ks) * hc)
+    return _dense_coeffs(Ks, y, y_new, h, _nonzero_sum(dop.D, Ks))
 
 
 def _rms(xs):
@@ -563,19 +716,29 @@ def _dense_value(x, F, y_old):
               * x + F[n + j]) * w + F[j]) * x + y_old[j] for j in range(n)]
 
 
-def solve_ivp(fun, t_span, y0, events, cfg):
+def solve_ivp(fun, t_span, y0, events, cfg, field=None):
     """One DOP853 leg of fun(t, y) over t_span from y0, on Python floats,
     with dense output; returns its _Leg.
 
     fun takes and returns lists of floats.  The leg stops at t_span[1]
     or at the first root of a terminal FlowEvent, whose fn sees the
     state as an array.  Step control, dense output and event handling
-    are scipy's, in the operation order of a lockstep lane row.  nfev
-    counts the calls of fun.  An error raised by fun propagates.
+    are scipy's, in the operation order of a lockstep lane row.  Each
+    accepted step logs y_new and the stages its interpolant reads; the
+    interpolant itself is computed through fun only on a step where an
+    event changes sign (its roots and the terminal state read it), and
+    on every other step when the dense output first reads it, with
+    ``field`` (a _Field; default fun on floats and row by row), so that
+    a collision in one of its stages raises there.  nfev counts the calls
+    of fun.  An error raised by fun propagates.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).tolist()
-    step = _dop853_step(len(y))
+    n = len(y)
+    step, dense = _dop853_step(n), _dop853_dense(n)
+    if field is None:
+        field = _Field(fun, lambda T, Y: np.array(
+            [fun(tt, yy) for tt, yy in zip(T.tolist(), Y.tolist())]))
     d = 1.0 if t_bound > t else -1.0
     tol = cfg.tol
     f = fun(t, y)
@@ -583,7 +746,8 @@ def solve_ivp(fun, t_span, y0, events, cfg):
     nfev = 2
     ev_dir = [ev.direction for ev in events]
     g = [ev.fn(np.array(y)) for ev in events]
-    t0, log, hits, rej, status, stop = t, [], [], False, None, None
+    t0, log, filled, hits, rej = t, [], {}, [], False
+    status = stop = None
     while status is None:
         out = step(fun, t, y, f, h_abs, rej, d, t_bound, tol)
         if out is None:
@@ -593,10 +757,10 @@ def solve_ivp(fun, t_span, y0, events, cfg):
         rej, h_abs = not out[0], out[1]
         if rej:
             continue
-        nfev += 4
+        nfev += 1
         t_old, y_old = t, y
-        t, h, y, f, F = out[2:]
-        rec = [t_old, h, t] + y_old + F
+        t, h, y, f, K = out[2:]
+        rec = [t_old, h, t] + y_old + y + K
         log.append(rec)
         if d * (t - t_bound) >= 0:
             status = 0
@@ -606,6 +770,8 @@ def solve_ivp(fun, t_span, y0, events, cfg):
                if (a <= 0 <= b and w >= 0) or (a >= 0 >= b and w <= 0)]
         g = g_new
         if act:
+            F = filled[len(log) - 1] = dense(fun, t_old, y_old, y, h, K)
+            nfev += 3
             stop = _member_events(events, act, t_old, t, h, y_old, F, hits)
             if stop is not None:
                 status = 1
@@ -613,9 +779,22 @@ def solve_ivp(fun, t_span, y0, events, cfg):
                 y = _dense_value((root - t_old) / h, F, y_old)
                 # solve_ivp drops a node that repeats the last one
                 if len(log) > 1 and root == t_old:
+                    del filled[len(log) - 1]
                     log.pop()
-    return _log_leg(status, t0, np.array(log).reshape(-1, 3 + 8 * len(y)),
-                    hits, stop, y, nfev)
+    # the log's rows: t_old, h, node time, y_old, y_new and the stages
+    ns = len(_DENSE_STAGES)
+    steps = np.array(log).reshape(-1, 3 + (2 + ns) * n)
+    m = len(steps)
+    F = np.empty((m, 7, n))
+    pending = np.ones(m, dtype=bool)
+    for k, Fk in filled.items():
+        F[k] = np.reshape(Fk, (7, n))
+        pending[k] = False
+    t = np.concatenate([[t0], steps[:, 2]])
+    sol = DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:3 + n], F,
+                      pending, steps[:, 3 + n:3 + 2 * n],
+                      steps[:, 3 + 2 * n:].reshape(m, ns, n), field)
+    return _Leg(status, t, hits, stop, sol, np.array(y, dtype=float), nfev)
 
 
 def _switch_events(mu, cfg):
@@ -770,7 +949,10 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     resumed at once: it runs any Moser-chart visit and its next leg joins
     the lane before the next iteration.  A member's result is the same,
     bit for bit, in every batch, its ``integrate`` run included; a
-    failing member leaves the others unchanged.
+    failing member leaves the others unchanged.  One exception: a lane
+    row whose interpolant stage collides fails in the lane, where a
+    member flown on solve_ivp raises CollisionError when that step's
+    dense output is first read.
     """
     n = len(starts)
     cs = [None] * n if cs is None else list(cs)
@@ -842,9 +1024,29 @@ def _solo_leg(req, mu, cfg):
     mu = float(mu)
     try:
         return solve_ivp(lambda tt, y: vector_field_ode(tt, y, mu),
-                         (req.t0, req.t_bound), req.y0, req.events, cfg)
+                         (req.t0, req.t_bound), req.y0, req.events, cfg,
+                         _rot_field(mu))
     except SectionScopeError as exc:
         return exc
+
+
+def _rot_field(mu):
+    """The rotating field's _Field: _rot_rhs itself, not its counted
+    wrapper vector_field_ode, so that a fill is not a solver's call."""
+    def rows(T, Y):
+        f, bad = _rot_field_rows(Y, mu)
+        if bad.any():
+            raise _collided()
+        return f
+
+    return _Field(lambda tt, y: _rot_rhs(y, mu)[0], rows)
+
+
+def _moser_field(ch, c):
+    """The _Field of chart ch's field at energy c: _q_rhs itself, not its
+    counted wrapper MoserChart.field."""
+    return _Field(lambda s, z: _q_rhs(z[:8], c, ch.nu),
+                  lambda S, Z: _moser_field_rows(Z, c, ch.nu))
 
 
 def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
@@ -874,7 +1076,8 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
         chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
 
     leg = solve_ivp(lambda s, z: ch.field(z, c), (0.0, _MAX_REG_TIME),
-                    np.concatenate([xi, eta, [t]]), chart_events, cfg)
+                    np.concatenate([xi, eta, [t]]), chart_events, cfg,
+                    _moser_field(ch, c))
     if leg.status == -1:
         raise StepSizeUnderflow(_TOO_SMALL_STEP)
     z_end = leg.y_end
@@ -1020,8 +1223,9 @@ def _step_factor(err, rejected):
                                             _MIN_FACTOR))
 
 
-def _dense_coeffs(K, y, y_new, h):
-    """Dop853DenseOutput's coefficients F (rows, 7, 6) of every row."""
+def _dense_coeffs(K, y, y_new, h, DK):
+    """Dop853DenseOutput's coefficients F (rows, 7, d) of every row, DK[r]
+    the stage sum of D's row r."""
     hc = h[:, None]
     dy = y_new - y
     F = np.empty((len(y), 7, y.shape[1]))
@@ -1029,7 +1233,7 @@ def _dense_coeffs(K, y, y_new, h):
     F[:, 1] = hc * K[0] - dy
     F[:, 2] = 2 * dy - hc * (K[_STAGES] + K[0])
     for r in range(4):
-        F[:, 3 + r] = hc * _wsum(dop.D[r], K)
+        F[:, 3 + r] = hc * DK[r]
     return F
 
 
@@ -1180,7 +1384,8 @@ class _Lane:
         a = np.nonzero(accept & ~bad)[0]
         t_old, y_old = m.t[a], m.y[a]
         t_node, h_a, y_a = t_new[a], h[a], y_new[a]
-        F = _dense_coeffs(K[:, a], y_old, y_a, h_a)
+        Ka = K[:, a]
+        F = _dense_coeffs(Ka, y_old, y_a, h_a, [_wsum(w, Ka) for w in dop.D])
         m.t[a], m.y[a], m.f[a] = t_node, y_a, K[_STAGES, a]
         ended = m.d[a] * (t_node - m.t_bound[a]) >= 0
         stops = {}                  # p -> the terminal event that stopped it

@@ -61,14 +61,15 @@ class PeriodicOrbit:
 
 def _classify_spatial(traj):
     """planar / spatial / vertical-collision from the flight geometry."""
+    # each read stops once its threshold is settled: the label is the same
     planar_size = traj.min_over(lambda s: -(abs(s[2]) + abs(s[5])),
-                                rows=(2, 5))
+                                rows=(2, 5), stop_below=-1e-8)
     planar_size = -planar_size  # max of |q3|+|p3|
     if planar_size < 1e-8:
         return "planar"
     horiz = traj.min_over(lambda s: -(s[0] ** 2 + s[1] ** 2
                                       + s[3] ** 2 + s[4] ** 2),
-                          rows=(0, 1, 3, 4))
+                          rows=(0, 1, 3, 4), stop_below=-1e-10)
     if -horiz < 1e-10:
         return "vertical-collision"
     return "spatial"

@@ -14,8 +14,9 @@ Geodesic open book (diagnostic): theta = arg(eta_n + i xi_n) on T*S^n,
 which the round geodesic flow increases at unit rate on the unit level.
 """
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,8 +127,23 @@ class ReturnSample:
     crossings: int                    # intermediate opposite-page crossings
     energy: float
     angle_err: float
-    binding_min: float                # min of q3^2 + p3^2 along the flight
-    binding_warning: bool
+    # the (lead, main) flights binding_min reads, until it has read them
+    flights: tuple = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def binding_min(self):
+        """Min of q3^2 + p3^2 along the flights, read on first access:
+        a shooting search never reads it."""
+        value = min(traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
+                                  refine_below=BINDING_REFINE_BELOW,
+                                  rows=(2, 5))
+                    for traj in self.flights)
+        self.flights = None
+        return value
+
+    @property
+    def binding_warning(self):
+        return self.binding_min < 1e-8
 
 
 def _page_event(theta):
@@ -196,16 +212,10 @@ def _return_sample(x, mu, theta, lead, traj):
         raise NoCrossingError("page crossing landed on the collision fiber")
     crossings = sum(1 for h in traj.event_hits if h[0] == 1)
     ang_f = physical_angle(fx)
-    binding_min = min(
-        lead.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
-                      refine_below=BINDING_REFINE_BELOW, rows=(2, 5)),
-        traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
-                      refine_below=BINDING_REFINE_BELOW, rows=(2, 5)),
-    )
     return ReturnSample(
         x=x, fx=np.asarray(fx, float), tau=t_hit, crossings=crossings,
         energy=hamiltonian(fx, mu), angle_err=abs(math.sin(ang_f - theta)),
-        binding_min=binding_min, binding_warning=binding_min < 1e-8,
+        flights=(lead, traj),
     )
 
 
@@ -275,6 +285,7 @@ def return_map_many(xs, mu, c=None, cfg=None, spec=None):
         try:
             out[i] = _return_sample(setup[i][0], mu, spec.theta, leads[i],
                                     _ok(traj))
+            out[i].binding_min      # read here, so that its error is i's
         except SectionScopeError as exc:
             out[i] = exc
     return out

@@ -1,6 +1,7 @@
 """Batched flights: integrate_many and its lockstep DOP853 stepper,
 return_map_many, and the array-backed dense output."""
 
+import copy
 import re
 from unittest import mock
 
@@ -13,13 +14,15 @@ from scipy.integrate._ivp import dop853_coefficients, rk
 
 from sectionscope import flows
 from sectionscope.cli import main
-from sectionscope.cr3bp import (EARTH_MOON_MU, sample_page_states,
+from sectionscope.cr3bp import (COLLISION_THRESHOLD, EARTH_MOON_MU,
+                                hamiltonian, sample_page_states,
                                 sample_shell_states, vector_field_ode)
 from sectionscope.errors import (BindingError, CollisionError, ConfigError,
                                  MaxTimeExceeded, SectionScopeError)
 from sectionscope.flows import (DenseOutput, FlowEvent, IntegratorConfig,
                                 integrate, integrate_many)
 from sectionscope.orbits import vertical_seed
+from sectionscope.regularize import MoserChart
 from sectionscope.sections import return_map, return_map_many
 
 C_TEST = -1.7
@@ -354,22 +357,32 @@ def test_lockstep_constants_are_scipys():
 
 @pytest.mark.parametrize("n", [2, 6, 9])
 def test_generated_step_multiplies_only_nonzero_weights(n):
-    # every weight of the step comes from the tableau, the zero ones left
-    # out: 146 products per component where the full stage sums have 208
-    # (a dropped 0.0 * k is a signed zero, see the property below)
-    read = ([flows.dop.A[s, :s] for s in range(1, flows._STAGES)]
-            + [flows.dop.A[s, :s] for s in range(flows._STAGES + 1, 16)]
+    # every weight of the step and of the dense function comes from the
+    # tableau, the zero ones left out: 74 products per component in the
+    # step (A rows 1-11, B, E5, E3) and 72 in the dense function (A rows
+    # 13-15, D), where the full stage sums have 208 (a dropped 0.0 * k is
+    # a signed zero, see the property below)
+    step = ([flows.dop.A[s, :s] for s in range(1, flows._STAGES)]
             + [flows.dop.B, flows.dop.E5[:flows._STAGES],
-               flows.dop.E3[:flows._STAGES], *flows.dop.D])
-    assert sum(map(len, read)) == 208
-    nonzero = sum(np.count_nonzero(w) for w in read)
-    assert nonzero == 146
-    src = flows._step_source(n)
-    for j in range(n):
-        weights = [float(w) for w in re.findall(
-            rf"(-?[\d.]+(?:e-?\d+)?) \* k\d+_{j}\b", src)]
-        assert len(weights) == nonzero
-        assert 0.0 not in weights
+               flows.dop.E3[:flows._STAGES]])
+    dense = ([flows.dop.A[s, :s] for s in range(flows._STAGES + 1, 16)]
+             + list(flows.dop.D))
+    assert sum(map(len, step + dense)) == 208
+    # the segment fill sums the D rows side by side (flows._nonzero_sum)
+    for w in flows.dop.D:
+        assert np.array_equal(np.flatnonzero(w),
+                              np.flatnonzero(flows.dop.D[0]))
+    for read, source, count in ((step, flows._step_source, 74),
+                                (dense, flows._dense_source, 72)):
+        nonzero = sum(np.count_nonzero(w) for w in read)
+        assert nonzero == count
+        src = source(n)
+        assert "0.0 *" not in src
+        for j in range(n):
+            weights = [float(w) for w in re.findall(
+                rf"(-?[\d.]+(?:e-?\d+)?) \* k\d+_{j}\b", src)]
+            assert len(weights) == nonzero
+            assert 0.0 not in weights
 
 
 _STEP_EVENTS = [FlowEvent(lambda y: y[1], terminal=False, name="q2"),
@@ -394,18 +407,24 @@ def _random_states(mu, n, rng):
 
 
 def _float_step(y, f, t, h_abs, rej, d, t_bound, g, mu):
-    """One step of solve_ivp's loop: (outcome of the generated step, its
-    (root, event) hits, the terminal event that stopped it or None,
-    state at the step's end); the step's CollisionError is returned."""
+    """One step of solve_ivp's loop, its dense output filled: (outcome of
+    the generated step with F in place of its stages, its (root, event)
+    hits, the terminal event that stopped it or None, state at the step's
+    end); a CollisionError of the step or of the fill is returned."""
+    def fun(tt, yy):
+        return vector_field_ode(tt, yy, mu)
+
     try:
-        out = flows._dop853_step(6)(
-            lambda tt, yy: vector_field_ode(tt, yy, mu), t, y.tolist(),
-            f.tolist(), h_abs, rej, d, t_bound, CFG.tol)
+        out = flows._dop853_step(6)(fun, t, y.tolist(), f.tolist(), h_abs,
+                                    rej, d, t_bound, CFG.tol)
+        if out is not None and out[0]:
+            _, _, t_new, h, y_new, _, K = out
+            F = flows._dop853_dense(6)(fun, t, y.tolist(), y_new, h, K)
+            out = out[:-1] + (F,)
     except CollisionError as exc:
         return exc, None, None, None
     if out is None or not out[0]:
         return out, None, None, None
-    _, _, t_new, h, y_new, _, F = out
     g_new = [ev.fn(np.array(y_new)) for ev in _STEP_EVENTS]
     act = [e for e, (a, b, ev) in enumerate(zip(g, g_new, _STEP_EVENTS))
            if (a <= 0 <= b and ev.direction >= 0)
@@ -487,3 +506,101 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
             assert hits[-1][1] == stop and _STEP_EVENTS[stop].terminal
         if leg is None:
             assert rec[2] == t_new and y_end is y_new
+
+
+# --- a lone leg's dense output is filled when it is read ---
+
+
+def _eager_leg(fun, field, t_span, y0):
+    """A solve_ivp leg without events, so with every step pending, and
+    the coefficients F (n, 7, d) of each accepted step computed at the
+    step from its own outputs, as the step used to compute them."""
+    n = len(y0)
+    step, dense = flows._dop853_step(n), flows._dop853_dense(n)
+    eager = []
+
+    def eager_step(fun, t, y, *args):
+        out = step(fun, t, y, *args)
+        if out is not None and out[0]:
+            _, _, _, h, y_new, _, K = out
+            eager.append(dense(fun, t, y, y_new, h, K))
+        return out
+
+    with mock.patch.object(flows, "_dop853_step", lambda m: eager_step):
+        leg = flows.solve_ivp(fun, t_span, y0, [], CFG, field)
+    return leg, np.array(eager).reshape(-1, 7, n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(leg=st.sampled_from(["forward", "backward", "moser"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_filled_coefficients_are_the_eager_ones(leg, seed):
+    # a pending step filled on its own on floats, and the whole segment
+    # filled in one array pass or step by step, have the bits computed
+    # at the step: rotating legs both ways, a third of them planar with
+    # signed zeros in q3 and p3, and Moser-chart stays (n = 9)
+    mu = 1e-3
+    rng = np.random.default_rng(seed)
+    if leg == "moser":
+        u = rng.normal(size=3)
+        state = np.concatenate([[mu, 0.0, 0.0] + rng.uniform(0.01, 0.05)
+                                * u / np.linalg.norm(u),
+                                rng.uniform(-1.0, 1.0, 3)])
+        ch, c = MoserChart(mu, "earth"), hamiltonian(state, mu)
+        y0 = np.concatenate([*ch.from_physical(state), [0.0]])
+        leg, eager = _eager_leg(lambda s, z: ch.field(z, c),
+                                flows._moser_field(ch, c),
+                                (0.0, rng.uniform(0.2, 2.0)), y0)
+    else:
+        span = rng.uniform(0.05, 1.5) * (-1.0 if leg == "backward" else 1.0)
+        try:
+            leg, eager = _eager_leg(
+                lambda t, y: vector_field_ode(t, y, mu),
+                flows._rot_field(mu), (0.0, span),
+                _random_states(mu, 1, rng)[0])
+        except CollisionError:
+            return
+    sol = leg.sol
+    assert len(sol.h) == len(eager) and sol._pending.all()
+    one, whole, by_step = sol, copy.deepcopy(sol), copy.deepcopy(sol)
+    for t_old, h in zip(one.t_old, one.h):
+        one(t_old + 0.5 * h)
+    assert not one._pending.any()
+    times = np.linspace(sol.ts[0], sol.ts[-1], 7)
+    with mock.patch.object(flows, "_ARRAY_FILL_MIN", 1):
+        whole(times)
+    with mock.patch.object(flows, "_ARRAY_FILL_MIN", len(eager) + 1):
+        by_step(times)
+    for filled in (one, whole, by_step):
+        assert filled._pending is None or not filled._pending.any()
+        assert filled.F.tobytes() == eager.tobytes()
+
+
+@pytest.mark.parametrize("read", ["one step", "segment in one pass",
+                                  "segment step by step"])
+def test_fill_raises_collision_error_where_an_interpolant_stage_collides(
+        read):
+    # a step from 0.1 off the Earth to 0.1 off it, whose first interpolant
+    # stage y_old + h (a_13,0 k0 + ...) lands within COLLISION_THRESHOLD
+    # of it: the flight did not evaluate that stage, so the read that
+    # fills the step raises, every time, and the step stays pending
+    mu, h = 1e-3, 0.01
+    y_old = np.array([mu + 0.1, 0.0, 0.0, 0.0, 0.5, 0.0])
+    y_new = y_old + [0.0, 0.005, 0.0, 0.0, 0.0, 0.0]
+    K = np.zeros((len(flows._DENSE_STAGES), 6))
+    K[0, 0] = -(0.1 - 0.5 * COLLISION_THRESHOLD) / (flows.dop.A[13, 0] * h)
+    sol = DenseOutput(np.array([0.0, h]), np.zeros(1), np.array([h]),
+                      y_old[None], np.empty((1, 7, 6)), np.ones(1, bool),
+                      y_new[None], K[None], flows._rot_field(mu))
+    at = 0.5 * h if read == "one step" else np.array([0.0, 0.5 * h, h])
+    with mock.patch.object(flows, "_ARRAY_FILL_MIN",
+                           1 if read == "segment in one pass" else 2):
+        for _ in range(2):
+            with pytest.raises(CollisionError):
+                sol(at)
+            assert sol._pending[0]
+    # with k0 scaled so that the stage stays 1.5 COLLISION_THRESHOLD off
+    # the Earth, the same step fills
+    K[0, 0] *= (0.1 - 1.5 * COLLISION_THRESHOLD) / (
+        0.1 - 0.5 * COLLISION_THRESHOLD)
+    assert np.isfinite(sol(at)).all()

@@ -13,13 +13,16 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
                                 lagrange_points)
 from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
                                  JacobianSingularError)
+from sectionscope import orbits
 from sectionscope.flows import IntegratorConfig, flight_jacobian, integrate
-from sectionscope.orbits import (_half_orbit_p1, classify_rotation,
+from sectionscope.orbits import (_classify_spatial, _half_orbit_p1,
+                                 classify_rotation,
                                  continue_family,
                                  find_ellipsoid_periodic, find_periodic_point,
                                  find_symmetric_planar_orbit,
                                  floquet_multipliers,
                                  reciprocal_pair_residual, vertical_seed)
+from sectionscope.sections import return_map_iter
 
 C_TEST = -1.7
 VERTICAL_PERIOD = 1.0022163715043540  # 2 pi (-1/(2c))^{3/2} at c = -1.7
@@ -416,3 +419,86 @@ def test_monodromy_of_vertical_orbits_is_symplectic(mu, c):
     omega = np.block([[np.zeros((3, 3)), np.eye(3)],
                       [-np.eye(3), np.zeros((3, 3))]])
     assert np.linalg.norm(M.T @ omega @ M - omega) <= 1e-9
+
+
+def _steps_holding(seg, times):
+    """Indices of seg's steps whose span holds one of the physical times
+    (ends included)."""
+    sol = seg.sol
+    if seg.chart == "rot":
+        lo, hi = sol.ts[:-1], sol.ts[1:]
+    else:       # the clock, row 8, at the start of each step
+        lo = sol.y_old[:, 8]
+        hi = np.append(lo[1:], seg.t1)
+    return {int(k) for t in times for k in np.flatnonzero((lo <= t)
+                                                          & (t <= hi))}
+
+
+def test_newton_trial_flights_fill_only_event_steps_and_ends(monkeypatch):
+    # a trial return map's flights are read at their event roots, filled
+    # in the flight, and at the end of each segment (the next leg's
+    # start, the return's burn-in end, flight_jacobian); every other
+    # step's interpolant is never computed
+    mu, c = 3e-3, -1.72
+    flown = []
+
+    def recording(*args, **kwargs):
+        out = return_map_iter(*args, **kwargs)
+        flown.extend(out[3])
+        return out
+
+    monkeypatch.setattr(orbits, "return_map_iter", recording)
+    orbit = find_periodic_point(vertical_seed(mu, c), mu=mu, c=c,
+                                cfg=IntegratorConfig(max_time=50.0),
+                                tol=1e-10)
+    final = {id(traj) for pair in orbit.flights for traj in pair}
+    trials = [traj for pair in flown for traj in pair
+              if id(traj) not in final]
+    assert len(orbit.newton_history) >= 2 and trials
+    pending = steps = 0
+    for traj in trials:
+        hits = [t for _, t, _ in traj.event_hits]
+        for seg in traj.segments:
+            sol = seg.sol
+            n = len(sol.h)
+            filled = (np.ones(n, dtype=bool) if sol._pending is None
+                      else ~sol._pending)
+            allowed = _steps_holding(seg, hits) | {n - 1}
+            assert set(np.flatnonzero(filled).tolist()) <= allowed
+            pending += n - int(filled.sum())
+            steps += n
+    assert pending > 0.5 * steps
+
+
+def _classify_reading_everything(traj):
+    """_classify_spatial without stop_below: both maxima over the whole
+    flight."""
+    planar = -traj.min_over(lambda s: -(abs(s[2]) + abs(s[5])), rows=(2, 5))
+    if planar < 1e-8:
+        return "planar"
+    horiz = -traj.min_over(lambda s: -(s[0] ** 2 + s[1] ** 2 + s[3] ** 2
+                                       + s[4] ** 2), rows=(0, 1, 3, 4))
+    return "vertical-collision" if horiz < 1e-10 else "spatial"
+
+
+def test_classify_spatial_stops_reading_with_the_same_label():
+    cfg = IntegratorConfig(max_time=50.0)
+
+    def first_return(mu, c):
+        return return_map_iter(vertical_seed(mu, c), 1, mu, c=c,
+                               cfg=cfg)[3][0][1]
+
+    flights = {
+        "planar": integrate(np.array([0.5, 0.0, 0.0, 0.0, 0.9, 0.0]), 1e-3,
+                            cfg, 5.0),
+        "vertical-collision": first_return(0.0, -1.75),
+        "spatial": first_return(3e-3, -1.72),
+    }
+    for label, traj in flights.items():
+        assert _classify_spatial(traj) == label
+        if label == "spatial":
+            # settled in the first sample group: later segments unread
+            assert len(traj.segments) > 1
+            assert all(seg.sol._pending is not None
+                       for seg in traj.segments[1:])
+        assert _classify_reading_everything(traj) == label
