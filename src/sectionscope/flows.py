@@ -28,7 +28,10 @@ interpolant (three more stages and the dense-output coefficients) is
 computed by a second generated function: inline only on a step where an
 event changes sign, otherwise when a read of the segment first needs it
 (see DenseOutput).  A lane computes every accepted step's interpolant
-in its iteration, so its legs arrive filled.
+in its iteration, so its legs arrive filled.  A collision in an
+interpolant stage raises CollisionError at the same point on both: in
+the flight on a step where an event changes sign, otherwise at every
+read of the step (the lane leaves such a step pending).
 ``flight_jacobian`` differentiates finished flights' accepted steps, the
 steps of all segments in one field at once.
 """
@@ -37,7 +40,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -66,9 +69,6 @@ _MAX_REG_TIME = 1e4     # regularized-time budget per chart stay
 # the smallest batch whose rotating legs share a lockstep lane: a smaller
 # one flies member by member on the float step (see integrate_many)
 _LANE_MIN_BATCH = 21
-# the fewest pending steps that a read fills in one array pass, whose
-# fixed cost (~200 us) is that of about 10 steps filled on floats
-_ARRAY_FILL_MIN = 12
 
 
 @dataclass
@@ -129,20 +129,19 @@ class DenseOutput:
     OdeSolution picks them and evaluated in its operation order, so values
     are bit-identical to it; an array of times is evaluated in one pass.
 
-    A step may come without its coefficients (``pending[k]``, from
-    solve_ivp): it keeps instead its y_new[k] and the stages K[k] (9, d)
-    its interpolant reads (_DENSE_STAGES), and ``field`` (a _Field)
-    fills it when it is first read.  A read at one time fills that one
-    step on floats with the generated dense function; a read at an array
-    of times, or of ``F``, fills every pending step: in one array pass
-    with the same bits (_fill_rows), or step by step on floats when
-    fewer than _ARRAY_FILL_MIN are pending.  A fill raises CollisionError
-    where one of the interpolant's stages comes within the collision
-    threshold of a primary, and the step stays pending.
+    A step may come without its coefficients (``pending[k]``): they are
+    computed when a read first needs them, by ``fill(k)``, which returns
+    the coefficients (len(k), 7, d) of the pending steps k (a list).  A
+    read at one time fills its step; a read at an array of times, or of
+    ``F``, fills every pending step, since a segment's array reads (its
+    sample groups) cover most of its steps.  solve_ivp's fill runs the
+    generated dense function on floats and raises CollisionError where
+    one of the interpolant's stages comes within the collision threshold
+    of a primary; a lane's fill raises it for a step whose stage did.  A
+    step whose fill raised stays pending, so every read of it raises.
     """
 
-    def __init__(self, ts, t_old, h, y_old, F, pending=None, y_new=None,
-                 K=None, field=None):
+    def __init__(self, ts, t_old, h, y_old, F, pending=None, fill=None):
         self.ts = np.asarray(ts, dtype=float)
         self.t_old = t_old
         self.h = h
@@ -150,8 +149,7 @@ class DenseOutput:
         self._F = F
         self._pending = pending if pending is not None and pending.any() \
             else None
-        self._y_new, self._K, self._field = y_new, K, field
-        self._tables = {}       # rows -> gather table, once all are filled
+        self._fill = fill
         self._descending = bool(self.ts[-1] < self.ts[0])
         self._sorted = self.ts[::-1] if self._descending else self.ts
         self._side = "right" if self._descending else "left"
@@ -159,31 +157,16 @@ class DenseOutput:
     @property
     def F(self):
         """The coefficients (n, 7, d) of every step, all filled."""
-        self._fill_all()
+        if self._pending is not None:
+            self._fill_steps(np.flatnonzero(self._pending).tolist())
         return self._F
 
-    def _fill_floats(self, k):
-        """Fill the steps k (a list of indices) one by one on floats."""
-        n, d = len(k), self.y_old.shape[1]
-        dense, one = _dop853_dense(d), self._field.one
-        F = [dense(one, *step) for step in zip(
-            self.t_old[k].tolist(), self.y_old[k].tolist(),
-            self._y_new[k].tolist(), self.h[k].tolist(),
-            self._K[k].reshape(n, len(_DENSE_STAGES) * d).tolist())]
-        self._F[k] = np.reshape(F, (n, 7, d))
+    def _fill_steps(self, k):
+        """Fill the pending steps k (a list)."""
+        self._F[k] = self._fill(k)
         self._pending[k] = False
-
-    def _fill_all(self):
-        if self._pending is None:
-            return
-        k = np.flatnonzero(self._pending)
-        if len(k) < _ARRAY_FILL_MIN:
-            self._fill_floats(k)
-        else:
-            self._F[k] = _fill_rows(self._field.rows, self.t_old[k],
-                                    self.h[k], self.y_old[k],
-                                    self._y_new[k], self._K[k])
-        self._pending = None
+        if not self._pending.any():
+            self._pending = None
 
     def __call__(self, t, rows=None):
         """State at t (shape (d,)) or at each of an array of times (d, m);
@@ -191,7 +174,6 @@ class DenseOutput:
         components, in that order.  Each component is interpolated on its
         own, so it has the same bits either way."""
         t = np.asarray(t)
-        key = None if rows is None else tuple(rows)
         rows = slice(None) if rows is None else list(rows)
         last = len(self.h) - 1
         if t.ndim == 0:
@@ -200,7 +182,7 @@ class DenseOutput:
             if self._descending:
                 k = last - k
             if self._pending is not None and self._pending[k]:
-                self._fill_floats([k])
+                self._fill_steps([k])
             return _dop853_value((t - self.t_old[k]) / self.h[k],
                                  self._F[k][:, rows], self.y_old[k][rows])
         k = np.searchsorted(self._sorted, t, side=self._side) - 1
@@ -208,16 +190,11 @@ class DenseOutput:
         if self._descending:
             k = last - k
         x = (t - self.t_old[k]) / self.h[k]
-        table = self._tables.get(key)
-        if table is None:
-            # the listed components' F and y_old as one small table,
-            # steps last, kept for the next read of these rows
-            table = np.concatenate([self.F[:, :, rows],
-                                    self.y_old[:, None, rows]], axis=1)
-            table = self._tables[key] = np.ascontiguousarray(
-                table.transpose(1, 2, 0))
-        # gathered at once: samples last, so the result is (rows, m)
-        G = np.take(table, k, axis=2)
+        # the listed components' F and y_old as one small table, steps
+        # last, gathered at once: samples last, so the result is (rows, m)
+        table = np.concatenate([self.F[:, :, rows],
+                                self.y_old[:, None, rows]], axis=1)
+        G = np.take(np.ascontiguousarray(table.transpose(1, 2, 0)), k, axis=2)
         return _dop853_value(x, G[:7], G[7])
 
 
@@ -468,16 +445,19 @@ class _Leg:
     nfev: int = 0                 # right-hand side calls (solve_ivp only)
 
 
-def _log_leg(status, t0, steps, hits, stop, y_end, nfev=0):
+def _log_leg(status, t0, steps, hits, stop, y_end):
     """The _Leg from t0 whose accepted steps are the rows of ``steps``
-    (n, 3 + 8 d): t_old, h, node time, y_old (d) and the dense-output
-    coefficients F (7 x d, power first)."""
+    (n, 3 + 8 d + 1) of a lane's log: t_old, h, node time, y_old (d), the
+    dense-output coefficients F (7 x d, power first) and a flag, set where
+    a stage of the step's interpolant collided: a read of that step
+    raises CollisionError."""
     n, d = len(steps), len(y_end)
     t = np.concatenate([[t0], steps[:, 2]])
     return _Leg(status, t, hits, stop,
                 DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:3 + d],
-                            steps[:, 3 + d:].reshape(n, 7, d)),
-                np.array(y_end, dtype=float), nfev)
+                            steps[:, 3 + d:-1].reshape(n, 7, d),
+                            steps[:, -1] != 0, _raise_collided),
+                np.array(y_end, dtype=float))
 
 
 # --- DOP853 on Python floats: a lone leg ---
@@ -491,9 +471,8 @@ def _log_leg(status, t0, steps, hits, stop, y_end, nfev=0):
 # products per component.  The dense function does the rest of the
 # interpolant from the stages the step hands over: A's rows 13-15 and the
 # 4 D rows, 72 products per component.  solve_ivp calls it at once only
-# on a step where an event changes sign; every other step is filled when
-# its dense output is first read (DenseOutput), by the same function on
-# floats or by _fill_rows on arrays, with the same bits.
+# on a step where an event changes sign; every other step is filled by it
+# when its dense output first reads the step (DenseOutput).
 #
 # Both multiply only the tableau's nonzero weights, where the lane's sums
 # run over every stage.  A dropped term 0.0 * k is a signed zero for a
@@ -505,10 +484,11 @@ def _log_leg(status, t0, steps, hits, stop, y_end, nfev=0):
 # row, bit for bit.
 
 _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
-# the stages of a step that its interpolant reads: k0, k5..k11, f(y_new)
+# the stages of a step, besides f(y_new), that its interpolant reads:
+# k0, k5..k11
 _DENSE_STAGES = tuple(sorted(
     {int(i) for w in (*dop.A[_STAGES + 1:16], *dop.D)
-     for i in np.flatnonzero(w) if i <= _STAGES}))
+     for i in np.flatnonzero(w) if i < _STAGES}))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
 _ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
@@ -546,7 +526,8 @@ def _step_source(n):
     the last attempt was rejected.  It returns None when the step is
     below the minimum, (False, next h_abs) on rejection and (True, next
     h_abs, t_new, h, y_new, f(y_new), K) on acceptance, K the stages of
-    _DENSE_STAGES, flat, for the dense function (_dense_source).
+    _DENSE_STAGES, flat, for the dense function (_dense_source).  It does
+    A's rows 1-11, B, E5 and E3: 74 products per component.
     """
     terms, ks, stage, row = _codegen(n)
     J = range(n)
@@ -603,18 +584,20 @@ def _step_source(n):
 def _dense_source(n):
     """Source of ``dense``, one accepted step's dense output on n floats.
 
-    dense(fun, t, y, y_new, h, K) takes the step from (t, y) over h to
-    y_new, with K the stages of _DENSE_STAGES as ``step`` returns them;
-    it evaluates the interpolant's three stages with fun and returns F,
-    the 7 rows of dense-output coefficients, flat.
+    dense(fun, t, y, y_new, h, K, f_new) takes the step from (t, y) over
+    h to y_new, with K the stages of _DENSE_STAGES and f_new = f(y_new)
+    as ``step`` returns them; it evaluates the interpolant's three stages
+    with fun and returns F, the 7 rows of dense-output coefficients, flat.
+    It does A's rows 13-15 and the 4 D rows: 72 products per component.
     """
     terms, ks, stage, row = _codegen(n)
     J = range(n)
     lines = [
-        "def dense(fun, t, y, y_new, h, K):",
+        "def dense(fun, t, y, y_new, h, K, f_new):",
         f"    {row('y{j}')}, = y",
         f"    {row('n{j}')}, = y_new",
         f"    {', '.join(map(ks, _DENSE_STAGES))}, = K",
+        f"    {ks(_STAGES)}, = f_new",
         *[stage(s) for s in range(_STAGES + 1, 16)],
         *[f"    dy{j} = n{j} - y{j}" for j in J],
         "    return [" + ", ".join([
@@ -644,40 +627,6 @@ def _dop853_step(n):
 def _dop853_dense(n):
     """The generated dense function on n floats (see _dense_source)."""
     return _generated(_dense_source, "dense", n)
-
-
-class _Field(NamedTuple):
-    """A leg's field, for filling its dense output after the leg:
-    one(t, y) on a list of floats, and rows(T, Y) on each row of Y (m, d)
-    at the times T (m,), with one's bits.  Both raise CollisionError
-    where the leg's own right-hand side does."""
-    one: Callable
-    rows: Callable
-
-
-def _nonzero_sum(w, K):
-    """sum_s w[s] K[s] over the nonzero weights only, added in stage
-    order from -0.0: the generated functions' sum, bit for bit (-0.0 + x
-    is x, signed zeros included).  w may also be rows of weights with
-    the same nonzero stages, D's, each summed on its own (r, m, d)."""
-    acc = -0.0
-    for s in np.flatnonzero(np.atleast_2d(w)[0]):
-        acc = acc + w[..., s, None, None] * K[s]
-    return acc
-
-
-def _fill_rows(field, t, h, y, y_new, K):
-    """The dense function on arrays: the coefficients F (m, 7, d) of m
-    steps from y (m, d) at t (m,) over h (m,) to y_new (m, d), K (m, 9,
-    d) their stages of _DENSE_STAGES, with the field rows of a _Field."""
-    # stages 1-4, which no weight of the interpolant reads, stay unset
-    Ks = np.empty((16,) + y.shape)
-    Ks[list(_DENSE_STAGES)] = K.transpose(1, 0, 2)
-    hc = h[:, None]
-    for s in range(_STAGES + 1, 16):
-        Ks[s] = field(t + dop.C[s] * h,
-                      y + _nonzero_sum(dop.A[s, :s], Ks) * hc)
-    return _dense_coeffs(Ks, y, y_new, h, _nonzero_sum(dop.D, Ks))
 
 
 def _rms(xs):
@@ -724,11 +673,11 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
     or at the first root of a terminal FlowEvent, whose fn sees the
     state as an array.  Step control, dense output and event handling
     are scipy's, in the operation order of a lockstep lane row.  Each
-    accepted step logs y_new and the stages its interpolant reads; the
-    interpolant itself is computed through fun only on a step where an
-    event changes sign (its roots and the terminal state read it), and
-    on every other step when the dense output first reads it, with
-    ``field`` (a _Field; default fun on floats and row by row), so that
+    accepted step logs the stages its interpolant reads.  The interpolant
+    itself is computed through fun only on a step where an event changes
+    sign, whose roots and terminal state read it.  Every other step is
+    left pending and filled when the dense output first reads it, with
+    ``field`` (the same field on floats, uncounted; default fun), so that
     a collision in one of its stages raises there.  nfev counts the calls
     of fun.  An error raised by fun propagates.
     """
@@ -736,9 +685,7 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
     y = np.asarray(y0, dtype=float).tolist()
     n = len(y)
     step, dense = _dop853_step(n), _dop853_dense(n)
-    if field is None:
-        field = _Field(fun, lambda T, Y: np.array(
-            [fun(tt, yy) for tt, yy in zip(T.tolist(), Y.tolist())]))
+    field = fun if field is None else field
     d = 1.0 if t_bound > t else -1.0
     tol = cfg.tol
     f = fun(t, y)
@@ -747,7 +694,7 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
     ev_dir = [ev.direction for ev in events]
     g = [ev.fn(np.array(y)) for ev in events]
     t0, log, filled, hits, rej = t, [], {}, [], False
-    status = stop = None
+    status = stop = end = None
     while status is None:
         out = step(fun, t, y, f, h_abs, rej, d, t_bound, tol)
         if out is None:
@@ -760,7 +707,7 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
         nfev += 1
         t_old, y_old = t, y
         t, h, y, f, K = out[2:]
-        rec = [t_old, h, t] + y_old + y + K
+        rec = [t_old, h, t] + y_old + K
         log.append(rec)
         if d * (t - t_bound) >= 0:
             status = 0
@@ -770,31 +717,47 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
                if (a <= 0 <= b and w >= 0) or (a >= 0 >= b and w <= 0)]
         g = g_new
         if act:
-            F = filled[len(log) - 1] = dense(fun, t_old, y_old, y, h, K)
+            F = filled[len(log) - 1] = dense(fun, t_old, y_old, y, h, K, f)
             nfev += 3
             stop = _member_events(events, act, t_old, t, h, y_old, F, hits)
             if stop is not None:
                 status = 1
                 root = rec[2] = hits[-1][0]
-                y = _dense_value((root - t_old) / h, F, y_old)
-                # solve_ivp drops a node that repeats the last one
+                y_end = _dense_value((root - t_old) / h, F, y_old)
+                # solve_ivp drops a node that repeats the last one; its
+                # row still holds the y_new and f(y_new) of the one before
                 if len(log) > 1 and root == t_old:
                     del filled[len(log) - 1]
-                    log.pop()
-    # the log's rows: t_old, h, node time, y_old, y_new and the stages
-    ns = len(_DENSE_STAGES)
-    steps = np.array(log).reshape(-1, 3 + (2 + ns) * n)
-    m = len(steps)
+                    end = log.pop()
+    if status != 1:
+        y_end = y
+    # the rows: t_old, h, node time, y_old and the stages of
+    # _DENSE_STAGES, k0 first.  A step's y_new and f(y_new) are the next
+    # row's y_old and k0 (first same as last); a last row, ``end``, holds
+    # the last step's.  The reads need the first 3 + n columns as arrays
+    m = len(log)
+    log.append(end if end is not None else
+               [0.0] * 3 + y + f + [0.0] * (n * (len(_DENSE_STAGES) - 1)))
+    steps = np.array([row[:3 + n] for row in log[:m]]).reshape(m, 3 + n)
     F = np.empty((m, 7, n))
     pending = np.ones(m, dtype=bool)
     for k, Fk in filled.items():
         F[k] = np.reshape(Fk, (7, n))
         pending[k] = False
+
+    def fill(k):
+        F = []
+        for j in k:
+            row, nxt = log[j], log[j + 1]
+            F.append(dense(field, row[0], row[3:3 + n], nxt[3:3 + n],
+                           row[1], row[3 + n:], nxt[3 + n:3 + 2 * n]))
+        return np.reshape(F, (len(k), 7, n))
+
     t = np.concatenate([[t0], steps[:, 2]])
-    sol = DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:3 + n], F,
-                      pending, steps[:, 3 + n:3 + 2 * n],
-                      steps[:, 3 + 2 * n:].reshape(m, ns, n), field)
-    return _Leg(status, t, hits, stop, sol, np.array(y, dtype=float), nfev)
+    sol = DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:], F, pending,
+                      fill)
+    return _Leg(status, t, hits, stop, sol, np.array(y_end, dtype=float),
+                nfev)
 
 
 def _switch_events(mu, cfg):
@@ -949,10 +912,10 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     resumed at once: it runs any Moser-chart visit and its next leg joins
     the lane before the next iteration.  A member's result is the same,
     bit for bit, in every batch, its ``integrate`` run included; a
-    failing member leaves the others unchanged.  One exception: a lane
-    row whose interpolant stage collides fails in the lane, where a
-    member flown on solve_ivp raises CollisionError when that step's
-    dense output is first read.
+    failing member leaves the others unchanged.  So is the moment a
+    collision in one of a step's three interpolant stages is raised: in
+    the flight where an event changes sign in that step, otherwise at
+    every read of that step's dense output.
     """
     n = len(starts)
     cs = [None] * n if cs is None else list(cs)
@@ -1020,33 +983,16 @@ def integrate(start, mu, cfg, t_final, c=None, events=(), t0=0.0,
 
 
 def _solo_leg(req, mu, cfg):
-    """A rotating-chart leg on solve_ivp; a numerical error is returned."""
+    """A rotating-chart leg on solve_ivp; a numerical error is returned.
+    Its dense output is filled with _rot_rhs itself, not its counted
+    wrapper vector_field_ode: a fill is not a solver's call."""
     mu = float(mu)
     try:
         return solve_ivp(lambda tt, y: vector_field_ode(tt, y, mu),
                          (req.t0, req.t_bound), req.y0, req.events, cfg,
-                         _rot_field(mu))
+                         lambda tt, y: _rot_rhs(y, mu)[0])
     except SectionScopeError as exc:
         return exc
-
-
-def _rot_field(mu):
-    """The rotating field's _Field: _rot_rhs itself, not its counted
-    wrapper vector_field_ode, so that a fill is not a solver's call."""
-    def rows(T, Y):
-        f, bad = _rot_field_rows(Y, mu)
-        if bad.any():
-            raise _collided()
-        return f
-
-    return _Field(lambda tt, y: _rot_rhs(y, mu)[0], rows)
-
-
-def _moser_field(ch, c):
-    """The _Field of chart ch's field at energy c: _q_rhs itself, not its
-    counted wrapper MoserChart.field."""
-    return _Field(lambda s, z: _q_rhs(z[:8], c, ch.nu),
-                  lambda S, Z: _moser_field_rows(Z, c, ch.nu))
 
 
 def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
@@ -1075,9 +1021,10 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
                 return ev.fn(ch.to_physical(z[:4], z[4:8]))
         chart_events.append(FlowEvent(fn, ev.direction, ev.terminal))
 
+    # the dense output is filled with _q_rhs, not the counted ch.field
     leg = solve_ivp(lambda s, z: ch.field(z, c), (0.0, _MAX_REG_TIME),
                     np.concatenate([xi, eta, [t]]), chart_events, cfg,
-                    _moser_field(ch, c))
+                    lambda s, z: _q_rhs(z[:8], c, ch.nu))
     if leg.status == -1:
         raise StepSizeUnderflow(_TOO_SMALL_STEP)
     z_end = leg.y_end
@@ -1183,9 +1130,10 @@ class _Rows:
 
 def _rk_stages(y, f, h, mu):
     """All 16 DOP853 stages of a step of every row: the 12 of the step,
-    f(y_new) and the 3 of the dense output.  Returns (K, y_new, rows
-    that hit a collision in the step, rows that hit one after it, which
-    count only if the step is accepted)."""
+    f(y_new) and the 3 of the dense output.  Returns (K, y_new, and the
+    rows that hit a collision in the step, in f(y_new) and in the
+    interpolant's stages; the last two count only if the step is
+    accepted)."""
     hc = h[:, None]
     K = np.empty((16,) + y.shape)
     K[0] = f
@@ -1194,11 +1142,12 @@ def _rk_stages(y, f, h, mu):
         K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
         bad |= b
     y_new = y + hc * _wsum(dop.B, K)
-    K[_STAGES], bad_dense = _rot_field_rows(y_new, mu)
+    K[_STAGES], bad_new = _rot_field_rows(y_new, mu)
+    bad_dense = np.zeros(len(y), dtype=bool)
     for s in range(_STAGES + 1, 16):
         K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
         bad_dense |= b
-    return K, y_new, bad, bad_dense
+    return K, y_new, bad, bad_new, bad_dense
 
 
 def _error_norm(K, y, y_new, h_abs, cfg):
@@ -1223,9 +1172,8 @@ def _step_factor(err, rejected):
                                             _MIN_FACTOR))
 
 
-def _dense_coeffs(K, y, y_new, h, DK):
-    """Dop853DenseOutput's coefficients F (rows, 7, d) of every row, DK[r]
-    the stage sum of D's row r."""
+def _dense_coeffs(K, y, y_new, h):
+    """Dop853DenseOutput's coefficients F (rows, 7, 6) of every row."""
     hc = h[:, None]
     dy = y_new - y
     F = np.empty((len(y), 7, y.shape[1]))
@@ -1233,7 +1181,7 @@ def _dense_coeffs(K, y, y_new, h, DK):
     F[:, 1] = hc * K[0] - dy
     F[:, 2] = 2 * dy - hc * (K[_STAGES] + K[0])
     for r in range(4):
-        F[:, 3 + r] = hc * DK[r]
+        F[:, 3 + r] = hc * _wsum(dop.D[r], K)
     return F
 
 
@@ -1256,13 +1204,19 @@ def _member_events(events, act, t_old, t_new, h, y_old, F, hits):
     return None
 
 
-# one accepted step in a lane's step log: t_old, h, node time, y_old (6)
-# and the dense-output coefficients F (7 x 6)
-_LOG_WIDTH = 3 + 6 + 7 * 6
+# one accepted step in a lane's step log: t_old, h, node time, y_old (6),
+# the dense-output coefficients F (7 x 6) and whether a stage of its
+# interpolant collided (see _log_leg)
+_LOG_WIDTH = 3 + 6 + 7 * 6 + 1
 
 
 def _collided():
     return CollisionError("state within collision threshold of a primary")
+
+
+def _raise_collided(k):
+    """The fill of a lane's steps whose interpolant stage collided."""
+    raise _collided()
 
 
 class _Lane:
@@ -1373,29 +1327,35 @@ class _Lane:
         t_new = m.t + m.h_abs * m.d
         t_new = np.where(m.d * (t_new - m.t_bound) > 0, m.t_bound, t_new)
         h = t_new - m.t
-        K, y_new, bad, bad_dense = _rk_stages(m.y, m.f, h, mu)
+        K, y_new, bad, bad_new, bad_dense = _rk_stages(m.y, m.f, h, mu)
         err = _error_norm(K, m.y, y_new, np.abs(h), cfg)
         accept = err < 1
         m.h_abs = np.abs(h) * _step_factor(err, m.rej)
         m.rej = ~accept
-        bad |= accept & bad_dense
+        bad |= accept & bad_new
+        a = np.nonzero(accept & ~bad)[0]
+
+        # events: solve_ivp's find_active_events on every new state
+        g_new = self._eval_events(y_new[a])
+        g_old = m.g[a]
+        active = (((g_old <= 0) & (g_new >= 0) & self.fires_up)
+                  | ((g_old >= 0) & (g_new <= 0) & self.fires_down))
+        # a collision in an interpolant stage fails a step whose event
+        # roots read the interpolant at once, as in solve_ivp; any other
+        # step is logged with it, and a read of that step raises
+        if bad_dense.any():
+            failed = bad_dense[a] & active.any(axis=1)
+            bad[a[failed]] = True
+            a, g_new, active = a[~failed], g_new[~failed], active[~failed]
 
         # commit the accepted steps
-        a = np.nonzero(accept & ~bad)[0]
         t_old, y_old = m.t[a], m.y[a]
         t_node, h_a, y_a = t_new[a], h[a], y_new[a]
-        Ka = K[:, a]
-        F = _dense_coeffs(Ka, y_old, y_a, h_a, [_wsum(w, Ka) for w in dop.D])
+        F = _dense_coeffs(K[:, a], y_old, y_a, h_a)
         m.t[a], m.y[a], m.f[a] = t_node, y_a, K[_STAGES, a]
         ended = m.d[a] * (t_node - m.t_bound[a]) >= 0
         stops = {}                  # p -> the terminal event that stopped it
         n_kept = m.n_steps[a] + 1
-
-        # events: solve_ivp's find_active_events on every new state
-        g_new = self._eval_events(y_a)
-        g_old = m.g[a]
-        active = (((g_old <= 0) & (g_new >= 0) & self.fires_up)
-                  | ((g_old >= 0) & (g_new <= 0) & self.fires_down))
         m.g[a] = g_new
         for p in np.nonzero(active.any(axis=1))[0]:
             i = a[p]
@@ -1420,7 +1380,8 @@ class _Lane:
         rec = np.empty((a.size, _LOG_WIDTH))
         rec[:, 0], rec[:, 1], rec[:, 2] = t_old, h_a, t_node
         rec[:, 3:9] = y_old
-        rec[:, 9:] = F.reshape(a.size, 7 * 6)
+        rec[:, 9:-1] = F.reshape(a.size, 7 * 6)
+        rec[:, -1] = bad_dense[a]
         self.log[m.slot[a], k] = rec
         m.n_steps[a] = k + 1
         ended[list(stops)] = True

@@ -89,7 +89,9 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
     deficient (degenerate root or a continuum of periodic points),
     IntegrationFloorError when the damping stalls within 10 tol (the
     closure the integrator can reach), and ConvergenceError on any other
-    stall or after max_iter iterations.
+    stall or after max_iter iterations.  A read of a flight (its Jacobian,
+    the symmetry label) raises CollisionError where it meets a step whose
+    interpolant stage collided (see flows.DenseOutput).
     """
     if mu is None:
         raise ConfigError("mu is required for the CR3BP search")

@@ -121,6 +121,13 @@ class SectionSpec:
 
 @dataclass
 class ReturnSample:
+    """One return: x on the page maps to fx after time tau.
+
+    binding_min reads the flights' dense output on first access, where a
+    step's interpolant is computed; it raises CollisionError, on every
+    access, if it reads a step whose interpolant stage came within the
+    collision threshold of a primary (see flows.DenseOutput).
+    """
     x: np.ndarray
     fx: np.ndarray
     tau: float
@@ -233,7 +240,8 @@ def return_map(x, mu, c=None, cfg=None, spec=None, return_traj=False):
     The flight runs with collision-chart switching; the page crossing is
     located by the integrator's event machinery on the linear page
     function.  Raises MaxTimeExceeded (partial trajectory attached) when
-    no return occurs within cfg.max_time.
+    no return occurs within cfg.max_time.  The sample's binding_min is
+    read later, and may raise CollisionError then (see ReturnSample).
     """
     spec, cfg = _return_config(spec, cfg)
     x, c, dt0 = _return_setup(x, mu, c, spec)

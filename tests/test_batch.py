@@ -12,17 +12,17 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients, rk
 
-from sectionscope import flows
+from sectionscope import cr3bp, flows
 from sectionscope.cli import main
-from sectionscope.cr3bp import (COLLISION_THRESHOLD, EARTH_MOON_MU,
-                                hamiltonian, sample_page_states,
-                                sample_shell_states, vector_field_ode)
+from sectionscope.cr3bp import (EARTH_MOON_MU, _rot_rhs, hamiltonian,
+                                sample_page_states, sample_shell_states,
+                                vector_field_ode)
 from sectionscope.errors import (BindingError, CollisionError, ConfigError,
                                  MaxTimeExceeded, SectionScopeError)
 from sectionscope.flows import (DenseOutput, FlowEvent, IntegratorConfig,
                                 integrate, integrate_many)
 from sectionscope.orbits import vertical_seed
-from sectionscope.regularize import MoserChart
+from sectionscope.regularize import MoserChart, _q_rhs
 from sectionscope.sections import return_map, return_map_many
 
 C_TEST = -1.7
@@ -368,10 +368,6 @@ def test_generated_step_multiplies_only_nonzero_weights(n):
     dense = ([flows.dop.A[s, :s] for s in range(flows._STAGES + 1, 16)]
              + list(flows.dop.D))
     assert sum(map(len, step + dense)) == 208
-    # the segment fill sums the D rows side by side (flows._nonzero_sum)
-    for w in flows.dop.D:
-        assert np.array_equal(np.flatnonzero(w),
-                              np.flatnonzero(flows.dop.D[0]))
     for read, source, count in ((step, flows._step_source, 74),
                                 (dense, flows._dense_source, 72)):
         nonzero = sum(np.count_nonzero(w) for w in read)
@@ -410,25 +406,31 @@ def _float_step(y, f, t, h_abs, rej, d, t_bound, g, mu):
     """One step of solve_ivp's loop, its dense output filled: (outcome of
     the generated step with F in place of its stages, its (root, event)
     hits, the terminal event that stopped it or None, state at the step's
-    end); a CollisionError of the step or of the fill is returned."""
+    end).  A CollisionError of the step, or of the fill of a step where an
+    event changes sign, is returned; F is None where the fill of another
+    step collides, which solve_ivp raises at the read of the step."""
     def fun(tt, yy):
         return vector_field_ode(tt, yy, mu)
 
     try:
         out = flows._dop853_step(6)(fun, t, y.tolist(), f.tolist(), h_abs,
                                     rej, d, t_bound, CFG.tol)
-        if out is not None and out[0]:
-            _, _, t_new, h, y_new, _, K = out
-            F = flows._dop853_dense(6)(fun, t, y.tolist(), y_new, h, K)
-            out = out[:-1] + (F,)
     except CollisionError as exc:
         return exc, None, None, None
     if out is None or not out[0]:
         return out, None, None, None
+    _, _, t_new, h, y_new, f_new, K = out
     g_new = [ev.fn(np.array(y_new)) for ev in _STEP_EVENTS]
     act = [e for e, (a, b, ev) in enumerate(zip(g, g_new, _STEP_EVENTS))
            if (a <= 0 <= b and ev.direction >= 0)
            or (a >= 0 >= b and ev.direction <= 0)]
+    try:
+        F = flows._dop853_dense(6)(fun, t, y.tolist(), y_new, h, K, f_new)
+    except CollisionError as exc:
+        if act:
+            return exc, None, None, None
+        F = None
+    out = out[:-1] + (F,)
     hits, stop, y_end = [], None, y_new
     if act:
         stop = flows._member_events(_STEP_EVENTS, act, t, t_new, h,
@@ -489,15 +491,22 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
             got_y, got_hits = lane.rows.y[p], lane.hits[gid]
             assert stop is None
         else:
-            rec = np.concatenate([[leg.sol.t_old[-1], leg.sol.h[-1],
-                                   leg.t[-1]], leg.sol.y_old[-1],
-                                  leg.sol.F[-1].ravel()])
+            sol = leg.sol
+            pending = sol._pending is not None and sol._pending[-1]
+            if pending:
+                with pytest.raises(CollisionError):
+                    sol(sol.t_old[-1])
+            rec = np.concatenate([[sol.t_old[-1], sol.h[-1], leg.t[-1]],
+                                  sol.y_old[-1], sol._F[-1].ravel(),
+                                  [pending]])
             got_y, got_hits = leg.y_end, leg.hits
             assert leg.stop == stop
             assert leg.status == (0 if stop is None else 1)
         assert rec[0] == t and rec[1] == h
         assert rec[3:9].tobytes() == y.tobytes()
-        assert rec[9:].tobytes() == np.array(F).tobytes()
+        assert rec[-1] == (F is None)
+        if F is not None:
+            assert rec[9:-1].tobytes() == np.array(F).tobytes()
         assert got_y.tobytes() == np.array(y_end).tobytes()
         assert got_hits == hits
         times = [te for te, _ in hits]
@@ -522,8 +531,8 @@ def _eager_leg(fun, field, t_span, y0):
     def eager_step(fun, t, y, *args):
         out = step(fun, t, y, *args)
         if out is not None and out[0]:
-            _, _, _, h, y_new, _, K = out
-            eager.append(dense(fun, t, y, y_new, h, K))
+            _, _, _, h, y_new, f_new, K = out
+            eager.append(dense(fun, t, y, y_new, h, K, f_new))
         return out
 
     with mock.patch.object(flows, "_dop853_step", lambda m: eager_step):
@@ -535,10 +544,11 @@ def _eager_leg(fun, field, t_span, y0):
 @given(leg=st.sampled_from(["forward", "backward", "moser"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_filled_coefficients_are_the_eager_ones(leg, seed):
-    # a pending step filled on its own on floats, and the whole segment
-    # filled in one array pass or step by step, have the bits computed
-    # at the step: rotating legs both ways, a third of them planar with
-    # signed zeros in q3 and p3, and Moser-chart stays (n = 9)
+    # pending steps filled one at a time, by a read at an array of times
+    # and by a read of F have the bits computed at the step, though a
+    # step's y_new and f(y_new) are read from the next step's row:
+    # rotating legs both ways, a third of them planar with signed zeros
+    # in q3 and p3, and Moser-chart stays (n = 9)
     mu = 1e-3
     rng = np.random.default_rng(seed)
     if leg == "moser":
@@ -549,58 +559,87 @@ def test_filled_coefficients_are_the_eager_ones(leg, seed):
         ch, c = MoserChart(mu, "earth"), hamiltonian(state, mu)
         y0 = np.concatenate([*ch.from_physical(state), [0.0]])
         leg, eager = _eager_leg(lambda s, z: ch.field(z, c),
-                                flows._moser_field(ch, c),
+                                lambda s, z: _q_rhs(z[:8], c, ch.nu),
                                 (0.0, rng.uniform(0.2, 2.0)), y0)
     else:
         span = rng.uniform(0.05, 1.5) * (-1.0 if leg == "backward" else 1.0)
         try:
             leg, eager = _eager_leg(
                 lambda t, y: vector_field_ode(t, y, mu),
-                flows._rot_field(mu), (0.0, span),
+                lambda t, y: _rot_rhs(y, mu)[0], (0.0, span),
                 _random_states(mu, 1, rng)[0])
         except CollisionError:
             return
     sol = leg.sol
     assert len(sol.h) == len(eager) and sol._pending.all()
-    one, whole, by_step = sol, copy.deepcopy(sol), copy.deepcopy(sol)
-    for t_old, h in zip(one.t_old, one.h):
+    one, times, whole = sol, copy.deepcopy(sol), copy.deepcopy(sol)
+    for k, (t_old, h) in enumerate(zip(one.t_old, one.h)):
         one(t_old + 0.5 * h)
-    assert not one._pending.any()
-    times = np.linspace(sol.ts[0], sol.ts[-1], 7)
-    with mock.patch.object(flows, "_ARRAY_FILL_MIN", 1):
-        whole(times)
-    with mock.patch.object(flows, "_ARRAY_FILL_MIN", len(eager) + 1):
-        by_step(times)
-    for filled in (one, whole, by_step):
-        assert filled._pending is None or not filled._pending.any()
+        left = 0 if one._pending is None else int(one._pending.sum())
+        assert left == len(eager) - k - 1
+    times(np.linspace(sol.ts[0], sol.ts[-1], 7))
+    assert times._pending is None
+    for filled in (one, times, whole):
         assert filled.F.tobytes() == eager.tobytes()
+        assert filled._pending is None
 
 
-@pytest.mark.parametrize("read", ["one step", "segment in one pass",
-                                  "segment step by step"])
-def test_fill_raises_collision_error_where_an_interpolant_stage_collides(
-        read):
-    # a step from 0.1 off the Earth to 0.1 off it, whose first interpolant
-    # stage y_old + h (a_13,0 k0 + ...) lands within COLLISION_THRESHOLD
-    # of it: the flight did not evaluate that stage, so the read that
-    # fills the step raises, every time, and the step stays pending
-    mu, h = 1e-3, 0.01
-    y_old = np.array([mu + 0.1, 0.0, 0.0, 0.0, 0.5, 0.0])
-    y_new = y_old + [0.0, 0.005, 0.0, 0.0, 0.0, 0.0]
-    K = np.zeros((len(flows._DENSE_STAGES), 6))
-    K[0, 0] = -(0.1 - 0.5 * COLLISION_THRESHOLD) / (flows.dop.A[13, 0] * h)
-    sol = DenseOutput(np.array([0.0, h]), np.zeros(1), np.array([h]),
-                      y_old[None], np.empty((1, 7, 6)), np.ones(1, bool),
-                      y_new[None], K[None], flows._rot_field(mu))
-    at = 0.5 * h if read == "one step" else np.array([0.0, 0.5 * h, h])
-    with mock.patch.object(flows, "_ARRAY_FILL_MIN",
-                           1 if read == "segment in one pass" else 2):
-        for _ in range(2):
-            with pytest.raises(CollisionError):
-                sol(at)
-            assert sol._pending[0]
-    # with k0 scaled so that the stage stays 1.5 COLLISION_THRESHOLD off
-    # the Earth, the same step fills
-    K[0, 0] *= (0.1 - 1.5 * COLLISION_THRESHOLD) / (
-        0.1 - 0.5 * COLLISION_THRESHOLD)
-    assert np.isfinite(sol(at)).all()
+def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
+        monkeypatch):
+    # the flight's closest approach to the Earth falls in an interpolant
+    # stage: with the collision threshold between that stage's distance
+    # and those of every stage the flight evaluates, the flight ends in a
+    # batch flown on solve_ivp (20) and on a lane (21) alike, and every
+    # read of a step whose interpolant collided raises, the one-step read
+    # and the read of the segment
+    mu, span = 1e-3, 0.3
+    cfg = IntegratorConfig(switching=False)
+    y0 = np.array([0.3, 0.03, 0.01, -2.4, -0.2, -0.1])
+    flown, filled = [], []
+
+    def recorder(dist):
+        def fun(t, y):
+            f, dm, de = _rot_rhs(y, mu)
+            dist.append(min(dm, de))
+            return f
+        return fun
+
+    leg = flows.solve_ivp(recorder(flown), (0.0, span), y0, [], cfg,
+                          recorder(filled))
+    leg.sol.F
+    threshold = 0.5 * (min(filled) + min(flown))
+    assert min(filled) < threshold < min(flown)
+    monkeypatch.setattr(cr3bp, "COLLISION_THRESHOLD", threshold)
+    monkeypatch.setattr(flows, "COLLISION_THRESHOLD", threshold)
+    other = np.array([0.5, 0.0, 0.0, 0.0, 0.9, 0.0])
+    collided, sampled = {}, {}
+    for size in (20, 21):
+        for read in ("one step", "segment", "F"):
+            traj = integrate_many([y0] + [other] * (size - 1), mu, cfg,
+                                  [span] * size)[0]
+            assert traj.t_end == span and len(traj.segments) == 1
+            sol = traj.segments[0].sol
+            mid = sol.ts[:-1] + 0.5 * np.diff(sol.ts)
+            if read == "one step":
+                bad = []
+                for k, t in enumerate(mid):
+                    try:
+                        sol(t)
+                    except CollisionError:
+                        bad.append(k)
+                        with pytest.raises(CollisionError):
+                            sol(t)
+                collided[size] = bad
+            elif read == "segment":
+                with pytest.raises(CollisionError):
+                    sol(mid)
+            else:
+                # a sampled read raises only if it reads such a step
+                try:
+                    sampled[size] = traj.min_over(lambda s: s[0], rows=(0,))
+                except CollisionError:
+                    sampled[size] = "CollisionError"
+                with pytest.raises(CollisionError):
+                    sol.F
+    assert collided[20] == collided[21] and collided[20]
+    assert sampled[20] == sampled[21]
