@@ -33,6 +33,9 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS):
                              "solver cannot continue.")
         return float(fx)
 
+    # on floats throughout: a numpy tolerance would make the iterate a
+    # numpy scalar, whose division by zero warns instead of raising
+    xtol, rtol = float(xtol), float(rtol)
     xpre, xcur = float(a), float(b)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = call(xpre), call(xcur)

@@ -39,6 +39,7 @@ steps of all segments in one field at once.
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -185,10 +186,7 @@ class DenseOutput:
                 self._fill_steps([k])
             return _dop853_value((t - self.t_old[k]) / self.h[k],
                                  self._F[k][:, rows], self.y_old[k][rows])
-        k = np.searchsorted(self._sorted, t, side=self._side) - 1
-        np.clip(k, 0, last, out=k)
-        if self._descending:
-            k = last - k
+        k = self.steps(t)
         x = (t - self.t_old[k]) / self.h[k]
         # the listed components' F and y_old as one small table, steps
         # last, gathered at once: samples last, so the result is (rows, m)
@@ -196,6 +194,32 @@ class DenseOutput:
                                 self.y_old[:, None, rows]], axis=1)
         G = np.take(np.ascontiguousarray(table.transpose(1, 2, 0)), k, axis=2)
         return _dop853_value(x, G[:7], G[7])
+
+    def steps(self, t):
+        """The step that an array read at the times t evaluates each on."""
+        last = len(self.h) - 1
+        k = np.searchsorted(self._sorted, t, side=self._side) - 1
+        np.clip(k, 0, last, out=k)
+        return last - k if self._descending else k
+
+    def bounds(self, rows):
+        """Per step, an interval (lo, hi) of each listed component that
+        holds every value the step's interpolant takes in a read: with x
+        and w = 1 - x in [0, 1], |y - y_old| <= sum_i |F[k, i]|, widened
+        for the rounding of _dop853_value.  Two (len(rows), steps) arrays.
+        """
+        rows = list(rows)
+        r = np.abs(self.F[:, :, rows]).sum(axis=1) * _HORNER_SLACK + _TINY
+        y = self.y_old[:, rows]
+        return (y - r).T, (y + r).T
+
+
+# _dop853_value rounds 13 times, and x may exceed 1 by a few ulps: its
+# correction sum stays within 64 ulps (and, below the normal range, the
+# smallest normal) of the bound, so y_old -+ the widened bound, rounded
+# like the read's last addition, encloses the value read.
+_HORNER_SLACK = 1.0 + 64 * sys.float_info.epsilon
+_TINY = sys.float_info.min
 
 
 # Regularized time per block of samples when a Moser segment is read, so
@@ -285,6 +309,25 @@ class Segment:
             z[r] = v
         return s, z
 
+    def row_bounds(self, rows):
+        """Per step, intervals of the physical rows ``rows`` that hold
+        every value physical_rows gives at a sample on that step: lists
+        lo and hi indexed by physical row, arrays over the steps at
+        ``rows`` and None elsewhere.  A Moser segment maps its chart rows'
+        intervals (DenseOutput.bounds) through MoserChart.physical_bounds.
+        """
+        rows = list(rows)
+        need = rows if self.chart == "rot" else chart_rows(rows)
+        lo, hi = [None] * 8, [None] * 8
+        for r, a, b in zip(need, *self.sol.bounds(need)):
+            lo[r], hi[r] = a, b
+        if self.chart == "rot":
+            return lo[:6], hi[:6]
+        out = [None] * 6, [None] * 6
+        for r, a, b in zip(rows, *self.moser.physical_bounds(lo, hi, rows)):
+            out[0][r], out[1][r] = a, b
+        return out
+
 
 @dataclass
 class Trajectory:
@@ -313,14 +356,40 @@ class Trajectory:
         return self.segments[-1].state_at(self.t_end, self.mu)
 
     def _sample_groups(self, n_per_segment):
-        """(segment, its blocks, s) per group of consecutive sample blocks
-        (Segment.sample_blocks) of each segment, up to _READ_CAP samples a
-        group: s the group's samples of the segment variable."""
+        """(segment, its blocks, groups) per segment: groups lists the
+        samples of the segment variable in groups of consecutive sample
+        blocks (Segment.sample_blocks), up to _READ_CAP samples a group."""
         per = max(1, _READ_CAP // n_per_segment)
         for seg in self.segments:
             blocks = seg.sample_blocks(n_per_segment)
-            for g in range(0, len(blocks), per):
-                yield seg, blocks, blocks[g:g + per].ravel()
+            yield seg, blocks, [blocks[g:g + per].ravel()
+                                for g in range(0, len(blocks), per)]
+
+    def _group_reads(self, fn, n_per_segment, rows, bound):
+        """(segment, its blocks, s, fn's values at s) for each sample
+        group that min_over reads, in the order of _sample_groups: s the
+        group's samples off the collision fiber, where it has any.
+
+        With bound, a segment of several groups is pruned.  Its group of
+        least lower bound (_group_bounds) is read first, and its minimum
+        is top.  A group whose bound, less 1e-9 of itself, exceeds top is
+        skipped: each of its samples lies strictly above top, so above
+        the minimum, and the first sample that takes the minimum is the
+        same as when every group is read."""
+        for seg, blocks, groups in self._sample_groups(n_per_segment):
+            read, skip = {}, [False] * len(groups)
+            if bound is not None and len(groups) > 1:
+                lb = _group_bounds(seg, groups, rows, bound)
+                g = int(np.argmin(lb))
+                read[g] = s, vals = _read_group(seg, groups[g], fn, rows)
+                top = np.min(vals) if s.size else math.inf
+                skip = lb - 1e-9 * np.abs(lb) > top
+                skip[g] = False
+            for g, s in enumerate(groups):
+                if not skip[g]:
+                    s, vals = read.get(g) or _read_group(seg, s, fn, rows)
+                    if s.size:
+                        yield seg, blocks, s, vals
 
     def energy_drift(self, n_per_segment=30):
         """Max relative deviation of the conserved quantity along the flight,
@@ -330,19 +399,20 @@ class Trajectory:
         (evaluating H there is ill-conditioned near the collision fiber).
         """
         worst = 0.0
-        for seg, _, s in self._sample_groups(n_per_segment):
-            z = seg.sol(s)
-            if seg.chart == "rot":
-                dev = hamiltonian_columns(z, self.mu) - self.energy
-            else:
-                _, nsq, f = _q_gradient(z[:8], self.energy, seg.moser.nu,
-                                        np.sqrt)
-                dev = 0.5 * f * f * nsq - seg.moser.q_level()
-            worst = max(worst, float(np.abs(dev).max()))
+        for seg, _, groups in self._sample_groups(n_per_segment):
+            for s in groups:
+                z = seg.sol(s)
+                if seg.chart == "rot":
+                    dev = hamiltonian_columns(z, self.mu) - self.energy
+                else:
+                    _, nsq, f = _q_gradient(z[:8], self.energy,
+                                            seg.moser.nu, np.sqrt)
+                    dev = 0.5 * f * f * nsq - seg.moser.q_level()
+                worst = max(worst, float(np.abs(dev).max()))
         return worst / max(1.0, abs(self.energy))
 
     def min_over(self, fn, n_per_segment=60, refine_below=None,
-                 rows=range(6), stop_below=None):
+                 rows=range(6), stop_below=None, bound=None):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
         The samples are those of Segment.sample_blocks, evaluated in the
@@ -357,13 +427,18 @@ class Trajectory:
         With stop_below, the reading stops at the first sample group that
         takes the minimum below it, and the value returned is then below
         stop_below but need not be the minimum.
+
+        bound(lo, hi), given without stop_below, returns a lower bound of
+        fn on each step, from the step's intervals of the rows (the lists
+        of Segment.row_bounds); NaN where it has none.  It prunes the
+        groups of a segment read in several (see _group_reads); the
+        result, and the sample refined, are those of the full read, bit
+        for bit.
         """
         best, where = math.inf, None
-        for seg, blocks, s in self._sample_groups(n_per_segment):
-            s, z = seg.physical_rows(s, rows)
-            if not s.size:
-                continue
-            vals = fn(z)
+        reads = self._group_reads(fn, n_per_segment, rows,
+                                  bound if stop_below is None else None)
+        for seg, blocks, s, vals in reads:
             i = int(np.argmin(vals))
             if vals[i] < best:
                 best, where = float(vals[i]), (seg, blocks, s[i])
@@ -402,6 +477,24 @@ class Trajectory:
                                 constraint_residual(z[:4], z[4:8]),
                         }
                     fh.write(json.dumps(rec, sort_keys=True) + "\n")
+
+
+def _read_group(seg, s, fn, rows):
+    """The samples s of seg off the collision fiber, and fn's values
+    there (None when there are none)."""
+    s, z = seg.physical_rows(s, rows)
+    return s, fn(z) if s.size else None
+
+
+def _group_bounds(seg, groups, rows, bound):
+    """A lower bound of fn over the samples of each of seg's groups: the
+    least of bound over the steps the group reads, a NaN counted as -inf.
+    A group's samples are monotone, so it reads the steps between those
+    of its first and last sample."""
+    lb = bound(*seg.row_bounds(rows))
+    lb = np.where(np.isnan(lb), -np.inf, lb)
+    ends = np.sort(seg.sol.steps(np.array([(s[0], s[-1]) for s in groups])))
+    return np.array([lb[a:b + 1].min() for a, b in ends])
 
 
 def _refine_min(fn, rows, seg, blocks, s_min):
@@ -491,7 +584,7 @@ _DENSE_STAGES = tuple(sorted(
      for i in np.flatnonzero(w) if i < _STAGES}))
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
-_ROOT_TOL = 4 * np.finfo(float).eps     # solve_ivp's event tolerance
+_ROOT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event tolerance
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 

@@ -67,6 +67,13 @@ def chart_rows(rows):
     return sorted(need)
 
 
+def _corners(op, x, y):
+    """The least and the greatest of op at the corners of the intervals
+    x and y (pairs of ends); NaN where a corner is NaN."""
+    v = np.array([op(a, b) for a in x for b in y])
+    return v.min(axis=0), v.max(axis=0)
+
+
 def chart_to_stereo(x, y):
     """Chart (x, y) -> regularized (xi, eta); total (defined for all inputs)."""
     x = np.asarray(x, dtype=float)
@@ -371,6 +378,34 @@ class MoserChart:
             # the relabeled Earth chart turns the frame by pi about q3
             out.append(-v if self._rotate and i < 2 else v)
         return out
+
+    def physical_bounds(self, lo, hi, rows):
+        """Intervals (lo, hi) of the rows ``rows`` of physical_rows where
+        the chart rows lie in [lo, hi] (indexed like its z): lists of the
+        rows.  Each of physical_rows' operations is done on the interval
+        ends, keeping the least and the greatest result; rounding to
+        nearest is monotone, so the ends hold every value physical_rows
+        computes.  p_i is unbounded where s = 1 - xi0 can reach 0."""
+        s = 1.0 - hi[0], 1.0 - lo[0]
+        out_lo, out_hi = [], []
+        for r in rows:
+            i = r % 3
+            if r < 3:
+                a, b = _corners(np.multiply, (lo[4], hi[4]),
+                                (lo[i + 1], hi[i + 1]))
+                c, d = _corners(np.multiply, s, (lo[i + 5], hi[i + 5]))
+                v = (a + c) + self._center[i], (b + d) + self._center[i]
+            else:
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    a, b = _corners(np.divide, (lo[i + 1], hi[i + 1]), s)
+                v = (np.where(s[0] > 0, -b, -np.inf),
+                     np.where(s[0] > 0, -a, np.inf))
+            # the relabeled Earth chart turns the frame by pi about q3
+            if self._rotate and i < 2:
+                v = -v[1], -v[0]
+            out_lo.append(v[0])
+            out_hi.append(v[1])
+        return out_lo, out_hi
 
     def _frame_jacobian(self):
         """d(x, y)/d(q, p) of the chart coordinates x = -p, y = q - center

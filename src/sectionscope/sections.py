@@ -140,10 +140,13 @@ class ReturnSample:
     @functools.cached_property
     def binding_min(self):
         """Min of q3^2 + p3^2 along the flights, read on first access:
-        a shooting search never reads it."""
+        a shooting search never reads it.  The read of a long Moser stay
+        skips the sample groups whose bound (_binding_bound) lies above
+        a minimum already read, with the same result (Trajectory.min_over).
+        """
         value = min(traj.min_over(lambda s: s[2] ** 2 + s[5] ** 2,
                                   refine_below=BINDING_REFINE_BELOW,
-                                  rows=(2, 5))
+                                  rows=(2, 5), bound=_binding_bound)
                     for traj in self.flights)
         self.flights = None
         return value
@@ -151,6 +154,17 @@ class ReturnSample:
     @property
     def binding_warning(self):
         return self.binding_min < 1e-8
+
+
+def _square_lb(lo, hi):
+    """A lower bound of x^2, rounded, for x in [lo, hi]."""
+    return np.where(lo > 0, lo * lo, np.where(hi < 0, hi * hi, 0.0))
+
+
+def _binding_bound(lo, hi):
+    """A lower bound of binding_min's q3^2 + p3^2 over intervals of the
+    physical rows (flows.Segment.row_bounds)."""
+    return _square_lb(lo[2], hi[2]) + _square_lb(lo[5], hi[5])
 
 
 def _page_event(theta):

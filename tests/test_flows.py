@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, \
-    sample_shell_states
+    lagrange_points, sample_shell_states
 from sectionscope.errors import (ConfigError, MaxTimeExceeded,
                                  NoCrossingError, StepSizeUnderflow)
 from sectionscope.cr3bp import central_jacobian, hamiltonian_gradient
@@ -22,6 +22,7 @@ from sectionscope.flows import (_READ_CAP, _READ_SPAN, FlowEvent,
 import sectionscope
 from sectionscope import flows
 from sectionscope.regularize import MoserChart
+from sectionscope.sections import _binding_bound
 
 C_TEST = -1.7
 VERTICAL_APEX = np.array([0.0, 0.0, 10.0 / 17.0, 0.0, 0.0, 0.0])
@@ -252,7 +253,7 @@ def test_sample_blocks_match_linspace_per_block(chart, lo, length, n):
     assert got.tobytes() == want.tobytes()
 
 
-def test_min_over_matches_per_sample_oracle():
+def test_min_over_matches_per_sample_oracle(monkeypatch):
     # start on the collision fiber of the Earth chart at mu = 0 (the first
     # Moser sample has no physical image), fly out through the rotating
     # chart and back into the collision
@@ -290,6 +291,62 @@ def test_min_over_matches_per_sample_oracle():
         want = _oracle_min_over(traj, fn)
         assert traj.min_over(fn) == want
         assert traj.min_over(fn, rows=rows) == want
+    # the binding read pruned with its bound: every group of the Kepler
+    # stay comes as close to the binding, so none is skipped, while most
+    # groups of a Moon-chart stay in the Hill component are; the result
+    # and the sample it refines are those of the full read
+    c = lagrange_points(EARTH_MOON_MU).energies[0] - 0.05
+    s0 = sample_shell_states(EARTH_MOON_MU, c, 1, np.random.default_rng(0),
+                             "moon")[0]
+    lunar = integrate(s0, EARTH_MOON_MU, IntegratorConfig(max_time=150.0),
+                      0.3, c=c)
+    calls = []
+    read = flows._read_group
+    monkeypatch.setattr(flows, "_read_group",
+                        lambda *args: calls.append(args) or read(*args))
+    fn, rows = fns[-3]
+    for traj, pruned in ((traj, False), (lunar, True)):
+        del calls[:]
+        want = traj.min_over(fn, rows=rows)
+        n_full = len(calls)
+        del calls[:]
+        assert traj.min_over(fn, rows=rows, bound=_binding_bound) == want
+        assert (len(calls) < n_full) == pruned
+        assert (traj.min_over(fn, refine_below=math.inf, rows=rows,
+                              bound=_binding_bound)
+                == traj.min_over(fn, refine_below=math.inf, rows=rows))
+    assert want == _oracle_min_over(lunar, fn)
+
+
+@settings(max_examples=16, deadline=None)
+@given(primary=st.sampled_from(["earth", "moon"]),
+       seed=st.integers(0, 2 ** 32 - 1), x=st.floats(0.0, 1.0))
+def test_binding_samples_lie_within_their_steps_bounds(primary, seed, x):
+    # a flight started in a chart of the Earth-Moon system, its stay and
+    # any rotating leg after it: every physical row lies within its step's
+    # interval (the Earth chart negates rows 0, 1, 3 and 4), and the
+    # binding fn at or above the step's bound, at the samples min_over
+    # reads and at a point x of every step
+    c = lagrange_points(EARTH_MOON_MU).energies[0] - 0.05
+    s0 = sample_shell_states(EARTH_MOON_MU, c, 1, np.random.default_rng(seed),
+                             primary, min_primary_dist=0.005,
+                             max_radius=0.04)[0]
+    ch = MoserChart(EARTH_MOON_MU, primary)
+    traj = integrate(ch.from_physical(s0), EARTH_MOON_MU,
+                     IntegratorConfig(max_time=150.0), 0.3, c=c,
+                     start_chart=primary)
+    assert traj.segments[0].chart == f"moser-{primary}"
+    for seg in traj.segments:
+        nodes = seg.nodes
+        s = np.concatenate([seg.sample_blocks(60).ravel(),
+                            nodes[:-1] + x * (nodes[1:] - nodes[:-1])])
+        s, z = seg.physical_rows(s, range(6))
+        k = seg.sol.steps(s)
+        lo, hi = seg.row_bounds(range(6))
+        for r in range(6):
+            assert (lo[r][k] <= z[r]).all() and (z[r] <= hi[r][k]).all()
+        lb = _binding_bound(lo, hi)
+        assert (z[2] ** 2 + z[5] ** 2 >= lb[k]).all()
 
 
 def test_energy_drift_matches_per_sample_oracle():

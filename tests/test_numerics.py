@@ -2,6 +2,7 @@
 scipy's, the code they transcribe: the same bits, and the same errors."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -57,6 +58,22 @@ def test_brentq_errors_are_scipys():
     assert (_outcome(brentq, *slow, xtol=1e-300)
             == _outcome(scipy_brentq, *slow, xtol=1e-300) == RuntimeError)
     assert brentq(lambda x: x, 0.0, 1.0) == 0.0
+
+
+@pytest.mark.parametrize("a,b", [(0.7, 0.3), (0.9, 0.3), (1.5, 0.2)])
+def test_brentq_root_is_a_float_for_numpy_tolerances(a, b):
+    # the last two end on a tolerance-sized step, where a numpy tolerance
+    # would make the root a numpy scalar
+    def f(x):
+        return math.sin(a * x) - b
+
+    tol = 4 * sys.float_info.epsilon
+    want = brentq(f, 0.0, 1.0, xtol=tol, rtol=tol)
+    assert type(_ROOT_TOL) is float and _ROOT_TOL == tol
+    for t in (_ROOT_TOL, np.float64(tol)):
+        got = brentq(f, 0.0, 1.0, xtol=t, rtol=t)
+        assert type(got) is float
+        assert got.hex() == want.hex()
 
 
 @settings(max_examples=300, deadline=None)

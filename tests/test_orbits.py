@@ -421,6 +421,26 @@ def test_monodromy_of_vertical_orbits_is_symplectic(mu, c):
     assert np.linalg.norm(M.T @ omega @ M - omega) <= 1e-9
 
 
+@settings(max_examples=10, deadline=None)
+@given(mu=st.sampled_from([0.0, 3e-3]), c=st.floats(-1.8, -1.7))
+def test_vertical_orbits_lie_on_the_krein_parabola_only_at_mu_zero(mu, c):
+    # Broucke's stability point (A, B) of the page map J: the integrable
+    # problem has a double pair of multipliers, which puts it on the Krein
+    # collision parabola A^2 - 4B + 8 = 0; the Moon moves it off
+    from sectionscope.sections import page_frame, page_map_derivative
+    orbit = find_periodic_point(vertical_seed(mu, c), mu=mu, c=c,
+                                cfg=IntegratorConfig(max_time=50.0))
+    frame = page_frame(orbit.representative, mu)
+    J = page_map_derivative(orbit.flights, frame, frame)
+    A = np.trace(J)
+    B = (A * A - np.trace(J @ J)) / 2
+    krein = abs(A * A - 4 * B + 8)
+    if mu == 0.0:
+        assert krein <= 1e-9
+    else:
+        assert krein > 1e-6
+
+
 def _steps_holding(seg, times):
     """Indices of seg's steps whose span holds one of the physical times
     (ends included)."""

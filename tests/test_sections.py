@@ -217,6 +217,28 @@ def test_involution_commutes_with_flow(mu, seed, near):
     assert a.chart_switches == b.chart_switches
 
 
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), p3=st.floats(1e-6, 1e-2),
+       sign=st.sampled_from([1.0, -1.0]), near=st.booleans())
+def test_involution_commutes_with_flow_near_the_page(seed, p3, sign, near):
+    # a start just off the page p3 = 0 at mu = 1e-3, with no user event:
+    # the mirrored flight is the mirror image of the flight, bit for bit,
+    # at every segment's end and in the same charts
+    mu = 1e-3
+    kw = {"max_radius": 0.08, "min_primary_dist": 0.01} if near else {}
+    x = sample_page_states(mu, C_TEST, 1, np.random.default_rng(seed),
+                           component="earth", **kw)[0]
+    x[5] = sign * p3
+    cfg = IntegratorConfig(max_time=20.0)
+    a = integrate(x, mu, cfg, 3.0)
+    b = integrate(involution(x), mu, cfg, 3.0)
+    assert a.chart_switches == b.chart_switches
+    assert [s.chart for s in a.segments] == [s.chart for s in b.segments]
+    for sa, sb in zip(a.segments, b.segments):
+        assert (involution(sa.state_at(sa.t1, mu)).tobytes()
+                == sb.state_at(sb.t1, mu).tobytes())
+
+
 def test_leaf_label_zero_section():
     xi = np.array([0.6, 0.8, 0.0, 0.0])
     z0 = leaf_label(xi, np.zeros(4))
