@@ -242,19 +242,6 @@ def _collinear_root(lo, hi, mu):
     return x
 
 
-def central_jacobian(fn, x, h):
-    """Central-difference Jacobian of fn at x, the package's one source of
-    finite-difference Jacobians: column i is (fn(x + h e_i) - fn(x - h e_i))
-    / (2h), evaluated plus point first, column by column."""
-    x = np.asarray(x, dtype=float)
-    cols = []
-    for i in range(x.size):
-        dx = np.zeros(x.size)
-        dx[i] = h
-        cols.append((fn(x + dx) - fn(x - dx)) / (2.0 * h))
-    return np.column_stack(cols)
-
-
 def _triangular_point(mu, sign):
     """The equilateral point, at unit distance from both primaries, where
     grad U vanishes exactly."""
@@ -271,7 +258,11 @@ def lagrange_points(mu):
     m1 = mu - 1.0
     # bracket offset from the primaries: 1e-9, or half the Moon's Hill
     # radius (mu/3)^(1/3) where that is smaller (mu < 2.4e-26)
-    eps = min(1e-9, 0.5 * (mu / 3.0) ** (1.0 / 3.0))
+    hill = (mu / 3.0) ** (1.0 / 3.0)
+    if hill < 1e-12:
+        raise ConfigError(f"mass ratio mu={mu} puts L1 and L2 within "
+                          f"{hill:.1e} of the Moon, below double precision")
+    eps = min(1e-9, 0.5 * hill)
     x1 = _collinear_root(m1 + eps, mu - eps, mu)
     x2 = _collinear_root(-3.0, m1 - eps, mu)
     x3 = _collinear_root(mu + eps, 3.0, mu)
@@ -310,7 +301,7 @@ class HillComponents:
     count: int
     labels: np.ndarray            # labeled grid, 0 = forbidden region
     potential: np.ndarray         # U on the same grid
-    unbounded: tuple              # label ids touching the box boundary
+    unbounded: tuple              # label ids touching the grid boundary
     axes: tuple                   # coordinate 1-D arrays
 
     @property
@@ -318,44 +309,27 @@ class HillComponents:
         return self.count - len(self.unbounded)
 
 
-def hill_components(c, mu, box=(-2.0, 2.0), n=256, three_d=False,
-                    stability_check=True):
-    """Flood-fill count of Hill-region components on a grid.
+def hill_components(c, mu, n=256, stability_check=True):
+    """Flood-fill count of Hill-region components on an n x n grid of the
+    plane q3 = 0 over [-2, 2]^2, with 8-connectivity.
 
-    box is (lo, hi) applied to every axis, or a per-axis sequence of
-    (lo, hi) pairs.  2-D slices (q3 = 0) use 8-connectivity, 3-D grids
-    26-connectivity.  Components touching the box boundary are flagged
-    unbounded.  A resolution-doubling check warns when the count is not
-    yet grid-stable.  The only function of the package that needs scipy.
+    Components touching the grid boundary are flagged unbounded.  A
+    resolution-doubling check warns when the count is not yet
+    grid-stable.  The only function of the package that needs scipy.
     """
     from scipy.ndimage import label as ndi_label
 
-    ndim = 3 if three_d else 2
-    box = np.asarray(box, dtype=float)
-    if box.ndim == 1:
-        box = np.tile(box, (ndim, 1))
-    if box.shape != (ndim, 2):
-        raise ConfigError(f"box must be (lo, hi) or {ndim} such pairs")
     if n < 16:
         raise ConfigError("grid resolution too small (n >= 16)")
 
     def count_at(res):
-        axes = [np.linspace(lo, hi, res) for lo, hi in box]
-        if three_d:
-            x, y, z = np.meshgrid(*axes, indexing="ij")
-        else:
-            x, y = np.meshgrid(*axes, indexing="ij")
-            z = np.zeros_like(x)
-        u = effective_potential_grid(x, y, z, mu)
-        inside = u <= c
-        structure = np.ones((3,) * ndim, dtype=int)
-        labels, cnt = ndi_label(inside, structure=structure)
+        axes = (np.linspace(-2.0, 2.0, res),) * 2
+        x, y = np.meshgrid(*axes, indexing="ij")
+        u = effective_potential_grid(x, y, np.zeros_like(x), mu)
+        labels, cnt = ndi_label(u <= c, structure=np.ones((3, 3), dtype=int))
         unb = set()
-        for axis in range(ndim):
-            for idx in (0, -1):
-                sl = [slice(None)] * ndim
-                sl[axis] = idx
-                unb.update(np.unique(labels[tuple(sl)]))
+        for edge in (labels[0], labels[-1], labels[:, 0], labels[:, -1]):
+            unb.update(np.unique(edge))
         unb.discard(0)
         return cnt, labels, u, tuple(sorted(unb)), tuple(axes)
 

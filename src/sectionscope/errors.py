@@ -73,26 +73,13 @@ class PerturbationEscapeError(SectionScopeError):
     Raised when the page tangent space at a base point is degenerate
     (page_frame: grad H and grad theta dependent, or the canonical 2-form
     degenerate on their complement), when page_embed's re-projection onto
-    {H = c, angle = theta} does not converge, and when a perturbed point
-    of the ellipsoid model leaves the page disk.
+    {H = c, angle = theta} does not converge, and when the re-projected
+    point lies on the opposite page theta + pi.
     """
-
-
-class AssumptionViolation(SectionScopeError):
-    """A Stark-Zeeman structural assumption failed at a witness point."""
-
-    def __init__(self, assumption, witness, message=""):
-        self.assumption = assumption
-        self.witness = witness
-        super().__init__(message or f"{assumption} violated at {witness}")
 
 
 class OffSurfaceError(SectionScopeError):
     """Point does not satisfy the defining equation of the model surface."""
-
-
-class OracleFailure(SectionScopeError):
-    """A closed-form oracle check did not reproduce the expected value."""
 
 
 class RootBracketingError(SectionScopeError):

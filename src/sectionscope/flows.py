@@ -37,7 +37,6 @@ steps of all segments in one field at once.
 """
 
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import __version__
 from . import _numerics as dop
 from ._numerics import brentq, minimize_bounded
 from .cr3bp import (COLLISION_THRESHOLD, _rot_rhs, hamiltonian,
@@ -55,7 +53,6 @@ from .errors import (
     ConfigError,
     ConstraintDriftError,
     MaxTimeExceeded,
-    NoCrossingError,
     SectionScopeError,
     StepSizeUnderflow,
 )
@@ -355,17 +352,17 @@ class Trajectory:
     def final_state(self):
         return self.segments[-1].state_at(self.t_end, self.mu)
 
-    def _sample_groups(self, n_per_segment):
+    def _sample_groups(self, n):
         """(segment, its blocks, groups) per segment: groups lists the
-        samples of the segment variable in groups of consecutive sample
-        blocks (Segment.sample_blocks), up to _READ_CAP samples a group."""
-        per = max(1, _READ_CAP // n_per_segment)
+        samples of the segment variable, n a block (Segment.sample_blocks),
+        in groups of consecutive blocks, up to _READ_CAP samples a group."""
+        per = max(1, _READ_CAP // n)
         for seg in self.segments:
-            blocks = seg.sample_blocks(n_per_segment)
+            blocks = seg.sample_blocks(n)
             yield seg, blocks, [blocks[g:g + per].ravel()
                                 for g in range(0, len(blocks), per)]
 
-    def _group_reads(self, fn, n_per_segment, rows, bound):
+    def _group_reads(self, fn, rows, bound):
         """(segment, its blocks, s, fn's values at s) for each sample
         group that min_over reads, in the order of _sample_groups: s the
         group's samples off the collision fiber, where it has any.
@@ -376,7 +373,7 @@ class Trajectory:
         skipped: each of its samples lies strictly above top, so above
         the minimum, and the first sample that takes the minimum is the
         same as when every group is read."""
-        for seg, blocks, groups in self._sample_groups(n_per_segment):
+        for seg, blocks, groups in self._sample_groups(60):
             read, skip = {}, [False] * len(groups)
             if bound is not None and len(groups) > 1:
                 lb = _group_bounds(seg, groups, rows, bound)
@@ -391,15 +388,15 @@ class Trajectory:
                     if s.size:
                         yield seg, blocks, s, vals
 
-    def energy_drift(self, n_per_segment=30):
+    def energy_drift(self):
         """Max relative deviation of the conserved quantity along the flight,
-        read in the sample groups of min_over.
+        read in the sample groups of min_over, of Segment.sample_blocks(30).
 
         Rot segments monitor H - c.  Moser segments monitor Q - g^2/2
         (evaluating H there is ill-conditioned near the collision fiber).
         """
         worst = 0.0
-        for seg, _, groups in self._sample_groups(n_per_segment):
+        for seg, _, groups in self._sample_groups(30):
             for s in groups:
                 z = seg.sol(s)
                 if seg.chart == "rot":
@@ -411,11 +408,11 @@ class Trajectory:
                 worst = max(worst, float(np.abs(dev).max()))
         return worst / max(1.0, abs(self.energy))
 
-    def min_over(self, fn, n_per_segment=60, refine_below=None,
-                 rows=range(6), stop_below=None, bound=None):
+    def min_over(self, fn, refine_below=None, rows=range(6),
+                 stop_below=None, bound=None):
         """Minimum of fn(physical states) over a dense sampling of the flight.
 
-        The samples are those of Segment.sample_blocks, evaluated in the
+        The samples are those of Segment.sample_blocks(60), evaluated in the
         groups of _sample_groups.  rows names the physical rows (q1..q3,
         p1..p3 numbered 0..5) that fn reads, and only those are evaluated:
         fn is called on a list indexed by physical row, holding at each of
@@ -436,7 +433,7 @@ class Trajectory:
         for bit.
         """
         best, where = math.inf, None
-        reads = self._group_reads(fn, n_per_segment, rows,
+        reads = self._group_reads(fn, rows,
                                   bound if stop_below is None else None)
         for seg, blocks, s, vals in reads:
             i = int(np.argmin(vals))
@@ -447,36 +444,6 @@ class Trajectory:
         if refine_below is not None and best < refine_below:
             best = min(best, _refine_min(fn, rows, *where))
         return best
-
-    def to_jsonl(self, path, config_hash=""):
-        """One record per solver node: t, chart, state, H, constraint residual."""
-        with open(path, "w") as fh:
-            header = {
-                "record": "header", "version": __version__, "mu": self.mu,
-                "energy": self.energy, "config_hash": config_hash,
-                "chart_switches": self.chart_switches,
-            }
-            fh.write(json.dumps(header, sort_keys=True) + "\n")
-            for seg in self.segments:
-                for s in seg.nodes:
-                    z = seg.sol(float(s))
-                    if seg.chart == "rot":
-                        rec = {
-                            "record": "sample", "t": float(s),
-                            "chart": "rot",
-                            "state": [float(v) for v in z],
-                            "H": hamiltonian(z, self.mu),
-                        }
-                    else:
-                        rec = {
-                            "record": "sample", "t": float(z[8]),
-                            "chart": seg.chart,
-                            "state": [float(v) for v in z[:8]],
-                            "Q": seg.moser.Q(z[:4], z[4:8], self.energy),
-                            "constraint_residual":
-                                constraint_residual(z[:4], z[4:8]),
-                        }
-                    fh.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
 def _read_group(seg, s, fn, rows):
@@ -1713,29 +1680,3 @@ def flight_jacobian(flights, V, dc=None):
                 W = np.vstack([ch.to_physical_jacobian(xi, eta) @ jac
                                @ W[:8], W[8:]])
     return W[:6], W[6]
-
-
-def event_crossing(traj, fn, direction=0, t_range=None, n_scan=400):
-    """Locate a sign change of fn(state(t)) on a trajectory's dense output.
-
-    Scans n_scan points, brackets a crossing with the requested direction,
-    and refines it by bisection/Brent to |event| below 1e-12 scale.
-    Tangential (non-sign-changing) roots raise NoCrossingError.
-    """
-    lo = traj.t0 if t_range is None else t_range[0]
-    hi = traj.t_end if t_range is None else t_range[1]
-    ts = np.linspace(lo, hi, n_scan)
-    vals = np.array([fn(traj.state(t)) for t in ts])
-    for i in range(len(ts) - 1):
-        a, b = vals[i], vals[i + 1]
-        if a == 0.0:
-            continue
-        if a * b < 0.0:
-            if direction > 0 and not (a < 0 < b):
-                continue
-            if direction < 0 and not (a > 0 > b):
-                continue
-            t_star = brentq(lambda t: fn(traj.state(t)), ts[i], ts[i + 1],
-                            xtol=1e-14, rtol=8.9e-16)
-            return t_star, traj.state(t_star)
-    raise NoCrossingError("no directed sign change of the event function")

@@ -9,16 +9,16 @@ from typing import Optional
 import numpy as np
 
 from ._numerics import brentq
-from .cr3bp import (central_jacobian, effective_potential, hamiltonian,
-                    hamiltonian_gradient, primaries, vector_field_ode)
+from .cr3bp import (effective_potential, hamiltonian, hamiltonian_gradient,
+                    primaries, vector_field_ode)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
                      IntegrationFloorError, JacobianSingularError,
-                     NoCrossingError)
+                     NoCrossingError, PerturbationEscapeError)
 from .flows import FlowEvent, IntegratorConfig, flight_jacobian, integrate
 # reciprocal_pair_residual is re-exported: it is part of the orbits API
-from .sections import (SectionSpec, ellipsoid_return, page_coords, page_embed,
-                       page_frame, page_map_derivative,
-                       reciprocal_pair_residual, return_map_iter)
+from .sections import (SectionSpec, page_coords, page_embed, page_frame,
+                       page_map_derivative, reciprocal_pair_residual,
+                       return_map_iter)
 
 _COND_LIMIT = 1e12
 
@@ -120,10 +120,15 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
                 f"shooting matrix condition {cond:.2e}; degenerate or "
                 "non-isolated periodic points")
         du_full = np.linalg.solve(jac, -g0)
-        # Armijo backtracking on the closure norm
+        # Armijo backtracking on the closure norm; a trial point that
+        # page_embed cannot place on the page is a failed trial
         lam = 1.0
         for _ in range(12):
-            x_try = page_embed(x, frame, lam * du_full, mu, c, spec.theta)
+            try:
+                x_try = page_embed(x, frame, lam * du_full, mu, c, spec.theta)
+            except PerturbationEscapeError:
+                lam *= 0.5
+                continue
             trial = return_map_iter(x_try, k, mu, c=c, cfg=cfg, spec=spec)
             res_try = float(np.linalg.norm(trial[0] - x_try))
             if res_try < (1.0 - 1e-4 * lam) * res:
@@ -143,51 +148,6 @@ def _classify_flights(flights):
     """The one label of all returns' flights, else 'spatial'."""
     tags = {_classify_spatial(traj) for _, traj in flights}
     return tags.pop() if len(tags) == 1 else "spatial"
-
-
-def find_ellipsoid_periodic(z0, k, ab, tol=1e-11, max_iter=50, fd_h=1e-6):
-    """Newton fixed point of the k-fold page map of the ellipsoid flow with
-    axes ab = (a, b); JacobianSingularError on a resonant page, where every
-    point is k-periodic."""
-    a, b = ab
-    z0 = np.asarray(z0, dtype=complex)
-
-    def embed(u):
-        r2sq = (1.0 - math.pi * (u @ u) / a) * b / math.pi
-        if r2sq <= 0:
-            raise ConvergenceError("iterate left the page disk")
-        return np.array([complex(u[0], u[1]), complex(math.sqrt(r2sq), 0.0)])
-
-    def pmap(u):
-        z = embed(u)
-        tau_total = 0.0
-        for _ in range(k):
-            z, tau, _ = ellipsoid_return(a, b, z)
-            tau_total += tau
-        return np.array([z[0].real, z[0].imag]), tau_total
-
-    u = np.array([z0[0].real, z0[0].imag])
-    history = []
-    for it in range(max_iter):
-        fu, tau = pmap(u)
-        res = float(np.linalg.norm(fu - u))
-        history.append(res)
-        # the shooting matrix is checked even at convergence: on a
-        # resonant page every point is periodic and the root degenerate
-        jac = central_jacobian(lambda v: pmap(v)[0] - v, u, fd_h)
-        cond = np.linalg.cond(jac)
-        if (not np.isfinite(cond) or cond > 1e8
-                or np.linalg.norm(jac) < 1e-6):
-            raise JacobianSingularError(
-                f"shooting matrix norm {np.linalg.norm(jac):.2e}, condition "
-                f"{cond:.2e}; the whole page is {k}-periodic")
-        if res < tol:
-            return PeriodicOrbit(representative=embed(u), period=tau,
-                                 energy=1.0, mu=float("nan"), residual=res,
-                                 symmetry="none", k=k,
-                                 newton_history=tuple(history))
-        u = u + np.linalg.solve(jac, -(fu - u))
-    raise ConvergenceError(f"no convergence after {max_iter} iterations")
 
 
 def vertical_seed(mu, c):
@@ -297,8 +257,9 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     return orbit
 
 
-def classify_rotation(traj, mu=None, n_samples=200):
-    """'retrograde' or 'direct' from the average of p1 q2 - p2 q1.
+def classify_rotation(traj):
+    """'retrograde' or 'direct' from the average of p1 q2 - p2 q1 over
+    200 evenly spaced states of the flight.
 
     The angular-momentum term is evaluated in the rotating chart
     centered on the primary the orbit encircles (the translation also
@@ -306,11 +267,9 @@ def classify_rotation(traj, mu=None, n_samples=200):
     positive.  With the primary at the origin this is the plain
     p1 q2 - p2 q1 of the Hamiltonian.
     """
-    if mu is None:
-        mu = traj.mu
-    ts = np.linspace(traj.t0, traj.t_end, n_samples)
+    ts = np.linspace(traj.t0, traj.t_end, 200)
     states = np.array([traj.state(t) for t in ts])
-    e, m = primaries(mu)
+    e, m = primaries(traj.mu)
     center = np.mean(states[:, :2], axis=0)
     prim = m if (np.linalg.norm(center - m[:2])
                  < np.linalg.norm(center - e[:2])) else e

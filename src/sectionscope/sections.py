@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cr3bp import (central_jacobian, hamiltonian, hamiltonian_gradient,
-                    primaries)
+from .cr3bp import hamiltonian, hamiltonian_gradient, primaries
 from .errors import (
     BindingError,
     ConfigError,
@@ -114,9 +113,8 @@ def leaf_label_physical(state, mu):
 
 @dataclass(frozen=True)
 class SectionSpec:
-    angle_fn: str = "physical"        # 'physical' | 'geodesic' | 'ellipsoid'
+    """The page theta of the physical open book that a return map reads."""
     theta: float = 0.0
-    direction: int = +1               # positive crossings (flow direction)
 
 
 @dataclass
@@ -189,11 +187,7 @@ def _page_event(theta):
 
 
 def _return_config(spec, cfg):
-    spec = spec or SectionSpec()
-    if spec.angle_fn != "physical":
-        raise ConfigError("return_map implements the physical open book; "
-                          "use the ellipsoid helpers for the toy flow")
-    return spec, cfg or IntegratorConfig()
+    return spec or SectionSpec(), cfg or IntegratorConfig()
 
 
 def _return_setup(x, mu, c, spec):
@@ -406,7 +400,9 @@ def page_embed(base, frame, u, mu, c, theta, tol=1e-12):
     """Point on {H = c, angle = theta} with frame coordinates u at base.
 
     Newton-corrects base + frame @ u along (grad H, grad theta) so both
-    defining equations are restored.
+    defining equations are restored.  Raises PerturbationEscapeError when
+    the correction does not converge, or when the corrected point lies on
+    the opposite page theta + pi (q3 cos theta + p3 sin theta <= 0).
     """
     y = np.asarray(base, float) + frame @ np.asarray(u, float)
     ct, st = math.cos(theta), math.sin(theta)
@@ -414,6 +410,9 @@ def page_embed(base, frame, u, mu, c, theta, tol=1e-12):
         g1 = hamiltonian(y, mu) - c
         g2 = y[5] * ct - y[2] * st
         if abs(g1) < tol and abs(g2) < tol:
+            if y[2] * ct + y[5] * st <= 0.0:
+                raise PerturbationEscapeError(
+                    f"corrected point left page theta={theta}")
             return y
         n1 = hamiltonian_gradient(y, mu)
         n2 = np.zeros(6)
@@ -596,28 +595,6 @@ def ellipsoid_page_rotation(a, b):
     z = ellipsoid_page_point(a, b)
     _, _, rotation = ellipsoid_return(a, b, z)
     return rotation
-
-
-def ellipsoid_return_jacobian(a, b, z=None, h=1e-7):
-    """FD Jacobian of the page map in (Re z1, Im z1); a rigid rotation."""
-    if z is None:
-        z = ellipsoid_page_point(a, b)
-    base = np.array([z[0].real, z[0].imag])
-
-    def embed(u):
-        r2sq = (1.0 - math.pi * (u[0] ** 2 + u[1] ** 2) / a) * b / math.pi
-        if r2sq <= 0:
-            raise PerturbationEscapeError("perturbed point left the page disk")
-        return np.array([complex(u[0], u[1]), complex(math.sqrt(r2sq), 0.0)])
-
-    def pmap(u):
-        zr, _, _ = ellipsoid_return(a, b, embed(u))
-        return np.array([zr[0].real, zr[0].imag])
-
-    J = central_jacobian(pmap, base, h)
-    omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    resid = float(np.linalg.norm(J.T @ omega2 @ J - omega2))
-    return J, resid
 
 
 def hopf_map(z):

@@ -186,6 +186,15 @@ def test_find_orbit_planar_symmetric_reports_residual_and_closure(tmp_path):
     assert orb["symmetry"] == "symmetric-x-axis"
 
 
+@pytest.mark.parametrize("c", ["-0.6", "-0.62"])
+def test_find_orbit_trial_off_the_page_is_not_a_config_error(tmp_path, c):
+    # an Armijo trial that page_embed places on the opposite page is a
+    # failed trial: the search may close or stall, but the input is valid
+    code = run(["find-orbit", "--mode", "vertical", "--mu", "0.1", "--c", c,
+                "--out", str(tmp_path / "orbit.json")])
+    assert code in (0, 3)
+
+
 def test_continue_family(tmp_path):
     out = tmp_path / "family.json"
     code = run(["continue", "--mu", "0.0", "--c", "-1.7", "--param", "mu",

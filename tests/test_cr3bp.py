@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
 from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
-                                central_jacobian,
                                 check_assumptions, cr3bp_stark_zeeman,
                                 effective_potential,
                                 grad_effective_potential,
@@ -23,6 +22,8 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
                                 vector_field, vector_field_ode)
 from sectionscope.errors import ConfigError
 from sectionscope.flows import _rot_field_rows
+
+from oracles import central_jacobian
 
 # Collinear points of the Earth-Moon ratio, frozen from a 40-digit
 # bisection of the axis equation (independent of the library's solver).
@@ -166,6 +167,9 @@ def test_lagrange_rejects_degenerate_mu():
         lagrange_points(0.0)
     with pytest.raises(ConfigError):
         lagrange_points(1.0)
+    # L1 and L2 would round onto the Moon (a ZeroDivisionError before)
+    with pytest.raises(ConfigError):
+        lagrange_points(1e-98)
     with pytest.raises(ConfigError):
         validate_mu(1.5)
 

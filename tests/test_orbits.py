@@ -8,21 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian,
-                                hamiltonian, hamiltonian_gradient,
-                                lagrange_points)
+from sectionscope.cr3bp import (EARTH_MOON_MU, hamiltonian,
+                                hamiltonian_gradient, lagrange_points)
 from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
                                  JacobianSingularError)
 from sectionscope import orbits
 from sectionscope.flows import IntegratorConfig, flight_jacobian, integrate
 from sectionscope.orbits import (_classify_spatial, _half_orbit_p1,
                                  classify_rotation,
-                                 continue_family,
-                                 find_ellipsoid_periodic, find_periodic_point,
+                                 continue_family, find_periodic_point,
                                  find_symmetric_planar_orbit,
                                  floquet_multipliers,
                                  reciprocal_pair_residual, vertical_seed)
 from sectionscope.sections import return_map_iter
+
+from oracles import central_jacobian
 
 C_TEST = -1.7
 VERTICAL_PERIOD = 1.0022163715043540  # 2 pi (-1/(2c))^{3/2} at c = -1.7
@@ -73,31 +73,7 @@ def test_continued_vertical_orbit_small_mass_ratio():
     assert np.linalg.norm(traj.final_state() - orbit.representative) < 1e-8
 
 
-def test_ellipsoid_resonant_page_is_degenerate():
-    # a/b = 1/2: every page point is 2-periodic, the shooting matrix of
-    # the doubled map vanishes and the search must refuse, not "converge"
-    from sectionscope.sections import ellipsoid_page_point
-    z0 = ellipsoid_page_point(1.0, 2.0, rho=0.4, phase=0.2)
-    z0jig = z0.copy()
-    z0jig[0] *= complex(math.cos(0.01), math.sin(0.01))
-    with pytest.raises(JacobianSingularError):
-        find_ellipsoid_periodic(z0jig, 2, (1.0, 2.0))
-
-
-def test_ellipsoid_search_finds_the_axis_orbit():
-    # a/b irrational: the only closed page orbit is the axis z1 = 0,
-    # which returns after the period 1/b of the z2 rotation
-    from sectionscope.sections import ellipsoid_page_point
-    b = math.sqrt(2.0)
-    orbit = find_ellipsoid_periodic(
-        ellipsoid_page_point(1.0, b, rho=0.4, phase=0.2), 1, (1.0, b))
-    assert orbit.residual < 1e-11
-    assert abs(orbit.representative[0]) < 1e-9
-    assert orbit.period == pytest.approx(1.0 / b, abs=1e-9)
-
-
 def test_find_periodic_point_has_no_ellipsoid_switch():
-    # the ellipsoid search is its own function, find_ellipsoid_periodic
     seed = vertical_seed(0.0, C_TEST)
     with pytest.raises(TypeError):
         find_periodic_point(seed, mu=0.0, system="ellipsoid")

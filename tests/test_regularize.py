@@ -14,7 +14,6 @@ from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points, \
 from sectionscope.errors import (ConfigError, NorthPoleError,
                                  SecondaryCollisionError, ZeroVError)
 from sectionscope import flows
-from sectionscope.cr3bp import central_jacobian
 from sectionscope.regularize import (MoserChart, _q_rhs, chart_rows,
                                      chart_to_stereo, constraint_residual,
                                      kepler_oracles,
@@ -25,6 +24,8 @@ from sectionscope.regularize import (MoserChart, _q_rhs, chart_rows,
                                      regularized_hamiltonian,
                                      regularized_vector_field,
                                      stereo_to_chart)
+
+from oracles import central_jacobian
 
 
 def random_moser_states(rng, n):

@@ -8,16 +8,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sectionscope.cr3bp import (EARTH_MOON_MU, central_jacobian, hamiltonian,
-                                lagrange_points, sample_page_states,
-                                sample_shell_states)
-from sectionscope.errors import BindingError, ConfigError, OffSurfaceError
+from sectionscope.cr3bp import (EARTH_MOON_MU, hamiltonian, lagrange_points,
+                                sample_page_states, sample_shell_states)
+from sectionscope.errors import (BindingError, ConfigError, OffSurfaceError,
+                                 PerturbationEscapeError)
 from sectionscope.flows import IntegratorConfig, integrate
 from sectionscope.regularize import MoserChart
 from sectionscope.sections import (BINDING_REFINE_BELOW, OMEGA4,
-                                   SectionSpec, ellipsoid_flow,
+                                   SectionSpec, _return_setup, ellipsoid_flow,
                                    ellipsoid_page_point, ellipsoid_return,
-                                   ellipsoid_return_jacobian,
                                    exactness_loop_check, geodesic_angle,
                                    hopf_map, involution, involution_moser,
                                    leaf_label, leaf_label_physical,
@@ -25,6 +24,8 @@ from sectionscope.sections import (BINDING_REFINE_BELOW, OMEGA4,
                                    page_coords, physical_angle, return_map,
                                    return_map_iter, return_map_jacobian,
                                    transversality_value)
+
+from oracles import central_jacobian
 
 C_TEST = -1.7
 VERTICAL_APEX = np.array([0.0, 0.0, 10.0 / 17.0, 0.0, 0.0, 0.0])
@@ -173,6 +174,31 @@ def test_page_embed_restores_constraints():
     assert abs(math.sin(physical_angle(y))) < 1e-11
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.floats(0.0, 0.1), st.sampled_from([0.0, math.pi]),
+       st.integers(0, 2 ** 32 - 1),
+       st.lists(st.floats(-0.2, 0.2), min_size=4, max_size=4))
+def test_page_embed_returns_a_page_point_or_raises(mu, theta, seed, u):
+    # a large offset can carry the corrected point to the opposite page
+    # theta + pi: page_embed must refuse it, not return it
+    c = -1.9
+    try:
+        x = sample_page_states(mu, c, 1, np.random.default_rng(seed),
+                               component="earth")[0]
+    except ConfigError:
+        # below mu = 3e-36 the sampler cannot place L1 (lagrange_points)
+        assert 0.0 < mu < 3e-36
+        return
+    if theta:
+        x = involution(x)
+    try:
+        y = page_embed(x, page_frame(x, mu), np.array(u), mu, c, theta)
+    except PerturbationEscapeError:
+        return
+    _return_setup(y, mu, c, SectionSpec(theta=theta))
+    assert abs(hamiltonian(y, mu) - c) < 1e-12
+
+
 def test_exactness_on_small_loops():
     rng = np.random.default_rng(27)
     cfg = IntegratorConfig(max_time=20.0)
@@ -294,8 +320,19 @@ def test_ellipsoid_irrational_ratio_only_axis_orbits_close():
 
 
 def test_ellipsoid_jacobian_rigid_rotation():
-    J, resid = ellipsoid_return_jacobian(1.0, 2.0)
-    assert resid < 1e-8
+    # central differences of the page map in (Re z1, Im z1)
+    a, b = 1.0, 2.0
+
+    def page_map(u):
+        r2sq = (1.0 - math.pi * (u[0] ** 2 + u[1] ** 2) / a) * b / math.pi
+        z = np.array([complex(u[0], u[1]), complex(math.sqrt(r2sq), 0.0)])
+        zr, _, _ = ellipsoid_return(a, b, z)
+        return np.array([zr[0].real, zr[0].imag])
+
+    z = ellipsoid_page_point(a, b)
+    J = central_jacobian(page_map, np.array([z[0].real, z[0].imag]), 1e-7)
+    omega2 = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.linalg.norm(J.T @ omega2 @ J - omega2) < 1e-8
     # rotation by 2 pi / 2 = pi is minus the identity
     assert np.linalg.norm(J + np.eye(2)) < 1e-6
 
@@ -303,13 +340,6 @@ def test_ellipsoid_jacobian_rigid_rotation():
 def test_ellipsoid_off_surface_error():
     with pytest.raises(OffSurfaceError):
         ellipsoid_flow(1.0, 2.0, 0.1, np.array([1.0 + 0j, 1.0 + 0j]))
-
-
-def test_return_map_rejects_other_angle_functions():
-    with pytest.raises(ConfigError):
-        return_map(VERTICAL_APEX, 0.0, c=C_TEST,
-                   cfg=IntegratorConfig(max_time=5.0),
-                   spec=SectionSpec(angle_fn="geodesic"))
 
 
 def _oracle_binding_min(traj, n=200_000):
