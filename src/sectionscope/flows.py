@@ -9,13 +9,15 @@ of Q is integrated instead; the physical time is accumulated alongside
 (hysteresis).
 
 A lone leg -- every Moser-chart stay, and the rotating legs of a batch
-of fewer than _LANE_MIN_BATCH flights -- runs on ``solve_ivp``, this
+of fewer than _ARRAY_MIN_ROWS flights -- runs on ``solve_ivp``, this
 module's DOP853 on Python floats, whose step is generated once per state
 dimension as straight-line code over the tableau's nonzero weights.
 ``integrate_many`` flies a batch of independent flights: one at a time
-below _LANE_MIN_BATCH members, and from there every rotating-chart leg
+below _ARRAY_MIN_ROWS members, and from there every rotating-chart leg
 on a lockstep lane, one long-lived, numpy-vectorized DOP853 on an array
 of states, each row with its own step control, events and retirement.
+One width, _ARRAY_MIN_ROWS, decides both where the lane starts and
+where a fill runs in one array pass (below).
 When a leg ends, its flight is resumed at once: a Moser-chart visit runs
 then, and the flight's next leg joins the lane before the next
 iteration, so a batch takes as many iterations as its longest flight
@@ -25,13 +27,17 @@ step), so a flight's result is the same bits in every batch,
 ``integrate`` (the one-flight case) included.
 The float step stops at f(y_new) and the error norm; a step's
 interpolant (three more stages and the dense-output coefficients) is
-computed by a second generated function: inline only on a step where an
-event changes sign, otherwise when a read of the segment first needs it
-(see DenseOutput).  A lane computes every accepted step's interpolant
-in its iteration, so its legs arrive filled.  A collision in an
-interpolant stage raises CollisionError at the same point on both: in
-the flight on a step where an event changes sign, otherwise at every
-read of the step (the lane leaves such a step pending).
+computed inline only on a step where an event changes sign, otherwise
+when a read of the segment first needs it (see DenseOutput): on floats
+by a second generated function for a read that fills fewer than
+_ARRAY_MIN_ROWS steps (a one-step read, say), and otherwise in one
+numpy pass over the steps as rows (_fill_rows, with the lane's
+_dense_coeffs), which gives the same bits.  A lane
+computes every accepted step's interpolant in its iteration, so its
+legs arrive filled.  A collision in an interpolant stage raises
+CollisionError at the same point on all of them: in the flight on a
+step where an event changes sign, otherwise at every read of the step
+(the lane leaves such a step pending).
 ``flight_jacobian`` differentiates finished flights' accepted steps, the
 steps of all segments in one field at once.
 """
@@ -59,14 +65,16 @@ from .errors import (
 from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
                          _q_rhs, chart_rows, constraint_residual,
                          project_constraints, project_constraints_jacobian,
-                         q_field_jacobian_rows)
+                         q_field_jacobian_rows, q_rhs_rows)
 
 _SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
 _CONSTRAINT_TOL = 1e-6  # pre-projection residual limit at a chart stay's end
 _MAX_REG_TIME = 1e4     # regularized-time budget per chart stay
-# the smallest batch whose rotating legs share a lockstep lane: a smaller
-# one flies member by member on the float step (see integrate_many)
-_LANE_MIN_BATCH = 21
+# the fewest rows that one numpy pass takes, on the lane and in a fill:
+# a batch of fewer flights flies member by member on the float step (see
+# integrate_many), and a read that fills fewer pending steps of a lone leg
+# runs the float dense function step by step (see solve_ivp)
+_ARRAY_MIN_ROWS = 21
 
 
 @dataclass
@@ -129,14 +137,17 @@ class DenseOutput:
 
     A step may come without its coefficients (``pending[k]``): they are
     computed when a read first needs them, by ``fill(k)``, which returns
-    the coefficients (len(k), 7, d) of the pending steps k (a list).  A
-    read at one time fills its step; a read at an array of times, or of
-    ``F``, fills every pending step, since a segment's array reads (its
-    sample groups) cover most of its steps.  solve_ivp's fill runs the
-    generated dense function on floats and raises CollisionError where
-    one of the interpolant's stages comes within the collision threshold
-    of a primary; a lane's fill raises it for a step whose stage did.  A
-    step whose fill raised stays pending, so every read of it raises.
+    the coefficients (len(k), 7, d) of the pending steps k (a sorted
+    list).  A read at one time fills its step; a read at an array of
+    times, or of ``F`` (so ``bounds`` too), fills every pending step,
+    since a segment's array reads (its sample groups) cover most of its
+    steps.  solve_ivp's fill runs the generated dense function on floats,
+    step by step, when it fills fewer than _ARRAY_MIN_ROWS steps, and one
+    array pass over them otherwise; both raise CollisionError (or
+    SecondaryCollisionError) where one of the interpolant's stages comes
+    within the collision threshold of a primary.  A lane's fill raises it
+    for a step whose stage did.  A step whose fill raised stays pending,
+    so every read of it raises.
     """
 
     def __init__(self, ts, t_old, h, y_old, F, pending=None, fill=None):
@@ -402,8 +413,8 @@ class Trajectory:
                 if seg.chart == "rot":
                     dev = hamiltonian_columns(z, self.mu) - self.energy
                 else:
-                    _, nsq, f = _q_gradient(z[:8], self.energy,
-                                            seg.moser.nu, np.sqrt)
+                    _, nsq, f, _ = _q_gradient(z[:8], self.energy,
+                                               seg.moser.nu, np.sqrt)
                     dev = 0.5 * f * f * nsq - seg.moser.q_level()
                 worst = max(worst, float(np.abs(dev).max()))
         return worst / max(1.0, abs(self.energy))
@@ -531,17 +542,21 @@ def _log_leg(status, t0, steps, hits, stop, y_end):
 # products per component.  The dense function does the rest of the
 # interpolant from the stages the step hands over: A's rows 13-15 and the
 # 4 D rows, 72 products per component.  solve_ivp calls it at once only
-# on a step where an event changes sign; every other step is filled by it
-# when its dense output first reads the step (DenseOutput).
+# on a step where an event changes sign; every other step is filled when
+# its dense output first reads the step (DenseOutput): by it, step by
+# step, or by one array pass over all the steps the read fills once they
+# are _ARRAY_MIN_ROWS or more (_fill_rows).
 #
 # Both multiply only the tableau's nonzero weights, where the lane's sums
 # run over every stage.  A dropped term 0.0 * k is a signed zero for a
 # finite k, and adding a zero leaves a nonzero partial sum unchanged; so
-# the two can differ only in the sign of a sum whose terms are all zeros.
-# In the rotating chart those are the q3 and p3 sums of a planar row,
-# whose zeros' signs follow from those of q3, p3 and h alone: eight cases,
-# which the lane test's planar rows cover.  A lone leg is therefore a lane
-# row, bit for bit.
+# the two can differ only in the sign of a sum whose terms are all
+# zeros.  In the rotating chart those are the q3 and p3
+# sums of a planar row, whose zeros' signs follow from those of q3, p3
+# and h alone: eight cases, which the lane test's planar rows cover.  A
+# lone leg is therefore a lane row, bit for bit.  A fill's array pass
+# needs no such case: it gives the float dense function's bits by
+# construction (see _fill_rows).
 
 _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
 # the stages of a step, besides f(y_new), that its interpolant reads:
@@ -549,6 +564,10 @@ _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
 _DENSE_STAGES = tuple(sorted(
     {int(i) for w in (*dop.A[_STAGES + 1:16], *dop.D)
      for i in np.flatnonzero(w) if i < _STAGES}))
+# each interpolant stage s (13-15) with the stages its float stage sum
+# reads: those of nonzero weight in row s of A
+_DENSE_TERMS = [(s, np.flatnonzero(dop.A[s, :s]))
+                for s in range(_STAGES + 1, 16)]
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
 _ROOT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event tolerance
@@ -725,7 +744,7 @@ def _dense_value(x, F, y_old):
               * x + F[n + j]) * w + F[j]) * x + y_old[j] for j in range(n)]
 
 
-def solve_ivp(fun, t_span, y0, events, cfg, field=None):
+def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     """One DOP853 leg of fun(t, y) over t_span from y0, on Python floats,
     with dense output; returns its _Leg.
 
@@ -737,8 +756,13 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
     itself is computed through fun only on a step where an event changes
     sign, whose roots and terminal state read it.  Every other step is
     left pending and filled when the dense output first reads it, with
-    ``field`` (the same field on floats, uncounted; default fun), so that
-    a collision in one of its stages raises there.  nfev counts the calls
+    the same field uncounted, so that a collision in one of its stages
+    raises there: ``field`` on floats (default fun), step by step, or,
+    for a read that fills at least _ARRAY_MIN_ROWS steps, ``field_rows``
+    in one array pass (_fill_rows).  field_rows(Y) gives the field at each
+    row of Y (m, d), the bits of ``field``, and the mask of the rows where
+    ``field`` raises; a pass with a row in the mask leaves the fill to
+    the floats, which raise at the first such step.  nfev counts the calls
     of fun.  An error raised by fun propagates.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
@@ -806,6 +830,13 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None):
         pending[k] = False
 
     def fill(k):
+        if field_rows is not None and len(k) >= _ARRAY_MIN_ROWS:
+            # the rows from step k[0] to the one after k[-1], at once
+            rows = np.array(log[k[0]:k[-1] + 2], dtype=float)
+            i = np.array(k) - k[0]
+            F = _fill_rows(rows[i], rows[i + 1, 3:3 + 2 * n], field_rows)
+            if F is not None:
+                return F
         F = []
         for j in k:
             row, nxt = log[j], log[j + 1]
@@ -964,7 +995,7 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     Member i flows starts[i] from t0s[i] (default 0) to t_finals[i] at
     energy cs[i] (default: H of the start), as ``integrate`` would; all
     share mu, cfg, the events and the start chart.  A batch of fewer than
-    _LANE_MIN_BATCH flights flies them one at a time, every leg on
+    _ARRAY_MIN_ROWS flights flies them one at a time, every leg on
     solve_ivp: there the lane's fixed cost per iteration outweighs its
     width (the threshold comes from a sweep of batch sizes on short
     section-scan flights and on long shell flights).  A larger batch runs
@@ -1002,7 +1033,7 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
 
     def run(i, leg):
         req = resume(i, leg)
-        if n < _LANE_MIN_BATCH:
+        if n < _ARRAY_MIN_ROWS:
             while req is not None:
                 req = resume(i, _solo_leg(req, mu, cfg))
         elif req is not None:
@@ -1050,7 +1081,8 @@ def _solo_leg(req, mu, cfg):
     try:
         return solve_ivp(lambda tt, y: vector_field_ode(tt, y, mu),
                          (req.t0, req.t_bound), req.y0, req.events, cfg,
-                         lambda tt, y: _rot_rhs(y, mu)[0])
+                         lambda tt, y: _rot_rhs(y, mu)[0],
+                         lambda Y: _rot_field_rows(Y, mu))
     except SectionScopeError as exc:
         return exc
 
@@ -1084,7 +1116,8 @@ def _run_moser_visit(ch, xi, eta, t, t_stop, c, cfg, events, segments, hits):
     # the dense output is filled with _q_rhs, not the counted ch.field
     leg = solve_ivp(lambda s, z: ch.field(z, c), (0.0, _MAX_REG_TIME),
                     np.concatenate([xi, eta, [t]]), chart_events, cfg,
-                    lambda s, z: _q_rhs(z[:8], c, ch.nu))
+                    lambda s, z: _q_rhs(z[:8], c, ch.nu),
+                    lambda Z: q_rhs_rows(Z, c, ch.nu))
     if leg.status == -1:
         raise StepSizeUnderflow(_TOO_SMALL_STEP)
     z_end = leg.y_end
@@ -1233,7 +1266,8 @@ def _step_factor(err, rejected):
 
 
 def _dense_coeffs(K, y, y_new, h):
-    """Dop853DenseOutput's coefficients F (rows, 7, 6) of every row."""
+    """Dop853DenseOutput's coefficients F (m, 7, d) of the steps from the
+    rows y (m, d) over h to y_new, K their 16 stages."""
     hc = h[:, None]
     dy = y_new - y
     F = np.empty((len(y), 7, y.shape[1]))
@@ -1243,6 +1277,33 @@ def _dense_coeffs(K, y, y_new, h):
     for r in range(4):
         F[:, 3 + r] = hc * _wsum(dop.D[r], K)
     return F
+
+
+def _fill_rows(rec, nxt, field_rows):
+    """The coefficients F (m, 7, n) of m steps of a lone leg in one array
+    pass, or None where one of their interpolant stages collides: rec
+    holds the steps' log rows (see solve_ivp), nxt the next rows' y_old
+    and k0, which are each step's y_new and f(y_new).  field_rows(Y)
+    gives the field at the rows Y and the mask of the rows where it
+    collides.
+
+    F has the bits of the float dense function: a stage sum runs over its
+    terms alone, those of nonzero weight (a lane's keeps the zero ones,
+    which cost less than gathering the others).  The step did not log
+    stages 1-4, which D weighs by zero: they are -0.0 here, so each term
+    0.0 * -0.0 is -0.0 and changes no sum."""
+    m, n = len(rec), nxt.shape[1] // 2
+    y, h = rec[:, 3:3 + n], rec[:, 1]
+    hc = h[:, None]
+    K = np.full((16, m, n), -0.0)
+    K[list(_DENSE_STAGES)] = rec[:, 3 + n:].reshape(m, -1, n).swapaxes(0, 1)
+    K[_STAGES] = nxt[:, n:]
+    with np.errstate(all="ignore"):
+        for s, w in _DENSE_TERMS:
+            K[s], bad = field_rows(y + _wsum(dop.A[s, w], K[w]) * hc)
+            if bad.any():
+                return None
+        return _dense_coeffs(K, y, nxt[:, :n], h)
 
 
 def _member_events(events, act, t_old, t_new, h, y_old, F, hits):

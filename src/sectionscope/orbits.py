@@ -13,7 +13,8 @@ from .cr3bp import (effective_potential, hamiltonian, hamiltonian_gradient,
                     primaries, vector_field_ode)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
                      IntegrationFloorError, JacobianSingularError,
-                     NoCrossingError, PerturbationEscapeError)
+                     MaxTimeExceeded, NoCrossingError,
+                     PerturbationEscapeError)
 from .flows import FlowEvent, IntegratorConfig, flight_jacobian, integrate
 # reciprocal_pair_residual is re-exported: it is part of the orbits API
 from .sections import (SectionSpec, page_coords, page_embed, page_frame,
@@ -289,8 +290,10 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
     """Natural-parameter continuation of a return-map fixed point.
 
     param is 'mu' or 'c'; the seed orbit's parameter moves toward target
-    in increments of step, halving on corrector failure.  Raises
-    FoldDetected when the step underflows min_step; an
+    in increments of step, halving on corrector failure: a
+    ConvergenceError, a NoCrossingError, or a MaxTimeExceeded (no page
+    return within max_time).  When the step then underflows min_step it
+    raises that MaxTimeExceeded, or else FoldDetected; an
     IntegrationFloorError of the corrector propagates, since no step
     length mends it.  Returns the list of converged members (including
     the seed).
@@ -324,9 +327,12 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
                 break
             except IntegrationFloorError:
                 raise
-            except (ConvergenceError, NoCrossingError):
+            except (ConvergenceError, NoCrossingError,
+                    MaxTimeExceeded) as exc:
                 h_try *= 0.5
                 if h_try < min_step:
+                    if isinstance(exc, MaxTimeExceeded):
+                        raise
                     raise FoldDetected(
                         f"continuation step underflow at {param}={cur_val}")
         cur_val = val_next

@@ -22,7 +22,7 @@ from sectionscope.errors import (BindingError, CollisionError, ConfigError,
 from sectionscope.flows import (DenseOutput, FlowEvent, IntegratorConfig,
                                 integrate, integrate_many)
 from sectionscope.orbits import vertical_seed
-from sectionscope.regularize import MoserChart, _q_rhs
+from sectionscope.regularize import MoserChart, _q_rhs, q_rhs_rows
 from sectionscope.sections import return_map, return_map_many
 
 C_TEST = -1.7
@@ -32,8 +32,8 @@ CFG = IntegratorConfig(max_time=50.0)
 
 def _on_the_lane():
     """Every batch of two or more members on the lockstep lane, as a batch
-    of flows._LANE_MIN_BATCH is: the small batches below test the lane."""
-    return mock.patch.object(flows, "_LANE_MIN_BATCH", 2)
+    of flows._ARRAY_MIN_ROWS is: the small batches below test the lane."""
+    return mock.patch.object(flows, "_ARRAY_MIN_ROWS", 2)
 
 
 def _page_points(mu, seed, n):
@@ -220,11 +220,11 @@ def test_stepper_failures_stay_with_their_member():
 
 
 def test_batch_below_the_threshold_has_the_bits_of_the_lane(monkeypatch):
-    # a batch of flows._LANE_MIN_BATCH members shares the lane; one member
+    # a batch of flows._ARRAY_MIN_ROWS members shares the lane; one member
     # fewer flies member by member on the float step, with the same bits
     mu = 1e-3
     rng = np.random.default_rng(33)
-    starts = list(sample_shell_states(mu, C_TEST, flows._LANE_MIN_BATCH,
+    starts = list(sample_shell_states(mu, C_TEST, flows._ARRAY_MIN_ROWS,
                                       rng, component="earth"))
     events = [FlowEvent(lambda s: s[2], direction=0.0, terminal=False)]
     iterations = 0
@@ -520,7 +520,7 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
 # --- a lone leg's dense output is filled when it is read ---
 
 
-def _eager_leg(fun, field, t_span, y0):
+def _eager_leg(fun, field, field_rows, t_span, y0):
     """A solve_ivp leg without events, so with every step pending, and
     the coefficients F (n, 7, d) of each accepted step computed at the
     step from its own outputs, as the step used to compute them."""
@@ -536,52 +536,109 @@ def _eager_leg(fun, field, t_span, y0):
         return out
 
     with mock.patch.object(flows, "_dop853_step", lambda m: eager_step):
-        leg = flows.solve_ivp(fun, t_span, y0, [], CFG, field)
+        leg = flows.solve_ivp(fun, t_span, y0, [], CFG, field, field_rows)
     return leg, np.array(eager).reshape(-1, 7, n)
+
+
+def _array_fills(monkeypatch):
+    """A list that records every array pass of a fill (_fill_rows): its
+    F, or None where it leaves the fill to the floats."""
+    calls = []
+
+    def recorded(rec, nxt, field_rows, _orig=flows._fill_rows):
+        calls.append(_orig(rec, nxt, field_rows))
+        return calls[-1]
+    monkeypatch.setattr(flows, "_fill_rows", recorded)
+    return calls
 
 
 @settings(max_examples=40, deadline=None)
 @given(leg=st.sampled_from(["forward", "backward", "moser"]),
        seed=st.integers(0, 2 ** 32 - 1))
 def test_filled_coefficients_are_the_eager_ones(leg, seed):
-    # pending steps filled one at a time, by a read at an array of times
-    # and by a read of F have the bits computed at the step, though a
-    # step's y_new and f(y_new) are read from the next step's row:
-    # rotating legs both ways, a third of them planar with signed zeros
-    # in q3 and p3, and Moser-chart stays (n = 9)
+    # pending steps filled one at a time on floats, and by a read at an
+    # array of times and by a read of F: in one array pass from
+    # flows._ARRAY_MIN_ROWS pending steps on, on floats below.  All have
+    # the bits computed at the step, though a step's y_new and f(y_new)
+    # are read from the next step's row: rotating legs both ways, a third
+    # of them planar with signed zeros in q3 and p3, and Moser-chart stays
+    # (n = 9) of 30 steps or more, a third planar with signed zeros in xi3
+    # and eta3
     mu = 1e-3
     rng = np.random.default_rng(seed)
     if leg == "moser":
+        planar = rng.random() < 1 / 3
         u = rng.normal(size=3)
+        if planar:
+            u[2] = 0.0
         state = np.concatenate([[mu, 0.0, 0.0] + rng.uniform(0.01, 0.05)
                                 * u / np.linalg.norm(u),
                                 rng.uniform(-1.0, 1.0, 3)])
+        if planar:
+            state[5] = rng.choice([0.0, -0.0])
         ch, c = MoserChart(mu, "earth"), hamiltonian(state, mu)
         y0 = np.concatenate([*ch.from_physical(state), [0.0]])
+        assert (y0[[3, 7]] == 0.0).all() == planar
         leg, eager = _eager_leg(lambda s, z: ch.field(z, c),
                                 lambda s, z: _q_rhs(z[:8], c, ch.nu),
+                                lambda Z: q_rhs_rows(Z, c, ch.nu),
                                 (0.0, rng.uniform(0.2, 2.0)), y0)
     else:
         span = rng.uniform(0.05, 1.5) * (-1.0 if leg == "backward" else 1.0)
         try:
             leg, eager = _eager_leg(
                 lambda t, y: vector_field_ode(t, y, mu),
-                lambda t, y: _rot_rhs(y, mu)[0], (0.0, span),
+                lambda t, y: _rot_rhs(y, mu)[0],
+                lambda Y: flows._rot_field_rows(Y, mu), (0.0, span),
                 _random_states(mu, 1, rng)[0])
         except CollisionError:
             return
     sol = leg.sol
     assert len(sol.h) == len(eager) and sol._pending.all()
     one, times, whole = sol, copy.deepcopy(sol), copy.deepcopy(sol)
-    for k, (t_old, h) in enumerate(zip(one.t_old, one.h)):
-        one(t_old + 0.5 * h)
-        left = 0 if one._pending is None else int(one._pending.sum())
-        assert left == len(eager) - k - 1
-    times(np.linspace(sol.ts[0], sol.ts[-1], 7))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        passes = _array_fills(monkeypatch)
+        for k, (t_old, h) in enumerate(zip(one.t_old, one.h)):
+            one(t_old + 0.5 * h)
+            left = 0 if one._pending is None else int(one._pending.sum())
+            assert left == len(eager) - k - 1
+        assert passes == []
+        times(np.linspace(sol.ts[0], sol.ts[-1], 7))
+        whole.F
     assert times._pending is None
+    wide = len(eager) >= flows._ARRAY_MIN_ROWS
+    assert len(passes) == (2 if wide else 0)
+    assert leg != "moser" or wide
     for filled in (one, times, whole):
         assert filled.F.tobytes() == eager.tobytes()
         assert filled._pending is None
+
+
+def test_array_fill_calls_no_counted_field(monkeypatch):
+    # a read that fills a lone leg's steps in one array pass evaluates
+    # the fields' own formulas, not the counted right-hand sides, so a
+    # leg's nfev (and the benchmark tracer's rhs_calls) counts only the
+    # solver's calls: rotating legs of 37 to 77 pending steps, and a Moon
+    # chart stay of 58
+    c = float(cr3bp.lagrange_points(EARTH_MOON_MU).energies[0]) - 0.05
+    x = sample_page_states(EARTH_MOON_MU, c, 1, np.random.default_rng(0),
+                           component="moon")[0]
+    _, (_, lunar) = return_map(x, EARTH_MOON_MU, c=c,
+                               cfg=IntegratorConfig(), return_traj=True)
+    vertical = integrate(vertical_seed(1e-3, C_TEST), 1e-3, CFG, 2.0)
+    segments = [seg for traj in (lunar, vertical) for seg in traj.segments
+                if seg.sol._pending is not None
+                and seg.sol._pending.sum() >= flows._ARRAY_MIN_ROWS]
+    assert {seg.chart for seg in segments} == {"rot", "moser-moon"}
+    calls = []
+    for owner, name in ((flows, "vector_field_ode"), (MoserChart, "field")):
+        monkeypatch.setattr(owner, name,
+                            lambda *args, _name=name: calls.append(_name))
+    passes = _array_fills(monkeypatch)
+    for seg in segments:
+        seg.sol.F
+    assert calls == [] and len(passes) == len(segments)
+    assert all(F is not None for F in passes)
 
 
 def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
@@ -591,7 +648,10 @@ def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
     # and those of every stage the flight evaluates, the flight ends in a
     # batch flown on solve_ivp (20) and on a lane (21) alike, and every
     # read of a step whose interpolant collided raises, the one-step read
-    # and the read of the segment
+    # and the read of the segment.  On solve_ivp the segment read, of more
+    # than flows._ARRAY_MIN_ROWS pending steps, tries one array pass,
+    # which leaves the fill to the floats: they raise at the collided
+    # step, and it stays pending
     mu, span = 1e-3, 0.3
     cfg = IntegratorConfig(switching=False)
     y0 = np.array([0.3, 0.03, 0.01, -2.4, -0.2, -0.1])
@@ -613,6 +673,7 @@ def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
     monkeypatch.setattr(flows, "COLLISION_THRESHOLD", threshold)
     other = np.array([0.5, 0.0, 0.0, 0.0, 0.9, 0.0])
     collided, sampled = {}, {}
+    passes = _array_fills(monkeypatch)
     for size in (20, 21):
         for read in ("one step", "segment", "F"):
             traj = integrate_many([y0] + [other] * (size - 1), mu, cfg,
@@ -631,8 +692,15 @@ def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
                             sol(t)
                 collided[size] = bad
             elif read == "segment":
+                passes.clear()
                 with pytest.raises(CollisionError):
                     sol(mid)
+                assert passes == ([None] if size < 21 else [])
+                assert len(mid) >= flows._ARRAY_MIN_ROWS
+                assert sol._pending[collided[size]].all()
+                for k in collided[size]:
+                    with pytest.raises(CollisionError):
+                        sol(mid[k])
             else:
                 # a sampled read raises only if it reads such a step
                 try:

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sectionscope.cr3bp import (EARTH_MOON_MU, hamiltonian,
                                 hamiltonian_gradient, lagrange_points)
 from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
-                                 JacobianSingularError)
+                                 JacobianSingularError, MaxTimeExceeded)
 from sectionscope import orbits
 from sectionscope.flows import IntegratorConfig, flight_jacobian, integrate
 from sectionscope.orbits import (_classify_spatial, _half_orbit_p1,
@@ -205,10 +205,50 @@ def test_continuation_requires_converged_seed():
         continue_family(bad, "mu", 1e-2, 1e-3, cfg=cfg)
 
 
+def _timing_out_corrector(monkeypatch, failures):
+    """Patch the corrector continue_family calls to raise MaxTimeExceeded
+    at its first ``failures`` calls; returns the mu of every call."""
+    tried = []
+
+    def corrector(x, mu, **kwargs):
+        tried.append(mu)
+        if len(tried) <= failures:
+            raise MaxTimeExceeded("no page return within max_time")
+        return find_periodic_point(x, mu=mu, **kwargs)
+    monkeypatch.setattr(orbits, "find_periodic_point", corrector)
+    return tried
+
+
+def test_continuation_halves_the_step_when_a_corrector_times_out(
+        monkeypatch):
+    # a corrector flight without a page return within max_time is a
+    # corrector failure like any other: the step is halved
+    cfg = IntegratorConfig(max_time=5.0)
+    seed = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,
+                               c=C_TEST, cfg=cfg)
+    tried = _timing_out_corrector(monkeypatch, 1)
+    members = continue_family(seed, "mu", 1e-3, 1e-3, cfg=cfg)
+    assert tried == [1e-3, 5e-4, 1e-3]
+    assert [m.mu for m in members] == [0.0, 5e-4, 1e-3]
+    assert all(m.residual < 1e-9 for m in members)
+
+
+def test_continuation_reraises_a_timeout_below_the_minimum_step(
+        monkeypatch):
+    # a corrector that always times out halves the step below min_step:
+    # its MaxTimeExceeded propagates, not FoldDetected
+    cfg = IntegratorConfig(max_time=5.0)
+    seed = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,
+                               c=C_TEST, cfg=cfg)
+    tried = _timing_out_corrector(monkeypatch, math.inf)
+    with pytest.raises(MaxTimeExceeded, match="no page return"):
+        continue_family(seed, "mu", 1e-2, 1e-3, cfg=cfg, min_step=2e-4)
+    assert tried == [1e-3, 5e-4, 2.5e-4]
+
+
 def test_continuation_giant_step_never_silently_wrong():
     # an absurd single step to mu = 0.5 either fails loudly or delivers a
     # member that genuinely closes at the new mass ratio
-    from sectionscope.errors import MaxTimeExceeded
     cfg = IntegratorConfig(max_time=5.0)
     seed = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,
                                c=C_TEST, cfg=cfg)

@@ -14,13 +14,13 @@ from sectionscope.cr3bp import EARTH_MOON_MU, hamiltonian, lagrange_points, \
 from sectionscope.errors import (ConfigError, NorthPoleError,
                                  SecondaryCollisionError, ZeroVError)
 from sectionscope import flows
-from sectionscope.regularize import (MoserChart, _q_rhs, chart_rows,
+from sectionscope.regularize import (MoserChart, chart_rows,
                                      chart_to_stereo, constraint_residual,
                                      kepler_oracles,
                                      lc_hamiltonian, levi_civita, moser_fbM,
                                      project_constraints,
                                      project_constraints_jacobian,
-                                     q_field_jacobian_rows,
+                                     q_field_jacobian_rows, q_rhs_rows,
                                      regularized_hamiltonian,
                                      regularized_vector_field,
                                      stereo_to_chart)
@@ -406,15 +406,19 @@ _stage_coord = st.floats(-3.0, 3.0, allow_nan=False)
 def test_float_field_rows_are_the_bits_of_the_array_field(rows, t, primary,
                                                           mu, c):
     # flight Jacobians take a Moser group's stage field row by row on
-    # floats: the operations of _q_rhs on arrays, so its bits, signed zeros
-    # included.  Stage states lie near T*S^3, not on it
+    # floats, and a dense-output fill's array pass takes it on arrays
+    # (q_rhs_rows): the same operations, so the same bits, signed zeros
+    # included, and the array form's mask marks the rows where the floats
+    # raise.  Stage states lie near T*S^3, not on it
     nu = MoserChart(mu, primary).nu
     Y = np.array([list(r) + [t] for r in rows])
+    want, collided = q_rhs_rows(Y, c, nu)
     try:
         got = flows._moser_field_rows(Y, c, nu)
     except SecondaryCollisionError:
+        assert collided.any()
         reject()        # on the other primary, where a flight stops first
-    want = np.array(_q_rhs(list(Y.T[:8]), c, nu, np.sqrt)).T
+    assert not collided.any()
     assert got.shape == want.shape == Y.shape
     assert got.tobytes() == want.tobytes()
 
