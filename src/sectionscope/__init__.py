@@ -7,7 +7,7 @@ from .cr3bp import (EARTH_MOON_MU, LagrangePointSet, StarkZeemanSystem,
                     check_assumptions, cr3bp_stark_zeeman,
                     effective_potential, hamiltonian, hill_components,
                     hill_membership, lagrange_points, primaries,
-                    sample_page_states, sample_shell_states, vector_field)
+                    sample_page_states, sample_shell_states)
 from .errors import SectionScopeError
 from .flows import (FlowEvent, IntegratorConfig, Trajectory, integrate,
                     integrate_many)

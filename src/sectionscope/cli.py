@@ -152,18 +152,11 @@ def cmd_hill(args):
     return EXIT_OK
 
 
-def _state_from_arg(text):
-    vals = [float(v) for v in text.split(",")]
-    if len(vals) != 6:
-        raise ConfigError("--state needs 6 comma-separated numbers")
-    return np.array(vals)
-
-
 def cmd_integrate(args):
     validate_mu(args.mu)
     if args.state is None:
         raise ConfigError("integrate requires --state q1,q2,q3,p1,p2,p3")
-    x = _state_from_arg(args.state)
+    x = args.state
     cfg = IntegratorConfig(tol=args.tol, max_time=max(args.tf * 2.0, 10.0))
     traj = integrate(x, args.mu, cfg, args.tf)
     config = {"mu": args.mu, "state": [float(v) for v in x],
@@ -356,6 +349,38 @@ def cmd_verify(args):
     return EXIT_OK if not failures else EXIT_VERIFY
 
 
+def finite(text):
+    """A float option's value: a finite number.  argparse turns the
+    ValueError of these option types into a usage error (exit 1)."""
+    v = float(text)
+    if not math.isfinite(v):
+        raise ValueError(text)
+    return v
+
+
+def positive(text):
+    """A finite float option that must exceed 0."""
+    v = finite(text)
+    if not v > 0:
+        raise ValueError(text)
+    return v
+
+
+def count(text):
+    """An int option that must not be negative."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
+def state(text):
+    """--state: six finite numbers, comma-separated."""
+    vals = [finite(v) for v in text.split(",")]
+    if len(vals) != 6:
+        raise ValueError(text)
+    return np.array(vals)
+
+
 def build_parser():
     p = argparse.ArgumentParser(
         prog="sectionscope",
@@ -366,14 +391,14 @@ def build_parser():
     def common(sp, c=False, tol=None, seed=False):
         """--mu and --out, and those of --c, --tol (with its default) and
         --seed that the command reads."""
-        sp.add_argument("--mu", type=float, default=EARTH_MOON_MU)
+        sp.add_argument("--mu", type=finite, default=EARTH_MOON_MU)
         sp.add_argument("--out", type=str, default=None)
         if c:
-            sp.add_argument("--c", type=float, default=None)
+            sp.add_argument("--c", type=finite, default=None)
         if tol is not None:
-            sp.add_argument("--tol", type=float, default=tol)
+            sp.add_argument("--tol", type=positive, default=tol)
         if seed:
-            sp.add_argument("--seed", type=int, default=0)
+            sp.add_argument("--seed", type=count, default=0)
 
     sp = sub.add_parser("lagrange", help="Lagrange points and energies")
     common(sp)
@@ -386,36 +411,36 @@ def build_parser():
 
     sp = sub.add_parser("integrate", help="integrate a trajectory (JSONL)")
     common(sp, tol=1e-12)
-    sp.add_argument("--state", type=str, default=None)
-    sp.add_argument("--tf", type=float, default=10.0)
-    sp.add_argument("--n", type=int, default=200)
+    sp.add_argument("--state", type=state, default=None)
+    sp.add_argument("--tf", type=finite, default=10.0)
+    sp.add_argument("--n", type=count, default=200)
     sp.set_defaults(fn=cmd_integrate)
 
     sp = sub.add_parser("section-scan", help="return-map scan (CSV+JSON)")
     common(sp, c=True, tol=1e-10, seed=True)
-    sp.add_argument("--n", type=int, default=100)
-    sp.add_argument("--pages", type=float, default=0.0,
+    sp.add_argument("--n", type=count, default=100)
+    sp.add_argument("--pages", type=finite, default=0.0,
                     help="page angle theta")
     sp.add_argument("--mode", type=str, default="cr3bp",
                     choices=("cr3bp", "ellipsoid"))
     sp.add_argument("--component", type=str, default="earth",
                     choices=("earth", "moon"))
-    sp.add_argument("--ellipsoid-b", type=float, default=2.0)
+    sp.add_argument("--ellipsoid-b", type=positive, default=2.0)
     sp.set_defaults(fn=cmd_section_scan)
 
     sp = sub.add_parser("find-orbit", help="periodic-orbit search")
     common(sp, c=True, tol=1e-10)
     sp.add_argument("--mode", type=str, default="vertical",
                     choices=("vertical", "planar-symmetric"))
-    sp.add_argument("--q1", type=float, default=None)
+    sp.add_argument("--q1", type=finite, default=None)
     sp.add_argument("--branch", type=int, default=-1, choices=(-1, 1))
     sp.set_defaults(fn=cmd_find_orbit)
 
     sp = sub.add_parser("continue", help="natural-parameter continuation")
     common(sp, c=True)
     sp.add_argument("--param", type=str, default="mu", choices=("mu", "c"))
-    sp.add_argument("--target", type=float, required=True)
-    sp.add_argument("--step", type=float, default=1e-3)
+    sp.add_argument("--target", type=finite, required=True)
+    sp.add_argument("--step", type=positive, default=1e-3)
     sp.set_defaults(fn=cmd_continue)
 
     sp = sub.add_parser("verify", help="invariant suites report")

@@ -85,12 +85,6 @@ def hamiltonian_columns(states, mu):
     return kinetic - mu / dm - (1.0 - mu) / de + (p1 * q2 - p2 * q1)
 
 
-def vector_field(state, mu):
-    """Hamiltonian vector field (qdot, pdot) of the rotating frame at a
-    (6,) state array."""
-    return vector_field_ode(0.0, np.asarray(state, dtype=float), mu)
-
-
 def vector_field_ode(t, state, mu):
     """Right-hand side (autonomous) in the form fun(t, y) of a one-leg
     solve: a list of 6 floats for a list state, an array for an array.
@@ -155,19 +149,6 @@ def effective_potential_grid(x, y, z, mu):
         pull_m = mu / dm if mu != 0.0 else 0.0
         pull_e = (1.0 - mu) / de if mu != 1.0 else 0.0
         return -pull_m - pull_e - 0.5 * (x ** 2 + y ** 2)
-
-
-def grad_effective_potential(q, mu):
-    q = np.asarray(q, dtype=float)
-    e, m = primaries(mu)
-    we = q - e
-    wm = q - m
-    de = np.linalg.norm(we)
-    dm = np.linalg.norm(wm)
-    g = mu * wm / dm ** 3 + (1.0 - mu) * we / de ** 3
-    g[0] -= q[0]
-    g[1] -= q[1]
-    return g
 
 
 def equilibrium_momentum(q):

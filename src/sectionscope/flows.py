@@ -881,6 +881,7 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
     _Leg (or has the leg's error thrown in); returns the Trajectory.
     Chart switching, Moser visits and the stop bookkeeping live here only.
     Backward flights stay in the rotating chart and ignore max_time.
+    A non-finite start or energy raises ConfigError before any leg.
     """
     forward = t_final >= t0
     if not forward and start_chart != "rot":
@@ -903,6 +904,9 @@ def _flight(start, mu, cfg, t_final, c, events, t0, start_chart, switch,
         state = None
 
     c = float(c)
+    if not (math.isfinite(c)
+            and np.isfinite(state if xi is None else [xi, eta]).all()):
+        raise ConfigError("a flight needs a finite start and energy")
     t_stop = min(t_final, t0 + cfg.max_time) if forward else t_final
     segments = []
     hits = []

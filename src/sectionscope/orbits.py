@@ -10,7 +10,7 @@ import numpy as np
 
 from ._numerics import brentq
 from .cr3bp import (effective_potential, hamiltonian, hamiltonian_gradient,
-                    primaries, vector_field_ode)
+                    vector_field_ode)
 from .errors import (ConfigError, ConvergenceError, FoldDetected,
                      IntegrationFloorError, JacobianSingularError,
                      MaxTimeExceeded, NoCrossingError,
@@ -215,9 +215,8 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     (flows.flight_jacobian) along the start tangent that keeps H = c; an
     accepted trial's half orbit serves the next iteration.  The full
     orbit is the half-orbit and its mirror; its full-period flight gives
-    the closure, is kept on the orbit (PeriodicOrbit.flights) for
-    floquet_multipliers, and the label direct/retrograde comes from the
-    sign of its average angular momentum p1 q2 - p2 q1.
+    the closure and is kept on the orbit (PeriodicOrbit.flights) for
+    floquet_multipliers.
     """
     cfg = cfg or IntegratorConfig()
     history = []
@@ -250,36 +249,10 @@ def find_symmetric_planar_orbit(c, mu, q1_guess, branch=-1, cfg=None,
     period = 2.0 * t_half
     traj = integrate(x, mu, cfg, period, c=c)
     closure = float(np.linalg.norm(traj.final_state() - x))
-    orbit = PeriodicOrbit(representative=x, period=period, energy=c, mu=mu,
-                          residual=abs(p1), symmetry="symmetric-x-axis", k=1,
-                          newton_history=tuple(history), closure=closure,
-                          flights=[traj])
-    orbit.rotation = classify_rotation(traj)
-    return orbit
-
-
-def classify_rotation(traj):
-    """'retrograde' or 'direct' from the average of p1 q2 - p2 q1 over
-    200 evenly spaced states of the flight.
-
-    The angular-momentum term is evaluated in the rotating chart
-    centered on the primary the orbit encircles (the translation also
-    shifts p2 by the primary's abscissa); retrograde orbits make it
-    positive.  With the primary at the origin this is the plain
-    p1 q2 - p2 q1 of the Hamiltonian.
-    """
-    ts = np.linspace(traj.t0, traj.t_end, 200)
-    states = np.array([traj.state(t) for t in ts])
-    e, m = primaries(traj.mu)
-    center = np.mean(states[:, :2], axis=0)
-    prim = m if (np.linalg.norm(center - m[:2])
-                 < np.linalg.norm(center - e[:2])) else e
-    q1 = states[:, 0] - prim[0]
-    q2 = states[:, 1]
-    p1 = states[:, 3]
-    p2 = states[:, 4] + prim[0]
-    mean = float(np.mean(p1 * q2 - p2 * q1))
-    return "retrograde" if mean > 0 else "direct"
+    return PeriodicOrbit(representative=x, period=period, energy=c, mu=mu,
+                         residual=abs(p1), symmetry="symmetric-x-axis", k=1,
+                         newton_history=tuple(history), closure=closure,
+                         flights=[traj])
 
 
 # --- continuation ---
@@ -300,6 +273,8 @@ def continue_family(orbit, param, target, step, mu=None, c=None, cfg=None,
     """
     if param not in ("mu", "c"):
         raise ConfigError("param must be 'mu' or 'c'")
+    if not abs(step) > 0:
+        raise ConfigError("continuation step must be nonzero")
     if orbit.residual > 1e-9:
         raise ConfigError("seed orbit residual above 1e-9")
     cfg = cfg or IntegratorConfig()

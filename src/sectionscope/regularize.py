@@ -5,10 +5,10 @@ chart origin.  Stereographic projection maps (x, y) to
 (xi, eta) in T*S^n = {|xi| = 1, <xi, eta> = 0} subset of R^{n+1} x R^{n+1};
 the collision locus is the north pole xi0 = 1 (momenta at infinity).
 
-The intermediate Hamiltonian K = (H - c)|q| becomes |eta| f(xi, eta) - g
-on the chart, and the regularized Hamiltonian Q = f^2 |eta|^2 / 2 is
-smooth across the collision fiber; its flow on Q = g^2/2 reparametrizes
-the H = c flow (dt/ds = g |q|).
+The intermediate Hamiltonian K = (H - c)|q| becomes |eta| f(xi, eta) - nu
+on the chart (nu: the regularized primary's mass); Q = f^2 |eta|^2 / 2 is
+smooth across the collision fiber, and its flow on Q = nu^2/2
+reparametrizes the H = c flow (dt/ds = nu |q|).
 """
 
 import math
@@ -36,16 +36,6 @@ def stereo_to_chart(xi, eta):
     """
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    if xi.shape == eta.shape == (4,):
-        # T*S^3 point: the same arithmetic on floats, without array calls
-        a0, a1, a2, a3 = xi.tolist()
-        b0, b1, b2, b3 = eta.tolist()
-        s = 1.0 - a0
-        if abs(s) < NORTH_POLE_TOL:
-            raise NorthPoleError("state on the collision fiber xi0 = 1")
-        return (np.array([a1 / s, a2 / s, a3 / s]),
-                np.array([b0 * a1 + s * b1, b0 * a2 + s * b2,
-                          b0 * a3 + s * b3]))
     s = 1.0 - xi[0]
     on_fiber = abs(s) < NORTH_POLE_TOL
     if on_fiber.any() if xi.ndim > 1 else on_fiber:
@@ -79,22 +69,11 @@ def chart_to_stereo(x, y):
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     s = float(x @ x)
-    e0 = float(x @ y)
-    if x.shape == y.shape == (3,):
-        # spatial point: the same arithmetic on floats, without array calls
-        x1, x2, x3 = x.tolist()
-        y1, y2, y3 = y.tolist()
-        sp = s + 1.0
-        a = 0.5 * sp
-        return (np.array([(s - 1.0) / sp, 2.0 * x1 / sp, 2.0 * x2 / sp,
-                          2.0 * x3 / sp]),
-                np.array([e0, a * y1 - e0 * x1, a * y2 - e0 * x2,
-                          a * y3 - e0 * x3]))
     xi = np.empty(len(x) + 1)
     eta = np.empty_like(xi)
     xi[0] = (s - 1.0) / (s + 1.0)
     xi[1:] = 2.0 * x / (s + 1.0)
-    eta[0] = e0
+    eta[0] = float(x @ y)
     eta[1:] = 0.5 * (s + 1.0) * y - eta[0] * x
     return xi, eta
 
@@ -156,50 +135,6 @@ def _stereo_to_chart_jacobian(xi, eta):
 
 # --- CR3BP f/b/M and the regularized Hamiltonian ---
 
-_K_OFFSET = np.array([-1.0, 0.0, 0.0])  # chart-center minus other-primary
-
-
-def _fbM(xi, eta, c, nu):
-    """f, b, M of the CR3BP chart with regularized-primary mass nu.
-
-    b carries the attraction of the other primary (mass 1-nu, at chart
-    position (1,0,0)), M the magnetic pairing.  f is evaluated by its
-    explicit formula; f = 1 + (1-xi0) b + M holds identically.
-    """
-    other = 1.0 - nu
-    s = 1.0 - xi[0]
-    w = xi[2] * eta[1] - xi[1] * eta[2]
-    u = s * eta[1:] + eta[0] * xi[1:] + _K_OFFSET
-    d = math.sqrt(float(u @ u))
-    if d < 1e-12:
-        raise SecondaryCollisionError(
-            "regularized chart reached the other primary"
-        )
-    b = -(c + 0.5) - other / d
-    M = s * w - xi[2] * other
-    f = 1.0 + s * (-(c + 0.5) + w) - xi[2] * other - other * s / d
-    return f, b, M
-
-
-def _regularized_mass(mu, primary):
-    """nu: mu for the Moon chart, 1 - mu for the relabeled Earth chart."""
-    validate_mu(mu)
-    return float(mu) if primary == "moon" else 1.0 - float(mu)
-
-
-def moser_fbM(xi, eta, c, mu, primary="moon"):
-    """(f, b, M) of the Moon (or relabeled Earth) chart at energy c."""
-    return _fbM(np.asarray(xi, float), np.asarray(eta, float), c,
-                _regularized_mass(mu, primary))
-
-
-def regularized_hamiltonian(xi, eta, c, mu, primary="moon"):
-    """Q = f^2 |eta|^2 / 2; Q = mu_reg^2 / 2 corresponds to H = c."""
-    xi = np.asarray(xi, dtype=float)
-    eta = np.asarray(eta, dtype=float)
-    f, _, _ = moser_fbM(xi, eta, c, mu, primary)
-    return 0.5 * f * f * float(eta @ eta)
-
 
 def _q_gradient(v, c, nu, sqrt=math.sqrt):
     """Ambient gradient of Q = f^2 |eta|^2 / 2 at v = [xi0..xi3, eta0..eta3].
@@ -214,7 +149,7 @@ def _q_gradient(v, c, nu, sqrt=math.sqrt):
     other = 1.0 - nu
     s = 1.0 - x0
     w = x2 * e1 - x1 * e2
-    u1 = s * e1 + e0 * x1 - 1.0    # _K_OFFSET = (-1, 0, 0)
+    u1 = s * e1 + e0 * x1 - 1.0    # the other primary is at (1, 0, 0)
     u2 = s * e2 + e0 * x2
     u3 = s * e3 + e0 * x3
     d2 = u1 * u1 + u2 * u2 + u3 * u3
@@ -309,27 +244,10 @@ def q_field_jacobian_rows(Z, c, nu):
     return out[:, 0].real.T.copy(), jac
 
 
-def regularized_gradient(xi, eta, c, mu, primary="moon"):
-    """Ambient gradient (dQ/dxi, dQ/deta) of Q = f^2 |eta|^2 / 2."""
-    nu = _regularized_mass(mu, primary)
-    g, _, _, _ = _q_gradient(np.concatenate([xi, eta]).tolist(), c, nu)
-    return np.array(g[:4]), np.array(g[4:])
-
-
-def regularized_vector_field(xi, eta, c, mu, primary="moon"):
-    """Hamiltonian field of Q constrained to T*S^3 (Dirac projection).
-
-    See _q_field; returns (dxi/ds, deta/ds).
-    """
-    out = _q_field(np.concatenate([xi, eta]), c,
-                   _regularized_mass(mu, primary))
-    return out[:4], out[4:8]
-
-
 class MoserChart:
     """Conversions between rotating-frame states and a primary's Moser chart.
 
-    primary='moon' regularizes the light primary (g = mu).  primary='earth'
+    primary='moon' regularizes the light primary (nu = mu).  primary='earth'
     regularizes the heavy one via the relabeling nu = 1 - mu applied to the
     frame rotated by pi about the q3 axis (which maps the CR3BP with mass
     ratio mu to the one with mass ratio 1 - mu, primaries swapped).
@@ -349,10 +267,6 @@ class MoserChart:
         self._center = np.array([self.nu - 1.0, 0.0, 0.0])
         self._rotate = primary == "earth"
 
-    @property
-    def g(self):
-        return self.nu
-
     def _to_relabeled(self, vec3):
         if self._rotate:
             return np.array([-vec3[0], -vec3[1], vec3[2]])
@@ -365,18 +279,17 @@ class MoserChart:
         return chart_to_stereo(-p, q - self._center)
 
     def to_physical(self, xi, eta):
-        """(xi, eta) -> rotating-frame (q, p); north pole has no image.
+        """(xi, eta) -> rotating-frame (q, p): all six physical_rows;
+        north pole has no image.
 
         (4,) inputs give a (6,) state; (4, m) inputs give (6, m) states.
         """
-        x, y = stereo_to_chart(xi, eta)
-        q = self._to_relabeled((y.T + self._center).T)
-        p = self._to_relabeled(-x)
-        return np.concatenate([q, p])
+        return np.array(self.physical_rows([*xi, *eta], range(6)))
 
     def physical_rows(self, z, rows):
-        """Rows ``rows`` of to_physical(z[:4], z[4:8]), bit for bit, each
-        built from only the chart rows it needs (chart_rows): z is indexed
+        """Rows ``rows`` (q1..q3, p1..p3 numbered 0..5) of the
+        rotating-frame state at the chart state z, each built from only
+        the chart rows it needs (chart_rows): z is indexed
         by chart row (xi0..xi3, eta0..eta3), its entries arrays of the same
         shape, and only those entries are read.  Returns the list of rows;
         the north pole has no image."""
@@ -448,14 +361,26 @@ class MoserChart:
         return (1.0 - xi[0]) * math.sqrt(float(np.asarray(eta) @ np.asarray(eta)))
 
     def fbM(self, xi, eta, c):
-        return _fbM(np.asarray(xi, float), np.asarray(eta, float), c, self.nu)
+        """f, b, M of the chart at energy c, with f = 1 + (1 - xi0) b + M:
+        b carries the attraction of the other primary (mass 1 - nu, at
+        chart position (1, 0, 0)), M the magnetic pairing.  f is the one
+        _q_gradient computes; raises SecondaryCollisionError at the other
+        primary."""
+        v = np.concatenate([xi, eta]).tolist()
+        _, _, f, d = _q_gradient(v, c, self.nu)
+        x0, x1, x2, _, _, e1, e2, _ = v
+        other = 1.0 - self.nu
+        b = -(c + 0.5) - other / d
+        M = (1.0 - x0) * (x2 * e1 - x1 * e2) - x2 * other
+        return f, b, M
 
     def Q(self, xi, eta, c):
+        """The regularized Hamiltonian f^2 |eta|^2 / 2 at energy c."""
         f, _, _ = self.fbM(xi, eta, c)
         return 0.5 * f * f * float(np.asarray(eta) @ np.asarray(eta))
 
     def q_level(self):
-        """Value of Q corresponding to H = c: g^2 / 2."""
+        """Value of Q corresponding to H = c: nu^2 / 2."""
         return 0.5 * self.nu ** 2
 
     def field(self, z, c):

@@ -219,6 +219,30 @@ def test_stepper_failures_stay_with_their_member():
             assert np.max(np.abs(s - s2)) < 1e-11
 
 
+@pytest.mark.parametrize("lane", [True, False])
+def test_non_finite_start_or_energy_fails_alone(lane, monkeypatch):
+    # a member with a NaN start or energy raises ConfigError before any
+    # leg, on the lane and on the float step, and the others keep their
+    # bits
+    if lane:
+        monkeypatch.setattr(flows, "_ARRAY_MIN_ROWS", 2)
+    mu = 1e-3
+    s0, s1 = sample_shell_states(mu, C_TEST, 2, np.random.default_rng(34),
+                                 component="earth")
+    nan_start = s0.copy()
+    nan_start[4] = np.nan
+    good = integrate_many([s0, s1], mu, CFG, [1.0, 1.0], [C_TEST] * 2)
+    mixed = integrate_many([s0, nan_start, s0, s1], mu, CFG, [1.0] * 4,
+                           [C_TEST, C_TEST, np.nan, C_TEST])
+    assert isinstance(mixed[1], ConfigError)
+    assert isinstance(mixed[2], ConfigError)
+    for a, b in zip(good, (mixed[0], mixed[3])):
+        assert _same_flight(a, b)
+    with pytest.raises(ConfigError):
+        integrate((np.full(4, np.nan), np.zeros(4)), mu, CFG, 1.0, c=C_TEST,
+                  start_chart="moon")
+
+
 def test_batch_below_the_threshold_has_the_bits_of_the_lane(monkeypatch):
     # a batch of flows._ARRAY_MIN_ROWS members shares the lane; one member
     # fewer flies member by member on the float step, with the same bits
@@ -612,6 +636,39 @@ def test_filled_coefficients_are_the_eager_ones(leg, seed):
     for filled in (one, times, whole):
         assert filled.F.tobytes() == eager.tobytes()
         assert filled._pending is None
+
+
+def test_array_fill_keeps_a_sum_of_negative_zeros_negative():
+    # a stage sum whose terms are all -0.0 is -0.0 on the floats, which
+    # multiply only the nonzero weights; the array pass also adds stages
+    # 1-4 at weight 0, so it has the floats' bits only while it holds
+    # them as -0.0.  Every D row mixes signs, so the zeros are chosen for
+    # D row 0: each logged stage and f(y_new) is the zero that its weight
+    # turns into a -0.0 term, and so is each interpolant stage, which a
+    # stateful field returns in turn (-0.0, +0.0, +0.0 for stages 13-15)
+    n = 6
+    zero = np.copysign(0.0, -flows.dop.D[0])
+    assert np.signbit(zero[13:]).tolist() == [True, False, False]
+    h = 0.1
+    y, y_new = np.linspace(0.5, 1.0, n), np.linspace(0.7, 1.3, n)
+    K = np.repeat(zero[list(flows._DENSE_STAGES)], n)
+    f_new = np.full(n, zero[flows._STAGES])
+
+    def stages():
+        it = iter(zero[13:].tolist())
+        return lambda: next(it)
+
+    stage = stages()
+    want = flows._dop853_dense(n)(
+        lambda t, v: [stage()] * n, 0.0, y.tolist(), y_new.tolist(), h,
+        K.tolist(), f_new.tolist())
+    stage = stages()
+    got = flows._fill_rows(
+        np.concatenate([[0.0, h, h], y, K])[None],
+        np.concatenate([y_new, f_new])[None],
+        lambda Y: (np.full(Y.shape, stage()), np.zeros(len(Y), dtype=bool)))
+    assert np.signbit(got[0, 3]).all()
+    assert got.tobytes() == np.reshape(want, (1, 7, n)).tobytes()
 
 
 def test_array_fill_calls_no_counted_field(monkeypatch):

@@ -66,6 +66,49 @@ def test_options_a_command_does_not_read_are_refused(argv):
     assert exc.value.code == 1
 
 
+def _exit_code(argv):
+    """main's exit code, whether it returns it or argparse raises it."""
+    try:
+        return run(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [
+    # these hung: a NaN start's step loop, NaN page states, a zero step
+    ["integrate", "--state", "nan,0,0,0,0.9,0"],
+    ["section-scan", "--mu", "1e-3", "--c", "nan", "--n", "2"],
+    ["continue", "--mu", "0", "--c", "-1.7", "--target", "1e-2",
+     "--step", "0"],
+    # these printed a traceback
+    ["integrate", "--state", "0.5,0,0,0,0.9,0", "--n", "-1"],
+    ["section-scan", "--c", "-1.7", "--n", "-2"],
+    ["section-scan", "--mode", "ellipsoid", "--ellipsoid-b", "-1"],
+    ["find-orbit", "--c", "nan"],
+    ["integrate", "--state", "1,2,x,4,5,6"],
+    ["section-scan", "--c", "-1.7", "--seed", "-1"],
+    # these ran on the bad value
+    ["continue", "--mu", "0", "--c", "-1.7", "--target", "nan"],
+    ["hill", "--c", "nan"],
+    ["find-orbit", "--mu", "0", "--c", "-1.75", "--tol", "-1"],
+    ["integrate", "--state", "0.5,0,0,0,0.9,0", "--tf", "inf"],
+])
+def test_bad_input_exits_one_at_once(argv, capsys):
+    t0 = time.perf_counter()
+    assert _exit_code(argv) == 1
+    assert time.perf_counter() - t0 < 1.0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--mu", "1e-3", "--state", "0.5,0,0,0,0.9,0", "--tf", "-2",
+     "--n", "3"],
+    ["section-scan", "--mu", "1e-3", "--c", "-1.7", "--n", "0"],
+])
+def test_backward_flight_and_empty_scan_run(argv, tmp_path):
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 0
+
+
 def test_byte_stable_outputs(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for out in (a, b):

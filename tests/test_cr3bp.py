@@ -13,13 +13,11 @@ from scipy.integrate import solve_ivp
 from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
                                 check_assumptions, cr3bp_stark_zeeman,
                                 effective_potential,
-                                grad_effective_potential,
                                 equilibrium_momentum, hamiltonian,
                                 hamiltonian_gradient, hill_components,
                                 hill_membership, lagrange_points, primaries,
                                 sample_page_states, sample_shell_states,
-                                validate_mu,
-                                vector_field, vector_field_ode)
+                                validate_mu, vector_field_ode)
 from sectionscope.errors import ConfigError
 from sectionscope.flows import _rot_field_rows
 
@@ -67,7 +65,7 @@ def test_vector_field_matches_fd_gradient():
         s = rng.normal(size=6) * 1.5
         if min(np.linalg.norm(s[:3] - p) for p in primaries(mu)) < 0.2:
             continue
-        field = vector_field(s, mu)
+        field = vector_field_ode(0.0, s, mu)
         fd = np.empty(6)
         for i in range(6):
             e = np.zeros(6)
@@ -83,7 +81,7 @@ def test_field_vanishes_at_lagrange_points():
         lp = lagrange_points(mu)
         for q in lp.points:
             s = np.concatenate([q, equilibrium_momentum(q)])
-            assert np.linalg.norm(vector_field(s, mu)) < 1e-10
+            assert np.linalg.norm(vector_field_ode(0.0, s, mu)) < 1e-10
 
 
 def test_circular_orbit_stays_on_unit_circle():
@@ -115,6 +113,12 @@ def test_effective_potential_values_and_bound():
         effective_potential(q, 0.3), abs=1e-14)
 
 
+def _grad_u(q, mu):
+    """grad U(q): the q-rows of grad H at the equilibrium momentum."""
+    return hamiltonian_gradient(
+        np.concatenate([q, equilibrium_momentum(q)]), mu)[:3]
+
+
 def test_effective_potential_gradient_fd():
     rng = np.random.default_rng(5)
     h = 1e-6
@@ -123,7 +127,7 @@ def test_effective_potential_gradient_fd():
         mu = rng.uniform(0.1, 0.9)
         if min(np.linalg.norm(q - p) for p in primaries(mu)) < 0.2:
             continue
-        g = grad_effective_potential(q, mu)
+        g = _grad_u(q, mu)
         for i in range(3):
             e = np.zeros(3)
             e[i] = h
@@ -181,7 +185,7 @@ def test_triangular_points_are_critical_points(mu):
     # there to rounding, with no Newton polish
     for sign in (1.0, -1.0):
         q = _triangular_point(mu, sign)
-        assert np.linalg.norm(grad_effective_potential(q, mu)) <= 1e-14
+        assert np.linalg.norm(_grad_u(q, mu)) <= 1e-14
 
 
 def test_hill_membership():
@@ -398,14 +402,14 @@ def test_central_jacobian_evaluation_order():
 @given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
        st.floats(0.0, 1.0))
 def test_vector_field_matches_lane_rows_bitwise(state, mu):
-    # a lone leg's field (a list) and the public one (an array) are the
+    # the field on a list (a lone leg's) and on an array are the
     # lockstep lane's row, bit for bit
     state = np.array(state)
     if min(np.linalg.norm(state[:3] - p) for p in primaries(mu)) < 1e-3:
         return
     rows, collided = _rot_field_rows(state[None], mu)
     assert not collided[0]
-    assert vector_field(state, mu).tobytes() == rows[0].tobytes()
+    assert vector_field_ode(0.0, state, mu).tobytes() == rows[0].tobytes()
     as_list = vector_field_ode(0.0, state.tolist(), mu)
     assert type(as_list) is list
     assert np.array(as_list).tobytes() == rows[0].tobytes()

@@ -15,7 +15,6 @@ from sectionscope.errors import (ConfigError, ConvergenceError, FoldDetected,
 from sectionscope import orbits
 from sectionscope.flows import IntegratorConfig, flight_jacobian, integrate
 from sectionscope.orbits import (_classify_spatial, _half_orbit_p1,
-                                 classify_rotation,
                                  continue_family, find_periodic_point,
                                  find_symmetric_planar_orbit,
                                  floquet_multipliers,
@@ -89,7 +88,6 @@ def test_symmetric_planar_circular_orbit_kepler():
     assert orbit.representative[0] == pytest.approx(0.25, abs=1e-10)
     assert orbit.representative[4] == pytest.approx(-2.0, abs=1e-9)
     assert orbit.period == pytest.approx(2.0 * math.pi / 9.0, abs=1e-9)
-    assert orbit.rotation == "retrograde"
     assert orbit.residual < 1e-8
 
 
@@ -112,8 +110,6 @@ def test_earth_moon_branches_retrograde_and_direct():
     m1 = mu - 1.0
     retro = find_symmetric_planar_orbit(c, mu, m1 + 0.05, branch=-1, cfg=cfg)
     direct = find_symmetric_planar_orbit(c, mu, m1 + 0.05, branch=+1, cfg=cfg)
-    assert retro.rotation == "retrograde"
-    assert direct.rotation == "direct"
     assert retro.residual < 1e-9 and direct.residual < 1e-9
     assert abs(retro.period - direct.period) > 0.1  # genuinely distinct
 
@@ -167,18 +163,6 @@ def test_symmetric_shooting_flies_each_half_orbit_once(seed, monkeypatch):
     assert len(calls) == 2 + 2 * steps + 1
 
 
-def test_classify_rotation_moon_centered():
-    # a tight loop around the Moon has a global angular-momentum average
-    # dominated by the frame term; the primary-centered value decides
-    cfg = IntegratorConfig(max_time=3.0)
-    mu = EARTH_MOON_MU
-    c = lagrange_points(mu).energies[0] - 0.05
-    orbit = find_symmetric_planar_orbit(c, mu, mu - 1.0 + 0.05, branch=-1,
-                                        cfg=cfg)
-    traj = integrate(orbit.representative, mu, cfg, orbit.period, c=c)
-    assert classify_rotation(traj) == "retrograde"
-
-
 def test_continuation_to_small_mass_ratio():
     cfg = IntegratorConfig(max_time=5.0)
     seed = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,
@@ -203,6 +187,15 @@ def test_continuation_requires_converged_seed():
                      residual=1e-3)
     with pytest.raises(ConfigError):
         continue_family(bad, "mu", 1e-2, 1e-3, cfg=cfg)
+
+
+@pytest.mark.parametrize("step", [0.0, math.nan])
+def test_continuation_refuses_a_step_that_cannot_move(step):
+    # a zero step would re-solve the same member forever
+    seed = orbits.PeriodicOrbit(representative=np.zeros(6), period=1.0,
+                                energy=C_TEST, mu=0.0, residual=0.0)
+    with pytest.raises(ConfigError, match="step"):
+        continue_family(seed, "mu", 1e-2, step)
 
 
 def _timing_out_corrector(monkeypatch, failures):
