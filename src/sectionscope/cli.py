@@ -457,15 +457,29 @@ def _parser():
     return build_parser()
 
 
+def _joined_state(argv):
+    """argv with each ``--state V`` whose V starts with '-' as
+    ``--state=V``: argparse takes such a V, a comma list and so not a
+    plain negative number, for an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--state" and arg.startswith("-"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
+    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_joined_state(argv))
     except SystemExit as exc:
         # argparse uses code 2 for bad usage; remap to the config exit code
         if exc.code not in (0, None):
             raise SystemExit(EXIT_CONFIG)
         raise
-    args.argv = list(sys.argv[1:] if argv is None else argv)
+    args.argv = argv
     try:
         return args.fn(args)
     except ConfigError as exc:

@@ -96,24 +96,23 @@ def vector_field_ode(t, state, mu):
     return _rot_rhs(state, mu)[0]
 
 
-def _rot_rhs(v, mu, sqrt=math.sqrt):
-    """Rotating vector field at v = [q1, q2, q3, p1, p2, p3]: a list of 6
-    values, and the distances to the Moon and to the Earth.
+def _rot_rhs(v, mu):
+    """Rotating vector field at v = [q1, q2, q3, p1, p2, p3], 6 floats:
+    the field as a list of 6 floats, and the distances to the Moon and to
+    the Earth.  Raises CollisionError within COLLISION_THRESHOLD of either
+    primary.
 
-    The one copy of the field, for the one-leg solves and the rows of the
-    lockstep lane alike, so that a lone leg equals a lane row bit for
-    bit.  On floats it raises CollisionError within COLLISION_THRESHOLD
-    of either primary; with sqrt=np.sqrt the same formula runs
-    elementwise on arrays (no collision check).
+    The field of the one-leg solves.  The lockstep lane's array form
+    (flows._rot_field_rows) runs the same operations in the same order,
+    so a lone leg equals a lane row bit for bit; a test pins the two.
     """
     q1, q2, q3, p1, p2, p3 = v
     dx_m = q1 - (mu - 1.0)
     dx_e = q1 - mu
     r2 = q2 * q2 + q3 * q3
-    dm = sqrt(dx_m * dx_m + r2)
-    de = sqrt(dx_e * dx_e + r2)
-    if sqrt is math.sqrt and (dm < COLLISION_THRESHOLD
-                              or de < COLLISION_THRESHOLD):
+    dm = math.sqrt(dx_m * dx_m + r2)
+    de = math.sqrt(dx_e * dx_e + r2)
+    if dm < COLLISION_THRESHOLD or de < COLLISION_THRESHOLD:
         raise CollisionError("state within collision threshold of a primary")
     km = mu / (dm * dm * dm)
     ke = (1.0 - mu) / (de * de * de)

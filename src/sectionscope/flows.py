@@ -31,8 +31,8 @@ computed inline only on a step where an event changes sign, otherwise
 when a read of the segment first needs it (see DenseOutput): on floats
 by a second generated function for a read that fills fewer than
 _ARRAY_MIN_ROWS steps (a one-step read, say), and otherwise in one
-numpy pass over the steps as rows (_fill_rows, with the lane's
-_dense_coeffs), which gives the same bits.  A lane
+numpy pass over the steps, laid out as the lane's (_fill_rows, with the
+lane's _wsum and _dense_coeffs), which gives the same bits.  A lane
 computes every accepted step's interpolant in its iteration, so its
 legs arrive filled.  A collision in an interpolant stage raises
 CollisionError at the same point on all of them: in the flight on a
@@ -760,10 +760,11 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     raises there: ``field`` on floats (default fun), step by step, or,
     for a read that fills at least _ARRAY_MIN_ROWS steps, ``field_rows``
     in one array pass (_fill_rows).  field_rows(Y) gives the field at each
-    row of Y (m, d), the bits of ``field``, and the mask of the rows where
-    ``field`` raises; a pass with a row in the mask leaves the fill to
-    the floats, which raise at the first such step.  nfev counts the calls
-    of fun.  An error raised by fun propagates.
+    state of Y (d, m), component-major, the bits of ``field``, and the
+    mask of the states where ``field`` raises; a pass with a state in the
+    mask leaves the fill to the floats, which raise at the first such
+    step.  nfev counts the calls of fun.  An error raised by fun
+    propagates.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).tolist()
@@ -1171,38 +1172,82 @@ def _safe_physical(ch, z):
 # --- the lockstep DOP853 for rotating-chart legs ---
 #
 # A per-leg transcription of scipy's RungeKutta._step_impl, DOP853 error
-# norm and dense output, and of solve_ivp's event handling, on a (legs, 6)
-# state array.  A leg's step is rejected, retried and accepted on its own;
-# its stage sums run over the stage axis elementwise and every reduction
-# runs along the leg's own row, so its arithmetic is the same whatever
-# the other rows are and whenever it joins -- and the same as solve_ivp's
-# on floats.  Powers are taken on Python floats: numpy's may round
-# differently.
+# norm and dense output, and of solve_ivp's event handling, for the live
+# legs of a lane.  Its arrays are component-major: a leg is one column of
+# the states (6, legs) and of the stage stack (16, 6, legs), so each
+# component is a contiguous row and each numpy call runs over every leg.
+# A leg's step is rejected, retried and accepted on its own; its stage
+# sums run over the stage axis elementwise and every reduction runs down
+# the leg's own column, component by component, so its arithmetic is the
+# same whatever the other legs are and whenever it joins -- and the same
+# as solve_ivp's on floats.  Powers are taken on Python floats: numpy's
+# may round differently.
 
 
-def _rot_field_rows(Y, mu):
-    """Rotating vector field of each row of Y (m, 6), the float field's
-    formula run elementwise, and the mask of rows within the collision
-    threshold of a primary."""
-    f, dm, de = _rot_rhs(Y.T, mu, np.sqrt)
-    return np.array(f).T, np.minimum(dm, de) < COLLISION_THRESHOLD
+def _rot_field_rows(Y, mu, out=None):
+    """Rotating vector field of the lane rows Y (6, m), component-major
+    (row i is the state Y[:, i]), written to out (default a new array):
+    returns out and the mask of the rows within the collision threshold of
+    a primary, where _rot_rhs on floats raises (a NaN distance does not
+    flag).
+
+    _rot_rhs's operations in its order, elementwise, so each row has the
+    bits of _rot_rhs on its floats; both primaries' distance terms are
+    one (2, m) array, the Moon's first."""
+    pos, mass = _primary_columns(mu)
+    q1, q2, p1, p2 = Y[0], Y[1], Y[3], Y[4]
+    if out is None:
+        out = np.empty(Y.shape)
+    dx = q1 - pos
+    q23 = Y[1:3] * Y[1:3]
+    d = dx * dx
+    d += q23[0] + q23[1]
+    np.sqrt(d, out=d)
+    k = d * d
+    k *= d
+    np.divide(mass, k, out=k)
+    kdx = k * dx
+    np.add(p1, q2, out=out[0])
+    np.subtract(p2, q1, out=out[1])
+    out[2] = Y[5]
+    np.subtract(p2, kdx[0] + kdx[1], out=out[3])
+    kq = (k[1] + k[0]) * Y[1:3]
+    kq[0] += p1
+    np.negative(kq, out=out[4:])
+    return out, np.minimum(d[0], d[1]) < COLLISION_THRESHOLD
 
 
-def _wsum(w, K):
-    """sum_s w[s] K[s] over the leading (stage) axis, added in stage
-    order from -0.0.  Zero weights are kept: a term 0.0 * K[s] is a signed
-    zero, which changes no nonzero sum (see the float step), and gathering
-    the nonzero stages costs more than multiplying the zero ones."""
-    return np.add.reduce(w[:, None, None] * K[:len(w)], axis=0,
-                         initial=-0.0)
+@functools.lru_cache(maxsize=16)
+def _primary_columns(mu):
+    """The primaries' x positions and masses as columns (2, 1), the
+    Moon's first, read-only."""
+    cols = np.array([[mu - 1.0], [mu]]), np.array([[mu], [1.0 - mu]])
+    for c in cols:
+        c.flags.writeable = False
+    return cols
 
 
-def _sum_sq(X):
-    """Sum of squares of each row, added column by column."""
-    s = X[:, 0] * X[:, 0]
-    for j in range(1, X.shape[1]):
-        s = s + X[:, j] * X[:, j]
-    return s
+def _cols(w):
+    """Weights w (..., n) as columns (..., n, 1, 1), which broadcast over
+    a component-major stage stack (n, d, m)."""
+    return np.asarray(w, dtype=float)[..., None, None]
+
+
+_A_COLS = [_cols(dop.A[s, :s]) for s in range(16)]
+_B_COLS = _cols(dop.B)
+_E_COLS = _cols([dop.E5[:_STAGES], dop.E3[:_STAGES]])
+_D_COLS = _cols(dop.D)
+
+
+def _wsum(w, K, out=None):
+    """sum_s w[..., s] K[s] over the stage stack K (>= n, d, m), added in
+    stage order from -0.0, with w the weight columns (..., n, 1, 1) of one
+    or more sums (see _cols); written to out when given.  Zero weights are
+    kept: a term 0.0 * K[s] is a signed zero, which changes no nonzero sum
+    (see the float step), and gathering the nonzero stages costs more than
+    multiplying the zero ones."""
+    return np.add.reduce(w * K[:w.shape[-3]], axis=-3, initial=-0.0,
+                         out=out)
 
 
 def _pow(x, p):
@@ -1211,50 +1256,64 @@ def _pow(x, p):
 
 
 class _Rows:
-    """The live legs of a lane: parallel arrays, one row each."""
+    """The live legs of a lane: parallel arrays, one leg per index of
+    their last axis."""
 
     def __init__(self, **arrays):
         self.__dict__.update(arrays)
 
     def drop(self, mask):
         for name, arr in vars(self).items():
-            setattr(self, name, arr[~mask])
+            setattr(self, name, arr[..., ~mask])
 
     def extend(self, other):
         for name, arr in vars(self).items():
-            setattr(self, name, np.concatenate([arr, getattr(other, name)]))
+            setattr(self, name, np.concatenate([arr, getattr(other, name)],
+                                               axis=-1))
 
 
 def _rk_stages(y, f, h, mu):
-    """All 16 DOP853 stages of a step of every row: the 12 of the step,
-    f(y_new) and the 3 of the dense output.  Returns (K, y_new, and the
-    rows that hit a collision in the step, in f(y_new) and in the
-    interpolant's stages; the last two count only if the step is
-    accepted)."""
-    hc = h[:, None]
+    """All 16 DOP853 stages of a step of every lane row: the 12 of the
+    step, f(y_new) and the 3 of the dense output.  y and f are (6, m);
+    returns (K (16, 6, m), y_new (6, m), and the rows that hit a collision
+    in the step, in f(y_new) and in the interpolant's stages; the last two
+    count only if the step is accepted).  Each stage state is formed in
+    one buffer, and its field is written to its slot of K."""
     K = np.empty((16,) + y.shape)
     K[0] = f
-    bad = np.zeros(len(y), dtype=bool)
-    for s in range(1, _STAGES):
-        K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
-        bad |= b
-    y_new = y + hc * _wsum(dop.B, K)
-    K[_STAGES], bad_new = _rot_field_rows(y_new, mu)
-    bad_dense = np.zeros(len(y), dtype=bool)
-    for s in range(_STAGES + 1, 16):
-        K[s], b = _rot_field_rows(y + _wsum(dop.A[s, :s], K) * hc, mu)
-        bad_dense |= b
+    Y = np.empty(y.shape)
+
+    def stage(s):
+        np.multiply(_wsum(_A_COLS[s], K, Y), h, out=Y)
+        return _rot_field_rows(np.add(Y, y, out=Y), mu, K[s])[1]
+
+    bad = stage(1)
+    for s in range(2, _STAGES):
+        bad |= stage(s)
+    y_new = _wsum(_B_COLS, K)
+    y_new *= h
+    y_new += y
+    bad_new = _rot_field_rows(y_new, mu, K[_STAGES])[1]
+    bad_dense = stage(_STAGES + 1)
+    for s in range(_STAGES + 2, 16):
+        bad_dense |= stage(s)
     return K, y_new, bad, bad_new, bad_dense
 
 
 def _error_norm(K, y, y_new, h_abs, cfg):
-    """DOP853's error norm (E5 with the E3 correction) of every row; its
-    weights of f(y_new) are zero and are left out."""
+    """DOP853's error norm (E5 with the E3 correction) of every lane row,
+    the squares added component by component; its weights of f(y_new)
+    are zero and are left out."""
     scale = cfg.tol + np.maximum(np.abs(y), np.abs(y_new)) * cfg.tol
-    e5 = _sum_sq(_wsum(dop.E5[:_STAGES], K) / scale)
-    e3 = _sum_sq(_wsum(dop.E3[:_STAGES], K) / scale)
+    e = _wsum(_E_COLS, K)
+    e /= scale
+    e *= e
+    sq = e[:, 0] + e[:, 1]
+    for j in range(2, len(y)):
+        sq += e[:, j]
+    e5, e3 = sq
     return np.where((e5 == 0) & (e3 == 0), 0.0,
-                    h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * y.shape[1]))
+                    h_abs * e5 / np.sqrt((e5 + 0.01 * e3) * len(y)))
 
 
 def _step_factor(err, rejected):
@@ -1270,16 +1329,14 @@ def _step_factor(err, rejected):
 
 
 def _dense_coeffs(K, y, y_new, h):
-    """Dop853DenseOutput's coefficients F (m, 7, d) of the steps from the
-    rows y (m, d) over h to y_new, K their 16 stages."""
-    hc = h[:, None]
-    dy = y_new - y
-    F = np.empty((len(y), 7, y.shape[1]))
-    F[:, 0] = dy
-    F[:, 1] = hc * K[0] - dy
-    F[:, 2] = 2 * dy - hc * (K[_STAGES] + K[0])
-    for r in range(4):
-        F[:, 3 + r] = hc * _wsum(dop.D[r], K)
+    """Dop853DenseOutput's coefficients F (7, d, m) of the steps from the
+    rows y (d, m) over h (m,) to y_new, component-major, K (16, d, m)
+    their stages."""
+    F = np.empty((7,) + y.shape)
+    dy = np.subtract(y_new, y, out=F[0])
+    F[1] = h * K[0] - dy
+    F[2] = 2 * dy - h * (K[_STAGES] + K[0])
+    np.multiply(h, _wsum(_D_COLS, K), out=F[3:])
     return F
 
 
@@ -1288,8 +1345,8 @@ def _fill_rows(rec, nxt, field_rows):
     pass, or None where one of their interpolant stages collides: rec
     holds the steps' log rows (see solve_ivp), nxt the next rows' y_old
     and k0, which are each step's y_new and f(y_new).  field_rows(Y)
-    gives the field at the rows Y and the mask of the rows where it
-    collides.
+    gives the field at the states Y (n, m), component-major, and the mask
+    of the states where it collides.
 
     F has the bits of the float dense function: a stage sum runs over its
     terms alone, those of nonzero weight (a lane's keeps the zero ones,
@@ -1297,17 +1354,17 @@ def _fill_rows(rec, nxt, field_rows):
     stages 1-4, which D weighs by zero: they are -0.0 here, so each term
     0.0 * -0.0 is -0.0 and changes no sum."""
     m, n = len(rec), nxt.shape[1] // 2
-    y, h = rec[:, 3:3 + n], rec[:, 1]
-    hc = h[:, None]
-    K = np.full((16, m, n), -0.0)
-    K[list(_DENSE_STAGES)] = rec[:, 3 + n:].reshape(m, -1, n).swapaxes(0, 1)
-    K[_STAGES] = nxt[:, n:]
+    y, h = rec[:, 3:3 + n].T, rec[:, 1]
+    K = np.full((16, n, m), -0.0)
+    K[list(_DENSE_STAGES)] = rec[:, 3 + n:].reshape(m, -1, n).transpose(
+        1, 2, 0)
+    K[_STAGES] = nxt[:, n:].T
     with np.errstate(all="ignore"):
         for s, w in _DENSE_TERMS:
-            K[s], bad = field_rows(y + _wsum(dop.A[s, w], K[w]) * hc)
+            K[s], bad = field_rows(y + _wsum(_cols(dop.A[s, w]), K[w]) * h)
             if bad.any():
                 return None
-        return _dense_coeffs(K, y, nxt[:, :n], h)
+        return _dense_coeffs(K, y, nxt[:, :n].T, h).transpose(2, 0, 1)
 
 
 def _member_events(events, act, t_old, t_new, h, y_old, F, hits):
@@ -1359,7 +1416,7 @@ class _Lane:
     def __init__(self, events, mu, cfg):
         self.events, self.mu, self.cfg = events, mu, cfg
         # solve_ivp's event directions: which sign changes fire each event
-        ev_dir = np.array([ev.direction for ev in events])
+        ev_dir = np.array([ev.direction for ev in events])[:, None]
         self.fires_up, self.fires_down = ev_dir >= 0, ev_dir <= 0
         self.queue = []             # (member, _LegRequest) waiting to join
         self.rows = None
@@ -1385,8 +1442,9 @@ class _Lane:
         return ended
 
     def _eval_events(self, y):
-        return np.array([ev.fn(y.T) for ev in self.events]).reshape(
-            len(self.events), len(y)).T
+        """The event values (events, m) at the states y (6, m)."""
+        return np.array([ev.fn(y) for ev in self.events]).reshape(
+            len(self.events), y.shape[1])
 
     def _splice(self):
         """Start the queued legs: each new row gets its field, event
@@ -1412,6 +1470,7 @@ class _Lane:
             return out
         members, y, f, t, t_bound, d, h_abs = map(np.array, zip(*starts))
         n = len(members)
+        y, f = np.ascontiguousarray(y.T), np.ascontiguousarray(f.T)
         new = _Rows(gid=members, y=y, f=f, t=t, t0=t.copy(),
                     t_bound=t_bound, d=d, h_abs=h_abs,
                     g=self._eval_events(y),
@@ -1458,59 +1517,70 @@ class _Lane:
         m.h_abs = np.abs(h) * _step_factor(err, m.rej)
         m.rej = ~accept
         bad |= accept & bad_new
-        a = np.nonzero(accept & ~bad)[0]
+        a = np.flatnonzero(accept & ~bad)
+        # the accepted columns, gathered unless they are all of them
+        cols = slice(None) if a.size == len(h) else a
 
         # events: solve_ivp's find_active_events on every new state
-        g_new = self._eval_events(y_new[a])
-        g_old = m.g[a]
+        g_new = self._eval_events(y_new[:, cols])
+        g_old = m.g[:, cols]
         active = (((g_old <= 0) & (g_new >= 0) & self.fires_up)
                   | ((g_old >= 0) & (g_new <= 0) & self.fires_down))
         # a collision in an interpolant stage fails a step whose event
         # roots read the interpolant at once, as in solve_ivp; any other
         # step is logged with it, and a read of that step raises
         if bad_dense.any():
-            failed = bad_dense[a] & active.any(axis=1)
+            failed = bad_dense[a] & active.any(axis=0)
             bad[a[failed]] = True
-            a, g_new, active = a[~failed], g_new[~failed], active[~failed]
+            a, g_new, active = a[~failed], g_new[:, ~failed], \
+                active[:, ~failed]
+            cols = a
 
-        # commit the accepted steps
-        t_old, y_old = m.t[a], m.y[a]
-        t_node, h_a, y_a = t_new[a], h[a], y_new[a]
-        F = _dense_coeffs(K[:, a], y_old, y_a, h_a)
-        m.t[a], m.y[a], m.f[a] = t_node, y_a, K[_STAGES, a]
-        ended = m.d[a] * (t_node - m.t_bound[a]) >= 0
+        # commit the accepted steps: when every row accepted, the new
+        # arrays replace the old ones, else the accepted columns are
+        # written into them
+        F = _dense_coeffs(K, m.y, y_new, h)
+        if a.size == len(h):
+            t_old, y_old, h_a, t_node = m.t, m.y, h, t_new.copy()
+            m.t, m.y, m.f, m.g = t_new, y_new, K[_STAGES], g_new
+        else:
+            t_old, y_old, h_a, F = m.t[a], m.y[:, a], h[a], F[:, :, a]
+            t_node = t_new[a]
+            m.t[a], m.y[:, a], m.f[:, a] = t_node, y_new[:, a], \
+                K[_STAGES][:, a]
+            m.g[:, a] = g_new
+        ended = m.d[cols] * (t_node - m.t_bound[cols]) >= 0
         stops = {}                  # p -> the terminal event that stopped it
-        n_kept = m.n_steps[a] + 1
-        m.g[a] = g_new
-        for p in np.nonzero(active.any(axis=1))[0]:
+        n_kept = m.n_steps[cols] + 1
+        for p in np.flatnonzero(active.any(axis=0)):
             i = a[p]
-            to, hi, yo, Fp = (float(t_old[p]), float(h[i]),
-                              y_old[p].tolist(), F[p].ravel().tolist())
+            to, hi = float(t_old[p]), float(h_a[p])
+            yo, Fp = y_old[:, p].tolist(), F[:, :, p].ravel().tolist()
             hits = self.hits[m.gid[i]]
             stop = _member_events(
-                self.events, np.nonzero(active[p])[0].tolist(), to,
+                self.events, np.flatnonzero(active[:, p]).tolist(), to,
                 float(t_new[i]), hi, yo, Fp, hits)
             if stop is not None:
                 stops[p] = stop
                 root = t_node[p] = hits[-1][0]
-                m.y[i] = _dense_value((root - to) / hi, Fp, yo)
+                m.y[:, i] = _dense_value((root - to) / hi, Fp, yo)
                 # solve_ivp drops a node that repeats the last one
                 if n_kept[p] > 1 and root == t_old[p]:
                     n_kept[p] -= 1
 
-        k = m.n_steps[a]
+        k = m.n_steps[cols]
         if a.size and k.max() >= self.log.shape[1]:
             self.log = np.concatenate([self.log, np.empty_like(self.log)],
                                       axis=1)
-        rec = np.empty((a.size, _LOG_WIDTH))
-        rec[:, 0], rec[:, 1], rec[:, 2] = t_old, h_a, t_node
-        rec[:, 3:9] = y_old
-        rec[:, 9:-1] = F.reshape(a.size, 7 * 6)
-        rec[:, -1] = bad_dense[a]
-        self.log[m.slot[a], k] = rec
-        m.n_steps[a] = k + 1
+        rec = np.empty((_LOG_WIDTH, a.size))
+        rec[0], rec[1], rec[2] = t_old, h_a, t_node
+        rec[3:9] = y_old
+        rec[9:-1] = F.reshape(7 * 6, a.size)
+        rec[-1] = bad_dense[cols]
+        self.log[m.slot[cols], k] = rec.T
+        m.n_steps[cols] = k + 1
         ended[list(stops)] = True
-        for p in np.nonzero(ended)[0]:
+        for p in np.flatnonzero(ended):
             out.append((m.gid[a[p]], self._leg(a[p], n_kept[p],
                                                stops.get(p))))
         out += [(i, _collided()) for i in m.gid[bad]]
@@ -1526,7 +1596,7 @@ class _Lane:
         m = self.rows
         return _log_leg(0 if stop is None else 1, m.t0[i],
                         self.log[m.slot[i], :n].copy(),
-                        self.hits.pop(m.gid[i]), stop, m.y[i])
+                        self.hits.pop(m.gid[i]), stop, m.y[:, i])
 
     def _leave(self, mask):
         m = self.rows
@@ -1652,7 +1722,7 @@ def _segment_derivatives(flights):
         ch = segs[members[0]][1].moser
         if ch is None:
             def field(Y):
-                return _rot_field_rows(Y, mu)[0]
+                return _rot_field_rows(Y.T, mu)[0].T
 
             def jacobian(Y):
                 return _rot_jacobian_rows(Y, mu)
@@ -1727,7 +1797,7 @@ def flight_jacobian(flights, V, dc=None):
             x = sol(t_end)
             if seg.chart == "rot":
                 x_rows = np.append(x, t_end)                  # (q, p, t)
-                F = np.concatenate([_rot_field_rows(x[None], mu)[0][0],
+                F = np.concatenate([_rot_field_rows(x[:, None], mu)[0][:, 0],
                                     [1.0, 0.0]])
             else:
                 x_rows = x

@@ -194,12 +194,13 @@ def _q_rhs(v, c, nu, sqrt=math.sqrt):
 
 
 def q_rhs_rows(Z, c, nu):
-    """_q_rhs of each row of Z (m, >= 8), run elementwise on arrays: the
-    field (m, 9), the bits of _q_rhs on each row's floats, and the mask of
-    the rows where _q_rhs on floats raises SecondaryCollisionError."""
-    v = list(Z.T[:8])
+    """_q_rhs of each state Z[:, i] of Z (>= 8, m), component-major, run
+    elementwise on arrays: the field (9, m), the bits of _q_rhs on each
+    state's floats, and the mask of the states where _q_rhs on floats
+    raises SecondaryCollisionError."""
+    v = list(Z[:8])
     grad, nsq, _, d = _q_gradient(v, c, nu, np.sqrt)
-    return np.array(_dirac_field(v, grad, nsq, nu, np.sqrt)).T, d < 1e-12
+    return np.array(_dirac_field(v, grad, nsq, nu, np.sqrt)), d < 1e-12
 
 
 def _dirac_field(v, grad, nsq, nu, sqrt):

@@ -486,8 +486,8 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
                        10 ** rng.uniform(-16.0, -13.0, m.gid.size),
                        10 ** rng.uniform(-3.0, 0.3, m.gid.size))
     m.rej = rng.random(m.gid.size) < 0.3
-    before = [(m.gid[p], m.y[p].copy(), m.f[p].copy(), m.t[p], m.h_abs[p],
-               bool(m.rej[p]), m.t_bound[p], m.g[p].copy())
+    before = [(m.gid[p], m.y[:, p].copy(), m.f[:, p].copy(), m.t[p],
+               m.h_abs[p], bool(m.rej[p]), m.t_bound[p], m.g[:, p].copy())
               for p in range(m.gid.size)]
     with np.errstate(all="ignore"):
         ended = dict(lane._iterate())
@@ -512,7 +512,7 @@ def test_float_step_is_a_lane_row_bit_for_bit(width, mu, backward, seed):
             p = live[gid]
             assert not lane.rows.rej[p] and lane.rows.h_abs[p] == h_next
             rec = lane.log[lane.rows.slot[p], 0]
-            got_y, got_hits = lane.rows.y[p], lane.hits[gid]
+            got_y, got_hits = lane.rows.y[:, p], lane.hits[gid]
             assert stop is None
         else:
             sol = leg.sol

@@ -92,6 +92,8 @@ def _exit_code(argv):
     ["hill", "--c", "nan"],
     ["find-orbit", "--mu", "0", "--c", "-1.75", "--tol", "-1"],
     ["integrate", "--state", "0.5,0,0,0,0.9,0", "--tf", "inf"],
+    # a bad state that starts with '-'
+    ["integrate", "--state", "-0.5,0,0,x,0.9,0"],
 ])
 def test_bad_input_exits_one_at_once(argv, capsys):
     t0 = time.perf_counter()
@@ -170,6 +172,20 @@ def test_integrate_jsonl(tmp_path):
     assert len(lines) == 21
     last = json.loads(lines[-1])
     assert last["state"][0] == pytest.approx(1.0, abs=1e-8)
+
+
+def test_negative_leading_state_parses_in_both_spellings(tmp_path):
+    # argparse reads a value that starts with '-' as an option, unless it
+    # is a plain number; a state is a comma list
+    outs = []
+    for state in (["--state", "-0.5,0,0,0,0.9,0"],
+                  ["--state=-0.5,0,0,0,0.9,0"]):
+        outs.append(tmp_path / f"traj{len(outs)}.jsonl")
+        assert run(["integrate", "--mu", "1e-3", *state, "--tf", "0.5",
+                    "--n", "5", "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    header = json.loads(outs[0].read_text().splitlines()[0])
+    assert header["config"]["state"] == [-0.5, 0.0, 0.0, 0.0, 0.9, 0.0]
 
 
 def test_integrate_requires_state(capsys):

@@ -6,11 +6,12 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 
-from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
+from sectionscope.cr3bp import (EARTH_MOON_MU, _rot_rhs,
+                                _triangular_point,
                                 check_assumptions, cr3bp_stark_zeeman,
                                 effective_potential,
                                 equilibrium_momentum, hamiltonian,
@@ -18,7 +19,7 @@ from sectionscope.cr3bp import (EARTH_MOON_MU, _triangular_point,
                                 hill_membership, lagrange_points, primaries,
                                 sample_page_states, sample_shell_states,
                                 validate_mu, vector_field_ode)
-from sectionscope.errors import ConfigError
+from sectionscope.errors import CollisionError, ConfigError
 from sectionscope.flows import _rot_field_rows
 
 from oracles import central_jacobian
@@ -400,16 +401,43 @@ def test_central_jacobian_evaluation_order():
 
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6),
-       st.floats(0.0, 1.0))
-def test_vector_field_matches_lane_rows_bitwise(state, mu):
+       st.floats(0.0, 1.0), st.integers(1, 100), st.integers(0, 2 ** 32 - 1))
+@example([0.5, 0.0, -0.0, 0.0, 0.9, 0.0], 0.0, 100, 0)
+def test_vector_field_matches_lane_rows_bitwise(state, mu, width, seed):
     # the field on a list (a lone leg's) and on an array are the
     # lockstep lane's row, bit for bit
     state = np.array(state)
-    if min(np.linalg.norm(state[:3] - p) for p in primaries(mu)) < 1e-3:
-        return
-    rows, collided = _rot_field_rows(state[None], mu)
-    assert not collided[0]
-    assert vector_field_ode(0.0, state, mu).tobytes() == rows[0].tobytes()
-    as_list = vector_field_ode(0.0, state.tolist(), mu)
-    assert type(as_list) is list
-    assert np.array(as_list).tobytes() == rows[0].tobytes()
+    if min(np.linalg.norm(state[:3] - p) for p in primaries(mu)) >= 1e-3:
+        rows, collided = _rot_field_rows(state[:, None], mu)
+        assert not collided[0]
+        assert vector_field_ode(0.0, state, mu).tobytes() == \
+            rows[:, 0].tobytes()
+        as_list = vector_field_ode(0.0, state.tolist(), mu)
+        assert type(as_list) is list
+        assert np.array(as_list).tobytes() == rows[:, 0].tobytes()
+    # and in a batch of lane rows (the state among them): planar rows with
+    # signed zeros in q3 and p3, rows around a primary, some within the
+    # collision threshold, and a NaN row.  The mask is set exactly where
+    # the float field raises, so never on the NaN row; mu = 0 has km = 0
+    rng = np.random.default_rng(seed)
+    Y = rng.uniform(-3.0, 3.0, (width, 6))
+    Y[0] = state
+    planar = np.flatnonzero(rng.random(width) < 0.3)
+    Y[planar[:, None], [2, 5]] = rng.choice([0.0, -0.0], (len(planar), 2))
+    near = np.flatnonzero(rng.random(width) < 0.2)
+    u = rng.normal(size=(len(near), 3))
+    Y[near, :3] = (np.c_[rng.choice([mu, mu - 1.0], len(near)),
+                         np.zeros((len(near), 2))]
+                   + u / np.linalg.norm(u, axis=1)[:, None]
+                   * 10 ** rng.uniform(-12.0, -8.0, (len(near), 1)))
+    Y[rng.integers(width)] = np.nan
+    with np.errstate(all="ignore"):
+        field, collided = _rot_field_rows(np.ascontiguousarray(Y.T), mu)
+    for y, f, hit in zip(Y.tolist(), field.T, collided):
+        try:
+            want = _rot_rhs(y, mu)[0]
+        except CollisionError:
+            assert hit
+            continue
+        assert not hit
+        assert np.array(want).tobytes() == f.tobytes()
