@@ -457,13 +457,27 @@ def _parser():
     return build_parser()
 
 
-def _joined_state(argv):
-    """argv with each ``--state V`` whose V starts with '-' as
-    ``--state=V``: argparse takes such a V, a comma list and so not a
-    plain negative number, for an option."""
+@functools.lru_cache(maxsize=1)
+def _valued_options():
+    """The option strings, of every command, that take a value."""
+    out, parsers = set(), [_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.option_strings and action.nargs != 0:
+                out.update(action.option_strings)
+    return out
+
+
+def _joined_values(argv):
+    """argv with each option that takes a value and is followed by an
+    argument V written as ``--opt=V`` where V starts with '-': argparse
+    reads such a V as an option unless it is a plain negative decimal, so
+    ``--c -1.7e0`` and ``--state -0.5,0,0,0,0.9,0`` would not parse."""
     out = []
     for arg in argv:
-        if out and out[-1] == "--state" and arg.startswith("-"):
+        if out and out[-1] in _valued_options() and arg.startswith("-"):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -473,7 +487,7 @@ def _joined_state(argv):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = _parser().parse_args(_joined_state(argv))
+        args = _parser().parse_args(_joined_values(argv))
     except SystemExit as exc:
         # argparse uses code 2 for bad usage; remap to the config exit code
         if exc.code not in (0, None):

@@ -39,7 +39,13 @@ CollisionError at the same point on all of them: in the flight on a
 step where an event changes sign, otherwise at every read of the step
 (the lane leaves such a step pending).
 ``flight_jacobian`` differentiates finished flights' accepted steps, the
-steps of all segments in one field at once.
+steps of all segments in one field at once, without flying anything: in
+the rotating chart it recomputes the stages with the field (a lane's leg
+logs none) and differentiates them through the potential's Hessian; in a
+Moser chart it reads them from the stay's own step log, which holds all
+twelve stages of every step, and runs the field only for the last step's
+three dense-output stages.  Each segment's step derivatives are then
+multiplied in a pairwise tree.
 """
 
 import functools
@@ -62,8 +68,8 @@ from .errors import (
     SectionScopeError,
     StepSizeUnderflow,
 )
-from .regularize import (_CS_STEP, MoserChart, _q_field, _q_gradient,
-                         _q_rhs, chart_rows, constraint_residual,
+from .regularize import (_CS_STEP, MoserChart, _q_gradient, _q_rhs,
+                         chart_rows, constraint_residual,
                          project_constraints, project_constraints_jacobian,
                          q_field_jacobian_rows, q_rhs_rows)
 
@@ -148,9 +154,14 @@ class DenseOutput:
     within the collision threshold of a primary.  A lane's fill raises it
     for a step whose stage did.  A step whose fill raised stays pending,
     so every read of it raises.
+
+    ``stages()``, where given (a solve_ivp leg's), returns the steps'
+    logged stages as arrays: y_old (d, n), all twelve stages of every
+    step (12, d, n), and the last step's y_new and f(y_new) (d,).
     """
 
-    def __init__(self, ts, t_old, h, y_old, F, pending=None, fill=None):
+    def __init__(self, ts, t_old, h, y_old, F, pending=None, fill=None,
+                 stages=None):
         self.ts = np.asarray(ts, dtype=float)
         self.t_old = t_old
         self.h = h
@@ -159,6 +170,7 @@ class DenseOutput:
         self._pending = pending if pending is not None and pending.any() \
             else None
         self._fill = fill
+        self.stages = stages
         self._descending = bool(self.ts[-1] < self.ts[0])
         self._sorted = self.ts[::-1] if self._descending else self.ts
         self._side = "right" if self._descending else "left"
@@ -568,6 +580,11 @@ _DENSE_STAGES = tuple(sorted(
 # reads: those of nonzero weight in row s of A
 _DENSE_TERMS = [(s, np.flatnonzero(dop.A[s, :s]))
                 for s in range(_STAGES + 1, 16)]
+# the stages the interpolant does not read, k1..k4: a step logs them apart
+# from the rows a fill reads, for flight_jacobian alone
+_LOG_ONLY_STAGES = tuple(sorted(set(range(_STAGES)) - set(_DENSE_STAGES)))
+# a step's twelve stages in the order of its log: _DENSE_STAGES, then these
+_LOG_ORDER = list(_DENSE_STAGES + _LOG_ONLY_STAGES)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10.0
 _ERR_EXP = -1.0 / 8.0                   # -1 / (error estimator order + 1)
 _ROOT_TOL = 4 * sys.float_info.epsilon  # solve_ivp's event tolerance
@@ -600,19 +617,21 @@ def _codegen(n):
 def _step_source(n):
     """Source of ``step``, one DOP853 step attempt on n floats.
 
-    step(fun, t, y, f, h_abs, rej, d, t_bound, tol) tries a step
-    of size h_abs in direction d from (t, y) with f = fun(t, y); rej says
-    the last attempt was rejected.  It returns None when the step is
+    step(fun, t, y, f, h_abs, rej, d, t_bound, tol, k14=None) tries a
+    step of size h_abs in direction d from (t, y) with f = fun(t, y); rej
+    says the last attempt was rejected.  It returns None when the step is
     below the minimum, (False, next h_abs) on rejection and (True, next
     h_abs, t_new, h, y_new, f(y_new), K) on acceptance, K the stages of
-    _DENSE_STAGES, flat, for the dense function (_dense_source).  It does
-    A's rows 1-11, B, E5 and E3: 74 products per component.
+    _DENSE_STAGES, flat, for the dense function (_dense_source).  An
+    accepted step appends its other stages, k1..k4, flat, to the list
+    k14 when one is given (for flight_jacobian).  It does A's rows 1-11,
+    B, E5 and E3: 74 products per component.
     """
     terms, ks, stage, row = _codegen(n)
     J = range(n)
     e5, e3 = dop.E5[:_STAGES], dop.E3[:_STAGES]
     lines = [
-        "def step(fun, t, y, f, h_abs, rej, d, t_bound, tol):",
+        "def step(fun, t, y, f, h_abs, rej, d, t_bound, tol, k14=None):",
         "    min_step = 10 * abs(nextafter(t, d * inf) - t)",
         "    if h_abs < min_step:",
         "        if rej:",
@@ -654,6 +673,8 @@ def _step_source(n):
         "    if rej and grow > 1:",
         "        grow = 1.0",
         f"    {ks(_STAGES)}, = fun(t_new, [{row('n{j}')}])",
+        "    if k14 is not None:",
+        f"        k14.append([{', '.join(map(ks, _LOG_ONLY_STAGES))}])",
         f"    return (True, habs * grow, t_new, h, [{row('n{j}')}], "
         f"[{ks(_STAGES)}], [{', '.join(map(ks, _DENSE_STAGES))}])",
     ]
@@ -752,7 +773,9 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     or at the first root of a terminal FlowEvent, whose fn sees the
     state as an array.  Step control, dense output and event handling
     are scipy's, in the operation order of a lockstep lane row.  Each
-    accepted step logs the stages its interpolant reads.  The interpolant
+    accepted step logs the stages its interpolant reads and, apart from
+    them, its other four, which only the dense output's ``stages()``
+    reads (for flight_jacobian).  The interpolant
     itself is computed through fun only on a step where an event changes
     sign, whose roots and terminal state read it.  Every other step is
     left pending and filled when the dense output first reads it, with
@@ -778,10 +801,10 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     nfev = 2
     ev_dir = [ev.direction for ev in events]
     g = [ev.fn(np.array(y)) for ev in events]
-    t0, log, filled, hits, rej = t, [], {}, [], False
+    t0, log, k14, filled, hits, rej = t, [], [], {}, [], False
     status = stop = end = None
     while status is None:
-        out = step(fun, t, y, f, h_abs, rej, d, t_bound, tol)
+        out = step(fun, t, y, f, h_abs, rej, d, t_bound, tol, k14)
         if out is None:
             status = -1
             break
@@ -814,12 +837,14 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
                 if len(log) > 1 and root == t_old:
                     del filled[len(log) - 1]
                     end = log.pop()
+                    k14.pop()
     if status != 1:
         y_end = y
     # the rows: t_old, h, node time, y_old and the stages of
-    # _DENSE_STAGES, k0 first.  A step's y_new and f(y_new) are the next
-    # row's y_old and k0 (first same as last); a last row, ``end``, holds
-    # the last step's.  The reads need the first 3 + n columns as arrays
+    # _DENSE_STAGES, k0 first; k14 holds each step's other four stages.  A
+    # step's y_new and f(y_new) are the next row's y_old and k0 (first
+    # same as last); a last row, ``end``, holds the last step's.  The
+    # reads need the first 3 + n columns as arrays
     m = len(log)
     log.append(end if end is not None else
                [0.0] * 3 + y + f + [0.0] * (n * (len(_DENSE_STAGES) - 1)))
@@ -845,9 +870,18 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
                            row[1], row[3 + n:], nxt[3 + n:3 + 2 * n]))
         return np.reshape(F, (len(k), 7, n))
 
+    def stages():
+        rows = np.array(log)
+        K = np.empty((_STAGES, n, m))
+        K[_LOG_ORDER] = np.concatenate([rows[:m, 3 + n:], k14], axis=1
+                                       ).reshape(m, _STAGES, n).transpose(
+                                           1, 2, 0)
+        return rows[:m, 3:3 + n].T, K, rows[m, 3:3 + n], \
+            rows[m, 3 + n:3 + 2 * n]
+
     t = np.concatenate([[t0], steps[:, 2]])
     sol = DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:], F, pending,
-                      fill)
+                      fill, stages)
     return _Leg(status, t, hits, stop, sol, np.array(y_end, dtype=float),
                 nfev)
 
@@ -1615,103 +1649,160 @@ class _Lane:
 # constant one.  The steps of every segment in one field -- the rotating
 # chart, or one Moser chart at one energy -- are differentiated together,
 # in one pass over the stages.
+#
+# A step's tangent stages are dK_s = J_s (I + h sum_j a_sj dK_j), with J_s
+# the field's Jacobian at stage state s in a square tangent: (q, p) in the
+# rotating chart, whose field depends on neither t nor c, so that J_s is
+# the exact Omega and identity blocks and the potential's Hessian H_s; and
+# (xi, eta, t, c) in a Moser chart, with a zero row for the constant c.
+# The rotating stages are recomputed with the field (a lane's leg logs
+# none); a Moser stay is a solve_ivp leg, whose log holds all twelve
+# stages of every step, so there the field runs only for the last step's
+# three dense-output stages.  A segment's step derivatives are multiplied
+# in a pairwise tree, every segment of a field at once.
 
 
-def _rot_jacobian_rows(Y, mu):
-    """Jacobian of the rotating field at each row of Y (m, 6) in
-    (q, p, t, c), of shape (m, 6, 8); the field depends on neither t nor
-    c."""
-    jac = np.zeros((len(Y), 6, 8))
-    jac[:, 0, 1] = jac[:, 3, 4] = 1.0
-    jac[:, 1, 0] = jac[:, 4, 3] = -1.0
-    jac[:, :3, 3:6] = np.eye(3)
-    for pos, mass in ((mu, 1.0 - mu), (mu - 1.0, mu)):
-        if mass == 0.0:
-            continue
-        w = Y[:, :3] - np.array([pos, 0.0, 0.0])
-        r2 = np.einsum("ij,ij->i", w, w)[:, None, None]
-        r3 = r2 * np.sqrt(r2)
-        # dp/dt gets minus the Hessian of the primary's potential -mass/|w|
-        jac[:, 3:, :3] -= mass * (np.eye(3) / r3 - 3.0 * w[:, :, None]
-                                  * w[:, None, :] / (r2 * r3))
+def _stage_state(w, K, y, out, h=None):
+    """y + h sum_s w[s] K[s] over the leading axis of the stack K, in one
+    product, written to out (without h, y + sum_s w[s] K[s]); a matrix w
+    gives one such sum per row, stacked."""
+    n = len(w)
+    acc = (w @ K[:n].reshape(n, -1)).reshape(out.shape)
+    if h is not None:
+        acc = np.multiply(acc, h, out=out)
+    return np.add(acc, y, out=out)
+
+
+# the rotating field's Jacobian in (q, p) without the Hessian block: the
+# Coriolis pairing Omega on q and on p, and dq/dt = p + Omega q
+_ROT_JACOBIAN = np.zeros((6, 6))
+_ROT_JACOBIAN[0, 1] = _ROT_JACOBIAN[3, 4] = 1.0
+_ROT_JACOBIAN[1, 0] = _ROT_JACOBIAN[4, 3] = -1.0
+_ROT_JACOBIAN[:3, 3:] = np.eye(3)
+
+
+def _rot_jacobian_rows(Z, mu):
+    """Jacobian (m, 6, 6) of the rotating field in (q, p) at each state of
+    Z (6, m), component-major: _ROT_JACOBIAN with the Hessian of the
+    primaries' attraction, sum m (3 w w^T / r^5 - I / r^3) over the
+    offsets w from each primary, evaluated on the positions alone."""
+    pos, mass = _primary_columns(mu)
+    dx = Z[0] - pos
+    q2, q3 = Z[1], Z[2]
+    r2 = dx * dx
+    r2 += q2 * q2 + q3 * q3
+    k = mass / (r2 * np.sqrt(r2))
+    k3 = 3.0 * k / r2
+    s = k[0] + k[1]
+    t = k3[0] + k3[1]
+    u = k3 * dx
+    v = (u * dx).sum(axis=0)
+    u = u[0] + u[1]
+    jac = np.empty((Z.shape[1], 6, 6))
+    jac[:] = _ROT_JACOBIAN
+    H = jac[:, 3:, :3]
+    H[:, 0, 0] = v - s
+    H[:, 1, 1] = t * q2 * q2 - s
+    H[:, 2, 2] = t * q3 * q3 - s
+    H[:, 0, 1] = H[:, 1, 0] = u * q2
+    H[:, 0, 2] = H[:, 2, 0] = u * q3
+    H[:, 1, 2] = H[:, 2, 1] = t * q2 * q3
     return jac
 
 
-def _combine(w, X):
-    """sum_s w[s] X[s] over the leading (stage) axis, as one product."""
-    n = len(w)
-    return (w @ X[:n].reshape(n, -1)).reshape(X.shape[1:])
-
-
-def _field_derivatives(y, h, last, theta, field, jacobian, D):
-    """Derivatives of DOP853 steps from the rows y (n, d) with sizes h (n,),
-    in a tangent of D rows (the first d the state).
-
-    field(Y) gives the field (m, d) at state rows Y (m, d) and jacobian(Y)
-    its Jacobian (m, d, D).  The steps ``last`` (L,) are the last of their
-    segments, whose dense output is differentiated at the normalized times
-    theta (L,).  The stage states are recomputed with the field alone: the
-    12 of every step, and f(y_new) and the three dense-output stages of the
-    last steps.  The Jacobian is evaluated once on all of them, and the
-    tangent stages dK_s = J_s (I + h sum_j a_sj dK_j) follow by products.
-    Returns the step derivatives (n, d, D) and the dense-output derivatives
-    of the last steps (L, d, D).
-    """
-    d = y.shape[1]
-    hc, h3 = h[:, None], h[:, None, None]
-    eye = np.eye(D)[:d]
-    K = np.empty((16, len(y), d))
-    stage_rows = [y]
-    K[0] = field(y)
-    for s in range(1, _STAGES):
-        stage_rows.append(y + hc * _combine(dop.A[s, :s], K))
-        K[s] = field(stage_rows[-1])
-    yl, hl, Kl = y[last], hc[last], K[:, last]
-    stage_rows.append(yl + hl * _combine(dop.B, Kl))
-    Kl[_STAGES] = field(stage_rows[-1])
-    for s in range(_STAGES + 1, 16):
-        stage_rows.append(yl + hl * _combine(dop.A[s, :s], Kl))
-        Kl[s] = field(stage_rows[-1])
-    jac = jacobian(np.concatenate(stage_rows))
-    jac = np.split(jac, np.cumsum([len(r) for r in stage_rows])[:-1])
-
-    def tangent(J, dY):
-        dK = J[..., :d] @ dY
-        dK[..., d:] += J[..., d:]
-        return dK
-
-    dK = np.empty((16, len(y), d, D))
-    dK[0] = jac[0]
-    for s in range(1, _STAGES):
-        dK[s] = tangent(jac[s], eye + h3 * _combine(dop.A[s, :s], dK))
-    steps = eye + h3 * _combine(dop.B, dK)
-    h3, dK = h3[last], dK[:, last]
-    dK[_STAGES] = tangent(jac[_STAGES], steps[last])
-    for s in range(_STAGES + 1, 16):
-        dK[s] = tangent(jac[s], eye + h3 * _combine(dop.A[s, :s], dK))
-    dF = np.empty((7,) + dK.shape[1:])
-    dF[0] = steps[last] - eye
-    dF[1] = h3 * dK[0] - dF[0]
-    dF[2] = 2 * dF[0] - h3 * (dK[_STAGES] + dK[0])
-    for r in range(4):
-        dF[3 + r] = h3 * _combine(dop.D[r], dK)
-    return steps, _dop853_value(theta[:, None, None], dF, eye)
-
-
 def _moser_field_rows(Y, c, nu):
-    """Packed Moser field of each row of Y (m, 9), row by row on floats: a
-    Moser group has few rows, where _q_rhs on arrays costs the same ~100
-    numpy calls as on many.  The operations are those of the array form
-    and sqrt is correctly rounded in both, so the bits are the same."""
+    """Packed Moser field of each row of Y (m, 9), row by row on floats:
+    the derivative pass's dense-output stages and segment ends, a few rows
+    each, where _q_rhs on arrays costs the same ~100 numpy calls as on
+    many.  The operations are those of the array form and sqrt is
+    correctly rounded in both, so the bits are the same."""
     return np.array([_q_rhs(row[:8], c, nu)
                      for row in Y.tolist()]).reshape(Y.shape)
 
 
+def _moser_jacobian_rows(Z, c, nu):
+    """Jacobian (m, 10, 10) of the Moser field in (xi, eta, t, c) at each
+    state of Z (9, m), component-major, with a zero row for c."""
+    jac = np.zeros((Z.shape[1], 10, 10))
+    jac[:, :9] = q_field_jacobian_rows(Z.T, c, nu)[1]
+    return jac
+
+
+def _group_stages(sols, ch, mu, c):
+    """The stages of every step of the segments' dense outputs sols, in
+    one field: returns h (n,), the stage states Z (d, 12 n + 4 L) -- the
+    twelve of every step, stage by stage, then f(y_new)'s and the three
+    dense-output stages' of the L last steps -- the last steps' sixteen
+    stages Kl (16, d, L), and field(Y, out), which writes the field at the
+    states Y (d, m) to out.  Moser stages come from the legs' logs."""
+    n = sum(len(sol.h) for sol in sols)
+    last = np.cumsum([len(sol.h) for sol in sols]) - 1
+    L = len(sols)
+    h = np.concatenate([sol.h for sol in sols])
+    if ch is None:
+        def field(Y, out):
+            _rot_field_rows(Y, mu, out)
+
+        y = np.concatenate([sol.y_old for sol in sols]).T
+        d = len(y)
+        Z = np.empty((d, _STAGES * n + 4 * L))
+        K = np.empty((_STAGES, d, n))
+        Z[:, :n] = y
+        field(y, K[0])
+        for s in range(1, _STAGES):
+            Zs = _stage_state(dop.A[s, :s], K, y, Z[:, s * n:(s + 1) * n],
+                              h)
+            field(Zs, K[s])
+        y_new = f_new = None
+    else:
+        def field(Y, out):
+            out[:] = _moser_field_rows(Y.T, c, ch.nu).T
+
+        y, K, y_new, f_new = (np.concatenate(v, axis=-1) for v in zip(
+            *(sol.stages() for sol in sols)))
+        d = len(y)
+        Z = np.empty((d, _STAGES * n + 4 * L))
+        _stage_state(dop.A[:_STAGES, :_STAGES], K, y,
+                     Z[:, :_STAGES * n].reshape(d, _STAGES, n).transpose(
+                         1, 0, 2), h)
+    Kl = np.empty((16, d, L))
+    Kl[:_STAGES] = K[:, :, last]
+    yl, hl = y[:, last], h[last]
+    off = _STAGES * n
+    for s in range(_STAGES, 16):
+        Zs = Z[:, off + (s - _STAGES) * L:off + (s - _STAGES + 1) * L]
+        if s > _STAGES:
+            field(_stage_state(dop.A[s, :s], Kl, yl, Zs, hl), Kl[s])
+        elif y_new is None:
+            field(_stage_state(dop.B, Kl, yl, Zs, hl), Kl[s])
+        else:
+            Zs[:], Kl[s] = y_new.reshape(L, d).T, f_new.reshape(L, d).T
+    return h, Z, Kl, field
+
+
+def _chains(S, n):
+    """The product S[b - 1] @ ... @ S[a] of each run [a, b) of n[g]
+    consecutive matrices of the stack S (sum n, D, D), for all runs at
+    once: (G, D, D).  The runs are padded in front with identities to one
+    power-of-two length and halved by pairwise products, one batched
+    product per level."""
+    top = 1 << (int(max(n)) - 1).bit_length()
+    D = S.shape[-1]
+    P = np.empty((len(n), top, D, D))
+    P[:] = np.eye(D)
+    run = np.repeat(np.arange(len(n)), n)
+    P[run, np.arange(len(S)) - np.repeat(np.cumsum(n) - top, n)] = S
+    while P.shape[1] > 1:
+        P = P[:, 1::2] @ P[:, ::2]
+    return P[:, 0]
+
+
 def _segment_derivatives(flights):
-    """Step and dense-output derivatives of every segment of the flights,
-    one _field_derivatives pass per field; returns, per segment in flight
-    order, its step derivatives (n, d, D) and the derivative (d, D) of its
-    dense output at its end."""
+    """Per segment of the flights, in flight order: the derivative (D, D)
+    of its end state in its field's square tangent (its steps', and at
+    the end its last step's dense output's), its end state's rows x --
+    (q, p, t) or (xi, eta, t) -- and their rates of change F there, the
+    field's and physical time's.  One pass over the stages per field."""
     segs = [(traj, seg) for traj in flights for seg in traj.segments]
     groups = {}
     for g, (traj, seg) in enumerate(segs):
@@ -1720,30 +1811,63 @@ def _segment_derivatives(flights):
     out = [None] * len(segs)
     for (_, mu, c), members in groups.items():
         ch = segs[members[0]][1].moser
-        if ch is None:
-            def field(Y):
-                return _rot_field_rows(Y.T, mu)[0].T
-
-            def jacobian(Y):
-                return _rot_jacobian_rows(Y, mu)
-        else:
-            def field(Y):
-                return _moser_field_rows(Y, c, ch.nu)
-
-            def jacobian(Y):
-                return q_field_jacobian_rows(Y, c, ch.nu)[1]
         sols = [segs[g][1].sol for g in members]
+        h, Z, Kl, field = _group_stages(sols, ch, mu, c)
+        jac = (_rot_jacobian_rows(Z, mu) if ch is None
+               else _moser_jacobian_rows(Z, c, ch.nu))
         n = np.array([len(sol.h) for sol in sols])
-        ends = np.cumsum(n)
+        last = np.cumsum(n) - 1
         theta = np.array([(sol.ts[-1] - sol.t_old[-1]) / sol.h[-1]
                           for sol in sols])
-        steps, dense = _field_derivatives(
-            np.concatenate([sol.y_old for sol in sols]),
-            np.concatenate([sol.h for sol in sols]), ends - 1, theta,
-            field, jacobian, 8 if ch is None else 10)
-        for g, hi, m, dn in zip(members, ends, n, dense):
-            out[g] = (steps[hi - m:hi], dn)
+        steps = _step_derivatives(jac, h, last, theta)
+        # the end states, on the last steps' interpolants
+        d, L = Kl.shape[1:]
+        yl = Z[:, last]
+        y_new = Z[:, _STAGES * len(h):_STAGES * len(h) + L]
+        x = _dop853_value(theta, _dense_coeffs(Kl, yl, y_new, h[last]), yl)
+        f = np.empty((d, L))
+        field(x, f)
+        if ch is None:
+            x = np.vstack([x, [sol.ts[-1] for sol in sols]])
+            f = np.vstack([f, np.ones(L)])
+        for g, P, xg, fg in zip(members, _chains(steps, n), x.T, f.T):
+            out[g] = (P, xg, fg)
     return out
+
+
+def _step_derivatives(jac, h, last, theta):
+    """The derivatives (n, D, D) of the n steps of sizes h whose tangent
+    field Jacobians at the stage states are jac (12 n + 4 L, D, D), laid
+    out as _group_stages' states; the steps ``last`` (L,) are the last of
+    their segments, and for them the derivative of the dense output at
+    the normalized times theta (L,) replaces the step's.  jac is scaled
+    in place by each stage's h, so that the products give h dK_s."""
+    n, L, D = len(h), len(last), jac.shape[-1]
+    off = _STAGES * n
+    jac[:off].reshape(_STAGES, n, D, D)[:] *= h[:, None, None]
+    jac[off:].reshape(4, L, D, D)[:] *= h[last, None, None]
+    eye = np.eye(D)
+    hdK = np.empty((_STAGES, n, D, D))
+    hdK[0] = jac[:n]
+    X = np.empty((n, D, D))
+    for s in range(1, _STAGES):
+        np.matmul(jac[s * n:(s + 1) * n], _stage_state(dop.A[s, :s], hdK,
+                                                       eye, X), out=hdK[s])
+    steps = _stage_state(dop.B, hdK, eye, np.empty((n, D, D)))
+    hdKl = np.empty((16, L, D, D))
+    hdKl[:_STAGES] = hdK[:, last]
+    X = steps[last]
+    for s in range(_STAGES, 16):
+        if s > _STAGES:
+            _stage_state(dop.A[s, :s], hdKl, eye, X)
+        i = off + (s - _STAGES) * L
+        np.matmul(jac[i:i + L], X, out=hdKl[s])
+    flat = eye.ravel()
+    dF = _dense_coeffs(hdKl.reshape(16, L, D * D),
+                       np.broadcast_to(flat, (L, D * D)),
+                       steps[last].reshape(L, D * D), 1.0)
+    steps[last] = _dop853_value(theta[:, None], dF, flat).reshape(L, D, D)
+    return steps
 
 
 def _event_gradient(fn, x):
@@ -1780,33 +1904,19 @@ def flight_jacobian(flights, V, dc=None):
     k = V.shape[1]
     W = np.vstack([V, np.zeros(k), np.zeros(k) if dc is None else dc])
     for traj in flights:
-        mu, c = traj.mu, traj.energy
         W[6] = 0.0
         for i, seg in enumerate(traj.segments):
-            sol, ch = seg.sol, seg.moser
-            if seg.chart != "rot" and len(W) == 8:     # entering the chart
-                z0 = sol.y_old[0]
+            ch = seg.moser
+            if ch is not None and len(W) == 8:      # entering the chart
+                z0 = seg.sol.y_old[0]
                 W = np.vstack([ch.from_physical_jacobian(
                     ch.to_physical(z0[:4], z0[4:8])) @ W[:6], W[6:]])
-            d = sol.y_old.shape[1]
-            steps, dense = next(derivs)
-            for step in steps[:-1]:
-                W[:d] = step @ W
-            W[:d] = dense @ W
-            t_end = sol.ts[-1]
-            x = sol(t_end)
-            if seg.chart == "rot":
-                x_rows = np.append(x, t_end)                  # (q, p, t)
-                F = np.concatenate([_rot_field_rows(x[:, None], mu)[0][:, 0],
-                                    [1.0, 0.0]])
-            else:
-                x_rows = x
-                F = np.append(_q_field(x, c, ch.nu), 0.0)
+            P, x, F = next(derivs)
+            W[:len(P)] = P @ W[:len(P)]
             if seg.end is not None:
-                grad = np.zeros(len(W))
-                grad[:len(x_rows)] = _event_gradient(seg.end, x_rows)
-                W -= np.outer(F, grad @ W) / (grad @ F)
-            if seg.chart != "rot":
+                grad = _event_gradient(seg.end, x)
+                W[:len(F)] -= np.outer(F, grad @ W[:len(x)]) / (grad @ F)
+            if ch is not None:
                 xi, eta = x[:4], x[4:8]
                 jac = np.eye(8)
                 if i + 1 < len(traj.segments):    # leaving the chart

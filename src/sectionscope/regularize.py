@@ -92,18 +92,20 @@ def project_constraints(xi, eta):
     return xi, eta
 
 
+_I3, _I4 = np.eye(3), np.eye(4)
+
+
 def project_constraints_jacobian(xi, eta):
     """Jacobian (8, 8) of project_constraints at a T*S^3 point (xi, eta)."""
     xi = np.asarray(xi, dtype=float)
     eta = np.asarray(eta, dtype=float)
-    n = np.linalg.norm(xi)
+    n = math.sqrt(xi @ xi)
     u = xi / n
-    du = (np.eye(4) - np.outer(u, u)) / n             # d(xi/|xi|)/dxi
-    ue = float(u @ eta)
+    P = _I4 - u[:, None] * u                          # I - u u^T
     jac = np.zeros((8, 8))
-    jac[:4, :4] = du
-    jac[4:, :4] = -(np.outer(u, eta) + ue * np.eye(4)) @ du
-    jac[4:, 4:] = np.eye(4) - np.outer(u, u)
+    jac[:4, :4] = du = P / n                          # d(xi/|xi|)/dxi
+    jac[4:, :4] = -(u[:, None] * eta + (u @ eta) * _I4) @ du
+    jac[4:, 4:] = P
     return jac
 
 
@@ -111,12 +113,13 @@ def _chart_to_stereo_jacobian(x, y):
     """Jacobian (8, 6) of chart_to_stereo in (x, y) for a spatial chart."""
     s1 = float(x @ x) + 1.0
     e0 = float(x @ y)
+    xx = x[:, None] * x                               # x x^T
     jac = np.zeros((8, 6))
     jac[0, :3] = 4.0 * x / s1 ** 2
-    jac[1:4, :3] = 2.0 * np.eye(3) / s1 - 4.0 * np.outer(x, x) / s1 ** 2
+    jac[1:4, :3] = 2.0 * _I3 / s1 - 4.0 * xx / s1 ** 2
     jac[4, :3], jac[4, 3:] = y, x
-    jac[5:, :3] = np.outer(y, x) - np.outer(x, y) - e0 * np.eye(3)
-    jac[5:, 3:] = 0.5 * s1 * np.eye(3) - np.outer(x, x)
+    jac[5:, :3] = y[:, None] * x - x[:, None] * y - e0 * _I3
+    jac[5:, 3:] = 0.5 * s1 * _I3 - xx
     return jac
 
 
@@ -125,11 +128,11 @@ def _stereo_to_chart_jacobian(xi, eta):
     s = 1.0 - xi[0]
     jac = np.zeros((6, 8))
     jac[:3, 0] = xi[1:] / s ** 2
-    jac[:3, 1:4] = np.eye(3) / s
+    jac[:3, 1:4] = _I3 / s
     jac[3:, 0] = -eta[1:]
-    jac[3:, 1:4] = eta[0] * np.eye(3)
+    jac[3:, 1:4] = eta[0] * _I3
     jac[3:, 4] = xi[1:]
-    jac[3:, 5:] = s * np.eye(3)
+    jac[3:, 5:] = s * _I3
     return jac
 
 
@@ -339,7 +342,7 @@ class MoserChart:
     def _frame_jacobian(self):
         """d(x, y)/d(q, p) of the chart coordinates x = -p, y = q - center
         (in the relabeled frame); it is its own inverse up to sign."""
-        r = np.diag([-1.0, -1.0, 1.0]) if self._rotate else np.eye(3)
+        r = np.diag([-1.0, -1.0, 1.0]) if self._rotate else _I3
         jac = np.zeros((6, 6))
         jac[:3, 3:] = -r
         jac[3:, :3] = r

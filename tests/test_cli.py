@@ -94,6 +94,10 @@ def _exit_code(argv):
     ["integrate", "--state", "0.5,0,0,0,0.9,0", "--tf", "inf"],
     # a bad state that starts with '-'
     ["integrate", "--state", "-0.5,0,0,x,0.9,0"],
+    # bad negative values in scientific notation, each its own argument
+    ["section-scan", "--c", "-1.7", "--pages", "-1e-1.5", "--n", "2"],
+    ["find-orbit", "--mu", "0", "--c", "-1.75e"],
+    ["find-orbit", "--mu", "0", "--c", "-1.75", "--tol", "-1e-10"],
 ])
 def test_bad_input_exits_one_at_once(argv, capsys):
     t0 = time.perf_counter()
@@ -186,6 +190,49 @@ def test_negative_leading_state_parses_in_both_spellings(tmp_path):
     assert outs[0].read_bytes() == outs[1].read_bytes()
     header = json.loads(outs[0].read_text().splitlines()[0])
     assert header["config"]["state"] == [-0.5, 0.0, 0.0, 0.0, 0.9, 0.0]
+
+
+@pytest.mark.parametrize("argv, option, value", [
+    (["section-scan", "--mu", "1e-3", "--n", "2", "--seed", "3"], "--c",
+     "-1.7e0"),
+    (["section-scan", "--mu", "1e-3", "--c", "-1.7", "--n", "2", "--seed",
+      "3"], "--pages", "-1e-1"),
+    (["find-orbit", "--mode", "vertical", "--mu", "0"], "--c", "-1.75e0"),
+])
+def test_negative_values_parse_in_both_spellings(tmp_path, monkeypatch,
+                                                 argv, option, value):
+    # argparse reads a value that starts with '-' as an option unless it
+    # is a plain negative decimal; every option that takes a value takes
+    # it as its own argument as it does after '='.  Each spelling writes
+    # to the same relative path, in its own directory
+    sides = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        sides.append(tmp_path / str(len(sides)))
+        sides[-1].mkdir()
+        monkeypatch.chdir(sides[-1])
+        assert run(argv + spelling + ["--out", "out"]) == 0
+    names = sorted(p.name for p in sides[0].iterdir())
+    assert names == sorted(p.name for p in sides[1].iterdir())
+    for name in names:
+        a, b = (side / name for side in sides)
+        if argv[0] == "find-orbit":
+            # the orbit records its command line as it was typed
+            docs = [json.loads(p.read_text()) for p in (a, b)]
+            lines = [doc["orbit"].pop("command_line") for doc in docs]
+            assert lines[0].replace(f"{option} {value}",
+                                    f"{option}={value}") == lines[1]
+            assert dumps_json(docs[0]) == dumps_json(docs[1])
+        else:
+            assert a.read_bytes() == b.read_bytes()
+
+
+def test_bad_negative_value_exits_one_at_the_parser(capsys):
+    # a joined value is still checked by its option's type
+    with pytest.raises(SystemExit) as exc:
+        run(["section-scan", "--c", "-1.7e0x", "--n", "2"])
+    assert exc.value.code == 1
+    assert "argument --c: invalid finite value: '-1.7e0x'" in \
+        capsys.readouterr().err
 
 
 def test_integrate_requires_state(capsys):

@@ -24,6 +24,7 @@ from sectionscope import flows
 from sectionscope.regularize import MoserChart
 from sectionscope.sections import _binding_bound
 
+import oracles
 from oracles import central_jacobian, event_crossing
 
 C_TEST = -1.7
@@ -493,6 +494,128 @@ def test_flight_jacobian_of_a_chain_composes_one_flight_calls(mu, moving_c):
     scale = np.abs(V).max()
     assert np.abs(w - V).max() <= 1e-13 * scale
     assert np.abs(dt - t).max() <= 1e-13 * max(np.abs(t).max(), 1.0)
+
+
+def _assert_matches_recomputed_pass(flights, V, dc=None):
+    # flows.flight_jacobian against the pass that recomputes every stage
+    # from the steps' dense output (oracles.flight_jacobian): the rows
+    # (W; dt) within 1e-12 of their largest entry.  Along a chain, of the
+    # largest entry the tangent takes at any flight's end: a chain that
+    # ends a flight inside a chart carries its tangent through the huge
+    # physical momenta there and back, and rounding at that scale shows
+    # in the end tangent, whichever pass computes it
+    if isinstance(flights, flows.Trajectory):
+        flights = [flights]
+    got = np.vstack(flight_jacobian(flights, V, dc))
+    want = np.vstack(oracles.flight_jacobian(flights, V, dc))
+    scale = max(np.abs(oracles.flight_jacobian(flights[:k], V, dc)[0]).max()
+                for k in range(1, len(flights) + 1))
+    assert np.abs(got - want).max() <= 1e-12 * max(scale,
+                                                   np.abs(want).max())
+
+
+@pytest.mark.parametrize("mu", [0.0, 3e-3, 1e-2])
+def test_flight_jacobian_matches_the_recomputed_pass_on_vertical_flights(mu):
+    # through the Earth chart: a fixed end time, then an event end after
+    # the chart stay; c moves with the start
+    cfg = IntegratorConfig(max_time=5.0)
+    ev = FlowEvent(lambda s: s[2] - 0.3, direction=1.0, name="q3")
+    for events, t_final in (((), 0.7), ((ev,), 5.0)):
+        traj = _vertical_flight(mu, cfg, t_final, events=events)
+        assert any(seg.chart == "moser-earth" for seg in traj.segments)
+        x = traj.segments[0].sol.y_old[0]
+        _assert_matches_recomputed_pass(traj, np.eye(6),
+                                        hamiltonian_gradient(x, mu))
+
+
+def test_flight_jacobian_matches_the_recomputed_pass_on_a_half_orbit():
+    # the symmetric planar half orbit of find-orbit --mode
+    # planar-symmetric --mu 0 --c -1.5 --q1 0.3: a lead flight to a fixed
+    # time, then a flight to the next x-axis crossing
+    from sectionscope.orbits import _half_orbit_p1
+    _, _, _, flights = _half_orbit_p1(0.3, -1.5, 0.0, -1, IntegratorConfig())
+    V = np.random.default_rng(3).normal(size=(6, 4))
+    _assert_matches_recomputed_pass(list(flights), V)
+
+
+@pytest.mark.parametrize("mu", [0.0, 3e-3])
+def test_flight_jacobian_matches_the_recomputed_pass_on_a_chain(mu):
+    # three flights, the second starting inside the Earth chart where the
+    # first ended, with a change of c along the tangent: the tangent is
+    # about 700 at the first flight's end and 3.5 at the chain's
+    cfg = IntegratorConfig(max_time=5.0)
+    chain = [_vertical_flight(mu, cfg, 0.505)]
+    for level in (0.3, 0.5):
+        prev = chain[-1]
+        ev = FlowEvent(lambda s, level=level: s[2] - level, direction=1.0)
+        chain.append(_vertical_flight(mu, cfg, 5.0, prev.t_end,
+                                      prev.final_state(), (ev,)))
+    assert chain[1].segments[0].chart == "moser-earth"
+    rng = np.random.default_rng(11)
+    _assert_matches_recomputed_pass(chain, rng.normal(size=(6, 3)),
+                                    rng.normal(size=3))
+
+
+def test_flight_jacobian_matches_the_recomputed_pass_on_lane_legs():
+    # a batch of _ARRAY_MIN_ROWS vertical flights: their rotating legs come
+    # from the lockstep lane, which logs no stages, and their chart stays
+    # from solve_ivp, which does
+    mu = 3e-3
+    cfg = IntegratorConfig(max_time=5.0)
+    rng = np.random.default_rng(5)
+    starts = VERTICAL_APEX + rng.normal(scale=1e-3,
+                                        size=(flows._ARRAY_MIN_ROWS, 6))
+    starts[:, [0, 4]] += mu
+    trajs = flows.integrate_many(list(starts), mu, cfg,
+                                 [0.7] * len(starts))
+    for traj in trajs[:3]:
+        rot = [seg for seg in traj.segments if seg.chart == "rot"]
+        moser = [seg for seg in traj.segments if seg.chart != "rot"]
+        assert rot and moser
+        assert all(seg.sol.stages is None for seg in rot)
+        assert all(seg.sol.stages is not None for seg in moser)
+        _assert_matches_recomputed_pass(traj, np.eye(6))
+
+
+def test_flight_jacobian_field_calls_per_segment(monkeypatch):
+    # the pass evaluates the rotating field 17 times per call, whatever
+    # the number of rotating segments and steps: the 12 stages of every
+    # step, f(y_new) and the 3 dense-output stages of the last steps, the
+    # segment ends.  A Moser segment takes its stages from its stay's
+    # log: the Moser field runs 4 times per segment (its last step's 3
+    # dense-output stages and its end, one row each) and once per chart
+    # and energy, on all stage states at once, for the Jacobian
+    mu = 3e-3
+    cfg = IntegratorConfig(max_time=5.0)
+    counts = {"rot": 0, "moser": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    single = [_vertical_flight(mu, cfg, 0.7)]
+    chain = [_vertical_flight(mu, cfg, 0.505)]
+    for level in (0.3, 0.5):
+        prev = chain[-1]
+        ev = FlowEvent(lambda s, level=level: s[2] - level, direction=1.0)
+        chain.append(_vertical_flight(mu, cfg, 5.0, prev.t_end,
+                                      prev.final_state(), (ev,)))
+    monkeypatch.setattr(flows, "_rot_field_rows",
+                        counted("rot", flows._rot_field_rows))
+    from sectionscope import regularize
+    q_rhs = counted("moser", regularize._q_rhs)
+    monkeypatch.setattr(regularize, "_q_rhs", q_rhs)
+    monkeypatch.setattr(flows, "_q_rhs", q_rhs)
+    for flights in (single, chain):
+        segs = [seg for traj in flights for seg in traj.segments]
+        n_moser = sum(seg.chart != "rot" for seg in segs)
+        assert n_moser and len(segs) > n_moser
+        assert {seg.chart for seg in segs} == {"rot", "moser-earth"}
+        counts.update(rot=0, moser=0)
+        flight_jacobian(flights, np.eye(6))
+        assert counts == {"rot": 17, "moser": 1 + 4 * n_moser}
 
 
 def test_src_binds_no_second_integrator():
