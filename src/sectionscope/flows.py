@@ -9,35 +9,36 @@ of Q is integrated instead; the physical time is accumulated alongside
 (hysteresis).
 
 A lone leg -- every Moser-chart stay, and the rotating legs of a batch
-of fewer than _ARRAY_MIN_ROWS flights -- runs on ``solve_ivp``, this
+of fewer than _LANE_WIDTH flights -- runs on ``solve_ivp``, this
 module's DOP853 on Python floats, whose step is generated once per state
 dimension as straight-line code over the tableau's nonzero weights.
 ``integrate_many`` flies a batch of independent flights: one at a time
-below _ARRAY_MIN_ROWS members, and from there every rotating-chart leg
+below _LANE_WIDTH members, and from there every rotating-chart leg
 on a lockstep lane, one long-lived, numpy-vectorized DOP853 on an array
 of states, each row with its own step control, events and retirement.
-One width, _ARRAY_MIN_ROWS, decides both where the lane starts and
-where a fill runs in one array pass (below).
 When a leg ends, its flight is resumed at once: a Moser-chart visit runs
 then, and the flight's next leg joins the lane before the next
-iteration, so a batch takes as many iterations as its longest flight
-has step attempts.  The float step and a lane row do the same arithmetic
-in the same order, up to zero terms that change no bit (see the float
-step), so a flight's result is the same bits in every batch,
-``integrate`` (the one-flight case) included.
+iteration.  Once fewer than _DRAIN_WIDTH legs are left on a lane or
+waiting to join it, the lane drains: each row finishes its leg mid-way
+on the float step loop of solve_ivp, and the flights' later legs run
+one at a time, so that no narrow lane iterates.  The float step and a
+lane row do the same arithmetic in the same order, up to zero terms
+that change no bit (see the float step), so a flight's result is the
+same bits in every batch, ``integrate`` (the one-flight case) included.
 The float step stops at f(y_new) and the error norm; a step's
 interpolant (three more stages and the dense-output coefficients) is
 computed inline only on a step where an event changes sign, otherwise
 when a read of the segment first needs it (see DenseOutput): on floats
 by a second generated function for a read that fills fewer than
-_ARRAY_MIN_ROWS steps (a one-step read, say), and otherwise in one
+_FILL_WIDTH steps (a one-step read, say), and otherwise in one
 numpy pass over the steps, laid out as the lane's (_fill_rows, with the
 lane's _wsum and _dense_coeffs), which gives the same bits.  A lane
-computes every accepted step's interpolant in its iteration, so its
-legs arrive filled.  A collision in an interpolant stage raises
-CollisionError at the same point on all of them: in the flight on a
-step where an event changes sign, otherwise at every read of the step
-(the lane leaves such a step pending).
+computes every accepted step's interpolant in its iteration, so a leg's
+lane steps arrive filled (a drained leg's float steps do not).  A
+collision in an interpolant stage raises CollisionError at the same
+point on all of them: in the flight on a step where an event changes
+sign, otherwise at every read of the step (the lane leaves such a step
+pending).
 ``flight_jacobian`` differentiates finished flights' accepted steps, the
 steps of all segments in one field at once, without flying anything: in
 the rotating chart it recomputes the stages with the field (a lane's leg
@@ -76,11 +77,17 @@ from .regularize import (_CS_STEP, MoserChart, _q_gradient, _q_rhs,
 _SWITCH_RADIUS = 0.05   # a Moser chart is entered this close to a primary
 _CONSTRAINT_TOL = 1e-6  # pre-projection residual limit at a chart stay's end
 _MAX_REG_TIME = 1e4     # regularized-time budget per chart stay
-# the fewest rows that one numpy pass takes, on the lane and in a fill:
-# a batch of fewer flights flies member by member on the float step (see
-# integrate_many), and a read that fills fewer pending steps of a lone leg
-# runs the float dense function step by step (see solve_ivp)
-_ARRAY_MIN_ROWS = 21
+# the fewest rows that one numpy pass takes.  On the lane: a batch of
+# fewer than _LANE_WIDTH flights flies member by member on the float step,
+# and a lane with fewer than _DRAIN_WIDTH legs left hands them to it (see
+# integrate_many); each is a crossover measured on section-scan batches,
+# where a lane iteration costs about what one float step attempt per row
+# and that step's later fill cost.  In a fill: a read that fills fewer
+# than _FILL_WIDTH pending steps of a float leg runs the float dense
+# function step by step (see solve_ivp)
+_LANE_WIDTH = 21
+_DRAIN_WIDTH = 13
+_FILL_WIDTH = 21
 
 
 @dataclass
@@ -148,7 +155,7 @@ class DenseOutput:
     times, or of ``F`` (so ``bounds`` too), fills every pending step,
     since a segment's array reads (its sample groups) cover most of its
     steps.  solve_ivp's fill runs the generated dense function on floats,
-    step by step, when it fills fewer than _ARRAY_MIN_ROWS steps, and one
+    step by step, when it fills fewer than _FILL_WIDTH steps, and one
     array pass over them otherwise; both raise CollisionError (or
     SecondaryCollisionError) where one of the interpolant's stages comes
     within the collision threshold of a primary.  A lane's fill raises it
@@ -525,7 +532,25 @@ class _Leg:
     stop: Optional[int]           # the terminal event that ended the leg
     sol: Optional[DenseOutput]
     y_end: Optional[np.ndarray]   # state at t[-1]
-    nfev: int = 0                 # right-hand side calls (solve_ivp only)
+    nfev: int = 0                 # calls of fun on floats (a float leg's)
+
+
+@dataclass
+class _LegState:
+    """A rotating or Moser leg between two step attempts, from which the
+    float step loop (_float_leg) runs it on: a leg that solve_ivp sets up,
+    or a lane row handed over mid-leg with the hits and lane log rows
+    (see _log_leg) of its steps so far."""
+    t0: float                     # the leg's start
+    t: float
+    t_bound: float
+    y: list
+    f: list                       # fun(t, y)
+    h_abs: float                  # the next attempt's step size
+    rej: bool                     # the last attempt was rejected
+    g: list                       # the event values at (t, y)
+    hits: list                    # (root time, event index) in flight order
+    steps: Optional[np.ndarray] = None     # a lane row's log rows
 
 
 def _log_leg(status, t0, steps, hits, stop, y_end):
@@ -543,12 +568,38 @@ def _log_leg(status, t0, steps, hits, stop, y_end):
                 np.array(y_end, dtype=float))
 
 
+def _after_lane(t0, steps, sol):
+    """The dense output of a drained leg: its lane steps, the rows
+    ``steps`` of the lane's log from t0 (as _log_leg reads them), then
+    its float steps, those of sol, which fill on demand."""
+    n, d = len(steps), sol.y_old.shape[1]
+
+    def fill(k):
+        if k[0] < n:                # a lane step is pending only if it
+            _raise_collided(k)      # collided
+        return sol._fill([j - n for j in k])
+
+    pending = np.concatenate([
+        steps[:, -1] != 0,
+        np.zeros(len(sol.h), dtype=bool) if sol._pending is None
+        else sol._pending])
+    return DenseOutput(np.concatenate([[t0], steps[:, 2], sol.ts[1:]]),
+                       np.concatenate([steps[:, 0], sol.t_old]),
+                       np.concatenate([steps[:, 1], sol.h]),
+                       np.concatenate([steps[:, 3:3 + d], sol.y_old]),
+                       np.concatenate([steps[:, 3 + d:-1].reshape(n, 7, d),
+                                       sol._F]),
+                       pending, fill)
+
+
 # --- DOP853 on Python floats: a lone leg ---
 #
 # scipy's RungeKutta._step_impl, DOP853 error norm and dense output, and
-# solve_ivp's event handling, for one leg.  Two functions are generated
-# once per state dimension as straight-line Python over floats, in the
-# operation order of the lockstep lane below: stage sums are added in
+# solve_ivp's event handling, for one leg: a lone leg from its start, and
+# a row of a lane that drains below _DRAIN_WIDTH legs from where it stands
+# (_Lane.drain).  Two functions are generated once per state dimension
+# as straight-line Python over floats, in the operation order of the
+# lockstep lane below: stage sums are added in
 # stage order, and powers are Python's.  The step attempt does the 12
 # stages, the error norm and f(y_new): A's rows 1-11, B, E5 and E3, 74
 # products per component.  The dense function does the rest of the
@@ -557,7 +608,7 @@ def _log_leg(status, t0, steps, hits, stop, y_end):
 # on a step where an event changes sign; every other step is filled when
 # its dense output first reads the step (DenseOutput): by it, step by
 # step, or by one array pass over all the steps the read fills once they
-# are _ARRAY_MIN_ROWS or more (_fill_rows).
+# are _FILL_WIDTH or more (_fill_rows).
 #
 # Both multiply only the tableau's nonzero weights, where the lane's sums
 # run over every stage.  A dropped term 0.0 * k is a signed zero for a
@@ -566,9 +617,10 @@ def _log_leg(status, t0, steps, hits, stop, y_end):
 # zeros.  In the rotating chart those are the q3 and p3
 # sums of a planar row, whose zeros' signs follow from those of q3, p3
 # and h alone: eight cases, which the lane test's planar rows cover.  A
-# lone leg is therefore a lane row, bit for bit.  A fill's array pass
-# needs no such case: it gives the float dense function's bits by
-# construction (see _fill_rows).
+# lone leg is therefore a lane row, bit for bit, and a lane row can go on
+# on the float step after any attempt.  A fill's array pass needs no such
+# case: it gives the float dense function's bits by construction (see
+# _fill_rows).
 
 _STAGES = dop.N_STAGES                  # 12; K has 13 rows per step
 # the stages of a step, besides f(y_new), that its interpolant reads:
@@ -772,7 +824,10 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     fun takes and returns lists of floats.  The leg stops at t_span[1]
     or at the first root of a terminal FlowEvent, whose fn sees the
     state as an array.  Step control, dense output and event handling
-    are scipy's, in the operation order of a lockstep lane row.  Each
+    are scipy's, in the operation order of a lockstep lane row.  This is
+    the set-up -- f(y0), the initial step and the first event values --
+    and _float_leg the step loop, which also finishes the rows of a lane
+    that drains below _DRAIN_WIDTH legs (see integrate_many).  Each
     accepted step logs the stages its interpolant reads and, apart from
     them, its other four, which only the dense output's ``stages()``
     reads (for flight_jacobian).  The interpolant
@@ -781,7 +836,7 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     left pending and filled when the dense output first reads it, with
     the same field uncounted, so that a collision in one of its stages
     raises there: ``field`` on floats (default fun), step by step, or,
-    for a read that fills at least _ARRAY_MIN_ROWS steps, ``field_rows``
+    for a read that fills at least _FILL_WIDTH steps, ``field_rows``
     in one array pass (_fill_rows).  field_rows(Y) gives the field at each
     state of Y (d, m), component-major, the bits of ``field``, and the
     mask of the states where ``field`` raises; a pass with a state in the
@@ -791,17 +846,32 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     y = np.asarray(y0, dtype=float).tolist()
+    d = 1.0 if t_bound > t else -1.0
+    f = fun(t, y)
+    h_abs = _initial_step(fun, t, y, f, d, t_bound, cfg.tol)
+    leg = _float_leg(fun, _LegState(t, t, t_bound, y, f, h_abs, False,
+                                    [ev.fn(np.array(y)) for ev in events],
+                                    []),
+                     events, cfg, fun if field is None else field,
+                     field_rows)
+    leg.nfev += 2
+    return leg
+
+
+def _float_leg(fun, s, events, cfg, field, field_rows):
+    """The step loop of solve_ivp (see there), on the float step from the
+    leg state s (a _LegState) to the leg's end; returns the _Leg, its
+    nfev the loop's calls of fun.  A lane row's leg (s.steps given) keeps
+    its lane steps in front of its float steps, in one dense output."""
+    t, t_bound, y, f, h_abs, rej, g, hits = (
+        s.t, s.t_bound, s.y, s.f, s.h_abs, s.rej, s.g, s.hits)
     n = len(y)
     step, dense = _dop853_step(n), _dop853_dense(n)
-    field = fun if field is None else field
     d = 1.0 if t_bound > t else -1.0
     tol = cfg.tol
-    f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, f, d, t_bound, tol)
-    nfev = 2
     ev_dir = [ev.direction for ev in events]
-    g = [ev.fn(np.array(y)) for ev in events]
-    t0, log, k14, filled, hits, rej = t, [], [], {}, [], False
+    done = 0 if s.steps is None else len(s.steps)  # the lane's steps
+    nfev, log, k14, filled = 0, [], [], {}
     status = stop = end = None
     while status is None:
         out = step(fun, t, y, f, h_abs, rej, d, t_bound, tol, k14)
@@ -834,7 +904,7 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
                 y_end = _dense_value((root - t_old) / h, F, y_old)
                 # solve_ivp drops a node that repeats the last one; its
                 # row still holds the y_new and f(y_new) of the one before
-                if len(log) > 1 and root == t_old:
+                if done + len(log) > 1 and root == t_old:
                     del filled[len(log) - 1]
                     end = log.pop()
                     k14.pop()
@@ -856,7 +926,7 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
         pending[k] = False
 
     def fill(k):
-        if field_rows is not None and len(k) >= _ARRAY_MIN_ROWS:
+        if field_rows is not None and len(k) >= _FILL_WIDTH:
             # the rows from step k[0] to the one after k[-1], at once
             rows = np.array(log[k[0]:k[-1] + 2], dtype=float)
             i = np.array(k) - k[0]
@@ -879,10 +949,11 @@ def solve_ivp(fun, t_span, y0, events, cfg, field=None, field_rows=None):
         return rows[:m, 3:3 + n].T, K, rows[m, 3:3 + n], \
             rows[m, 3 + n:3 + 2 * n]
 
-    t = np.concatenate([[t0], steps[:, 2]])
-    sol = DenseOutput(t, steps[:, 0], steps[:, 1], steps[:, 3:], F, pending,
-                      fill, stages)
-    return _Leg(status, t, hits, stop, sol, np.array(y_end, dtype=float),
+    sol = DenseOutput(np.concatenate([[s.t], steps[:, 2]]), steps[:, 0],
+                      steps[:, 1], steps[:, 3:], F, pending, fill, stages)
+    if done:
+        sol = _after_lane(s.t0, s.steps, sol)
+    return _Leg(status, sol.ts, hits, stop, sol, np.array(y_end, dtype=float),
                 nfev)
 
 
@@ -1034,14 +1105,19 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     Member i flows starts[i] from t0s[i] (default 0) to t_finals[i] at
     energy cs[i] (default: H of the start), as ``integrate`` would; all
     share mu, cfg, the events and the start chart.  A batch of fewer than
-    _ARRAY_MIN_ROWS flights flies them one at a time, every leg on
+    _LANE_WIDTH flights flies them one at a time, every leg on
     solve_ivp: there the lane's fixed cost per iteration outweighs its
     width (the threshold comes from a sweep of batch sizes on short
     section-scan flights and on long shell flights).  A larger batch runs
     every rotating leg on a lockstep lane, and a member whose leg ends is
     resumed at once: it runs any Moser-chart visit and its next leg joins
-    the lane before the next iteration.  A member's result is the same,
-    bit for bit, in every batch, its ``integrate`` run included; a
+    the lane before the next iteration.  Once fewer than _DRAIN_WIDTH
+    legs are on the lane or waiting to join it, the lane drains
+    (_Lane.drain): each finishes on the float step from where it stands,
+    and every later leg of those members runs on solve_ivp, where a lane
+    iteration would cost more than their float steps (a sweep of drain
+    widths on section-scan batches).  A member's result is the
+    same, bit for bit, in every batch, its ``integrate`` run included; a
     failing member leaves the others unchanged.  So is the moment a
     collision in one of a step's three interpolant stages is raised: in
     the flight where an event changes sign in that step, otherwise at
@@ -1055,7 +1131,9 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
     fwd_events = [ev for _, _, ev in switch] + events
     results = [None] * n
     flights = []
-    lanes = {}      # a lane per event list: backward legs lack the switches
+    # a lane per event list (backward legs lack the switches); None below
+    # the lane width and once the lane has drained
+    lanes = {}
 
     def resume(i, leg):
         """Send member i its leg; returns its next _LegRequest, or None
@@ -1071,15 +1149,18 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
         return None
 
     def run(i, leg):
+        """Send member i its leg, then fly its next legs on solve_ivp
+        until one joins its lane or the member has its result."""
         req = resume(i, leg)
-        if n < _ARRAY_MIN_ROWS:
-            while req is not None:
-                req = resume(i, _solo_leg(req, mu, cfg))
-        elif req is not None:
+        while req is not None:
             key = id(req.events)
             if key not in lanes:
-                lanes[key] = _Lane(req.events, mu, cfg)
-            lanes[key].join(i, req)
+                lanes[key] = (_Lane(req.events, mu, cfg)
+                              if n >= _LANE_WIDTH else None)
+            if lanes[key] is not None:
+                lanes[key].join(i, req)
+                return
+            req = resume(i, _solo_leg(req, mu, cfg))
 
     for i in range(n):
         forward = t_finals[i] >= t0s[i]
@@ -1088,9 +1169,16 @@ def integrate_many(starts, mu, cfg, t_finals, cs=None, events=(), t0s=None,
             start_chart, switch if forward else [],
             fwd_events if forward else events))
         run(i, None)
-    while any(lane.live for lane in lanes.values()):
-        for lane in lanes.values():
-            for i, leg in lane.advance():
+    while any(lane is not None for lane in lanes.values()):
+        for key, lane in list(lanes.items()):
+            if lane is None:
+                continue
+            if lane.size < _DRAIN_WIDTH:
+                lanes[key] = None
+                ended = lane.drain()
+            else:
+                ended = lane.advance()
+            for i, leg in ended:
                 run(i, leg)
     return results
 
@@ -1444,7 +1532,8 @@ class _Lane:
     leg, and returns the legs that ended in it.  Rows are spliced in and
     dropped only in iterations where a leg starts or ends.  Each live leg
     writes its accepted steps to its own slot of the step log, from which
-    its _Leg is assembled as soon as it ends.
+    its _Leg is assembled as soon as it ends.  ``drain`` hands every leg
+    to the float step, mid-leg, and ends the lane.
     """
 
     def __init__(self, events, mu, cfg):
@@ -1459,12 +1548,46 @@ class _Lane:
         self.free = []              # unused log slots
 
     @property
-    def live(self):
-        return bool(self.queue) or (self.rows is not None
-                                    and self.rows.gid.size > 0)
+    def size(self):
+        """The legs on the lane or waiting to join it."""
+        return len(self.queue) + (0 if self.rows is None
+                                  else self.rows.gid.size)
 
     def join(self, member, req):
         self.queue.append((member, req))
+
+    def _field(self, tt, y):
+        """The rotating field on floats, uncounted: a lane's own."""
+        return _rot_rhs(y, self.mu)[0]
+
+    def drain(self):
+        """Hand every leg to the float step: the queued legs start as
+        rows, and each row runs on mid-leg in solve_ivp's step loop
+        (_float_leg) from its state after its last attempt, with the
+        lane's uncounted field, _rot_rhs, to step and to fill.  Returns
+        (member, _Leg or the error that ended it) for every leg, and
+        leaves the lane empty."""
+        mu = self.mu
+
+        def field_rows(Y):
+            return _rot_field_rows(Y, mu)
+
+        with np.errstate(all="ignore"):
+            out = self._splice() if self.queue else []
+        m, self.rows = self.rows, None
+        for p, i in enumerate([] if m is None else m.gid.tolist()):
+            state = _LegState(
+                float(m.t0[p]), float(m.t[p]), float(m.t_bound[p]),
+                m.y[:, p].tolist(), m.f[:, p].tolist(), float(m.h_abs[p]),
+                bool(m.rej[p]), m.g[:, p].tolist(), self.hits.pop(i),
+                self.log[m.slot[p], :m.n_steps[p]])
+            try:
+                out.append((i, _float_leg(self._field, state, self.events,
+                                          self.cfg, self._field,
+                                          field_rows)))
+            except SectionScopeError as exc:
+                out.append((i, exc))
+        return out
 
     def advance(self):
         """One iteration; returns (member, _Leg or CollisionError) for
@@ -1484,9 +1607,7 @@ class _Lane:
         """Start the queued legs: each new row gets its field, event
         values and initial step, the field and the initial step on
         floats as solve_ivp gets them."""
-        def fun(tt, yy):
-            return _rot_rhs(yy, self.mu)[0]
-
+        fun = self._field
         out, starts = [], []
         for member, req in self.queue:
             t, t_bound = float(req.t0), float(req.t_bound)

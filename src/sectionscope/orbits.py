@@ -146,8 +146,14 @@ def find_periodic_point(x0, k=1, mu=None, c=None, cfg=None, spec=None,
 
 
 def _classify_flights(flights):
-    """The one label of all returns' flights, else 'spatial'."""
-    tags = {_classify_spatial(traj) for _, traj in flights}
+    """The one label of all returns' flights, lead and main, else
+    'spatial'.  The reading stops at the first flight labelled 'spatial',
+    which decides the label."""
+    tags = set()
+    for traj in (traj for pair in flights for traj in pair):
+        tags.add(_classify_spatial(traj))
+        if "spatial" in tags:
+            break
     return tags.pop() if len(tags) == 1 else "spatial"
 
 

@@ -411,11 +411,6 @@ def levi_civita(u, v):
     return u / v.conjugate(), 2.0 * v * v
 
 
-def lc_hamiltonian(u, v):
-    """Shifted, regularized planar Kepler Hamiltonian (|u|^2 + |v|^2 - 1)/2."""
-    return 0.5 * (abs(u) ** 2 + abs(v) ** 2 - 1.0)
-
-
 def lc_vector_field(z):
     """Flow of the LC Hamiltonian w.r.t. the pulled-back form 4 Re(du^ x dv).
 

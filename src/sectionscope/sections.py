@@ -81,15 +81,6 @@ def involution(state):
     return out
 
 
-def involution_moser(xi, eta):
-    """The same symmetry in the Moser chart: negate the last components."""
-    xi = np.asarray(xi, dtype=float).copy()
-    eta = np.asarray(eta, dtype=float).copy()
-    xi[-1] = -xi[-1]
-    eta[-1] = -eta[-1]
-    return xi, eta
-
-
 def leaf_label(xi, eta):
     """First complex coordinate of the quadric embedding of T*S^3.
 
@@ -498,23 +489,6 @@ def exactness_loop_check(loop, mu, c=None, cfg=None, spec=None):
     a0 = liouville_loop_integral(loop)
     a1 = liouville_loop_integral(images)
     return abs(a1 - a0), loop_length(loop)
-
-
-def page_circle_loop(x, mu, c=None, cfg=None, spec=None, radius=5e-3,
-                     n_points=64, plane=(0, 1)):
-    """Closed loop of page points around x in two frame directions."""
-    spec = spec or SectionSpec()
-    if c is None:
-        c = hamiltonian(x, mu)
-    frame = page_frame(x, mu)
-    i, j = plane
-    loop = []
-    for t in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
-        u = np.zeros(4)
-        u[i] = radius * math.cos(t)
-        u[j] = radius * math.sin(t)
-        loop.append(page_embed(x, frame, u, mu, c, spec.theta))
-    return loop
 
 
 # --- ellipsoid toy flow (closed-form oracle) ---

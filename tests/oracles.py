@@ -1,7 +1,11 @@
 """Independent references the tests compare the library against: a
 central-difference Jacobian, an event located by scanning and
 root-finding on a finished flight's dense output, and a flight Jacobian
-that recomputes every stage from the steps' dense output."""
+that recomputes every stage from the steps' dense output; and helpers
+that only the tests call: the symmetry in a Moser chart, a loop of page
+points and the Levi-Civita Hamiltonian."""
+
+import math
 
 import numpy as np
 
@@ -11,9 +15,11 @@ from sectionscope.errors import NoCrossingError
 from sectionscope.flows import (_STAGES, Trajectory, _dop853_value,
                                 _event_gradient, _moser_field_rows,
                                 _rot_field_rows)
+from sectionscope.cr3bp import hamiltonian
 from sectionscope.regularize import (_q_field, project_constraints,
                                      project_constraints_jacobian,
                                      q_field_jacobian_rows)
+from sectionscope.sections import SectionSpec, page_embed, page_frame
 
 
 def central_jacobian(fn, x, h):
@@ -216,3 +222,34 @@ def flight_jacobian(flights, V, dc=None):
                 W = np.vstack([ch.to_physical_jacobian(xi, eta) @ jac
                                @ W[:8], W[8:]])
     return W[:6], W[6]
+
+
+def involution_moser(xi, eta):
+    """The same symmetry in the Moser chart: negate the last components."""
+    xi = np.asarray(xi, dtype=float).copy()
+    eta = np.asarray(eta, dtype=float).copy()
+    xi[-1] = -xi[-1]
+    eta[-1] = -eta[-1]
+    return xi, eta
+
+
+def page_circle_loop(x, mu, c=None, cfg=None, spec=None, radius=5e-3,
+                     n_points=64, plane=(0, 1)):
+    """Closed loop of page points around x in two frame directions."""
+    spec = spec or SectionSpec()
+    if c is None:
+        c = hamiltonian(x, mu)
+    frame = page_frame(x, mu)
+    i, j = plane
+    loop = []
+    for t in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
+        u = np.zeros(4)
+        u[i] = radius * math.cos(t)
+        u[j] = radius * math.sin(t)
+        loop.append(page_embed(x, frame, u, mu, c, spec.theta))
+    return loop
+
+
+def lc_hamiltonian(u, v):
+    """Shifted, regularized planar Kepler Hamiltonian (|u|^2 + |v|^2 - 1)/2."""
+    return 0.5 * (abs(u) ** 2 + abs(v) ** 2 - 1.0)

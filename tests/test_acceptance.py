@@ -19,9 +19,11 @@ from sectionscope.regularize import (MoserChart, chart_to_stereo,
                                      kepler_oracles, stereo_to_chart)
 from sectionscope.sections import (SectionSpec, ellipsoid_page_rotation,
                                    exactness_loop_check, involution,
-                                   leaf_label_physical, page_circle_loop,
-                                   return_map, return_map_jacobian,
-                                   return_map_many, transversality_value)
+                                   leaf_label_physical, return_map,
+                                   return_map_jacobian, return_map_many,
+                                   transversality_value)
+
+from oracles import page_circle_loop
 
 
 class Budget:

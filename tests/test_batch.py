@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import solve_ivp
 from scipy.integrate._ivp import dop853_coefficients, rk
 
-from sectionscope import cr3bp, flows
+from sectionscope import cr3bp, flows, sections
 from sectionscope.cli import main
 from sectionscope.cr3bp import (EARTH_MOON_MU, _rot_rhs, hamiltonian,
                                 sample_page_states, sample_shell_states,
@@ -32,8 +32,9 @@ CFG = IntegratorConfig(max_time=50.0)
 
 def _on_the_lane():
     """Every batch of two or more members on the lockstep lane, as a batch
-    of flows._ARRAY_MIN_ROWS is: the small batches below test the lane."""
-    return mock.patch.object(flows, "_ARRAY_MIN_ROWS", 2)
+    of flows._LANE_WIDTH is, until one leg is left: the small batches below
+    test the lane."""
+    return mock.patch.multiple(flows, _LANE_WIDTH=2, _DRAIN_WIDTH=2)
 
 
 def _page_points(mu, seed, n):
@@ -225,7 +226,8 @@ def test_non_finite_start_or_energy_fails_alone(lane, monkeypatch):
     # leg, on the lane and on the float step, and the others keep their
     # bits
     if lane:
-        monkeypatch.setattr(flows, "_ARRAY_MIN_ROWS", 2)
+        monkeypatch.setattr(flows, "_LANE_WIDTH", 2)
+        monkeypatch.setattr(flows, "_DRAIN_WIDTH", 2)
     mu = 1e-3
     s0, s1 = sample_shell_states(mu, C_TEST, 2, np.random.default_rng(34),
                                  component="earth")
@@ -244,11 +246,11 @@ def test_non_finite_start_or_energy_fails_alone(lane, monkeypatch):
 
 
 def test_batch_below_the_threshold_has_the_bits_of_the_lane(monkeypatch):
-    # a batch of flows._ARRAY_MIN_ROWS members shares the lane; one member
+    # a batch of flows._LANE_WIDTH members shares the lane; one member
     # fewer flies member by member on the float step, with the same bits
     mu = 1e-3
     rng = np.random.default_rng(33)
-    starts = list(sample_shell_states(mu, C_TEST, flows._ARRAY_MIN_ROWS,
+    starts = list(sample_shell_states(mu, C_TEST, flows._LANE_WIDTH,
                                       rng, component="earth"))
     events = [FlowEvent(lambda s: s[2], direction=0.0, terminal=False)]
     iterations = 0
@@ -273,6 +275,126 @@ def test_batch_below_the_threshold_has_the_bits_of_the_lane(monkeypatch):
         assert a.final_state().tobytes() == b.final_state().tobytes()
         assert [(k, t, s.tobytes()) for k, t, s in a.event_hits] == \
             [(k, t, s.tobytes()) for k, t, s in b.event_hits]
+
+
+# --- a lane drains below its width: its rows finish on the float step ---
+
+
+def _handoffs(monkeypatch):
+    """A list that records (dense output, hand-off time) for every leg
+    that a draining lane hands to the float step."""
+    handoffs = []
+
+    def recorded(fun, s, *args, _orig=flows._float_leg):
+        leg = _orig(fun, s, *args)
+        if s.steps is not None:
+            handoffs.append((leg.sol, s.t))
+        return leg
+    monkeypatch.setattr(flows, "_float_leg", recorded)
+    return handoffs
+
+
+def _hits(traj):
+    return [(k, t, None if s is None else s.tobytes())
+            for k, t, s in traj.event_hits]
+
+
+@settings(max_examples=4, deadline=None)
+@given(n=st.integers(21, 30), seed=st.integers(0, 2 ** 32 - 1))
+def test_drained_members_are_their_solo_return_maps(n, seed):
+    # a batch of 21-30 scan page points, on the lane: once fewer
+    # than flows._DRAIN_WIDTH legs are left, each row finishes its leg on
+    # the float step from where it stands.  Every member is its solo
+    # return_map, bit for bit, the main flight's event hits included, and
+    # some member's page root lies past its hand-off, on a float step
+    mu = 1e-3
+    pts = list(sample_page_states(mu, C_TEST, n, np.random.default_rng(seed),
+                                  component="earth"))
+    mains = []
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        handoffs = _handoffs(monkeypatch)
+
+        def recorded(*args, _orig=sections.integrate_many, **kwargs):
+            mains[:] = _orig(*args, **kwargs)
+            return mains
+        monkeypatch.setattr(sections, "integrate_many", recorded)
+        batch = return_map_many(pts, mu, c=C_TEST, cfg=CFG)
+    assert handoffs
+    # a main flight by its first step's start: the lead's end
+    flown = {traj.segments[0].sol.y_old[0].tobytes(): traj for traj in mains
+             if not isinstance(traj, SectionScopeError)}
+    past = 0
+    for x, got in zip(pts, batch):
+        want, trajs = _solo(x, mu)
+        assert _same_bits(got, want)
+        if trajs is None:
+            continue
+        traj = flown[trajs[1].segments[0].sol.y_old[0].tobytes()]
+        assert _hits(traj) == _hits(trajs[1])
+        last = traj.segments[-1].sol
+        past += any(sol is last and traj.t_end > t for sol, t in handoffs)
+    assert past > 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(mu=st.sampled_from(MUS), seed=st.integers(0, 2 ** 32 - 1),
+       at=st.floats(0.5, 0.9))
+def test_read_across_the_handoff_is_the_solo_read(mu, seed, at):
+    # a leg handed over mid-way: its twins, a lane width with it, take its
+    # steps and end at its node k, where the lane drains.  It is at node k
+    # then, or at node k - 1 after a rejected attempt, whose step its twins
+    # clipped at their end and took.  Its lane steps come filled and its
+    # float steps fill when read; a read at an array of times across both,
+    # a read at each time and a read of F are the solo leg's, bit for bit
+    cfg = IntegratorConfig(max_time=50.0, switching=False)
+    s0, = sample_shell_states(mu, C_TEST, 1, np.random.default_rng(seed),
+                              component="earth", min_primary_dist=0.2)
+    want = _solo_flight(s0, 1.0, mu, cfg, [])
+    if isinstance(want, SectionScopeError):
+        return
+    b = want.segments[0].sol
+    k = int(at * len(b.h))
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        handoffs = _handoffs(monkeypatch)
+        width = flows._LANE_WIDTH
+        got = integrate_many([s0] * width, mu, cfg,
+                             [1.0] + [b.ts[k]] * (width - 1),
+                             [C_TEST] * width)[0]
+    a = got.segments[0].sol
+    t_hand, = [t for sol, t in handoffs if sol is a]
+    lane = k if t_hand == b.ts[k] else k - 1        # the lane steps
+    assert t_hand == b.ts[lane] and lane > 0
+    assert not a._pending[:lane].any() and a._pending[lane:].all()
+    times = np.linspace(a.ts[0], a.ts[-1], 301)
+    assert a(times).tobytes() == b(times).tobytes()
+    for t in times[::10]:
+        assert a(t).tobytes() == b(t).tobytes()
+    for name in ("ts", "t_old", "h", "y_old", "F"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+
+
+def test_drained_rows_call_no_counted_field(monkeypatch):
+    # a row that a draining lane hands over runs on with the lane's own
+    # field: it calls neither solve_ivp nor its counted right-hand side,
+    # vector_field_ode, so that a leg's nfev, and the benchmark tracer's
+    # rhs_calls, count only solve_ivp's calls.  The members end one by one,
+    # so the lane drains once flows._DRAIN_WIDTH - 1 legs are left
+    mu = 1e-3
+    cfg = IntegratorConfig(max_time=50.0, switching=False)
+    width = flows._LANE_WIDTH
+    starts = sample_shell_states(mu, C_TEST, width,
+                                 np.random.default_rng(35), component="earth",
+                                 min_primary_dist=0.2)
+    calls = []
+    for name in ("solve_ivp", "vector_field_ode"):
+        monkeypatch.setattr(flows, name,
+                            lambda *args, _name=name: calls.append(_name))
+    handoffs = _handoffs(monkeypatch)
+    trajs = integrate_many(list(starts), mu, cfg,
+                           list(np.linspace(0.5, 1.5, width)),
+                           [C_TEST] * width)
+    assert len(handoffs) == flows._DRAIN_WIDTH - 1 and calls == []
+    assert not any(isinstance(traj, SectionScopeError) for traj in trajs)
 
 
 def _ivp(t_span, y0, events=None):
@@ -344,9 +466,11 @@ def test_dense_output_rows_are_the_bits_of_the_full_state(
 
 def test_section_scan_takes_about_as_many_iterations_as_its_longest_flight(
         tmp_path, monkeypatch):
-    # section-scan --mu 1e-3 --c -1.7 --n 25 --seed 0 at tol 1e-12: one
-    # burn-in iteration, then one per step attempt of the longest main
-    # flight (104), as each flight's next leg joins once its last one ends
+    # section-scan --mu 1e-3 --c -1.7 --n 25 --seed 0 at tol 1e-12: at
+    # most one burn-in iteration, then one per step attempt of the longest
+    # main flight (104), as each flight's next leg joins once its last one
+    # ends; and fewer, 92, since the lane drains once fewer than
+    # flows._DRAIN_WIDTH legs are left and the last attempts run on floats
     iterations = 0
     rk_stages = flows._rk_stages
 
@@ -359,7 +483,7 @@ def test_section_scan_takes_about_as_many_iterations_as_its_longest_flight(
     assert main(["section-scan", "--mu", "1e-3", "--c", "-1.7", "--n", "25",
                  "--seed", "0", "--tol", "1e-12",
                  "--out", str(tmp_path / "scan")]) == 0
-    assert iterations <= 115
+    assert iterations <= 95
 
 
 def test_lockstep_constants_are_scipys():
@@ -582,7 +706,7 @@ def _array_fills(monkeypatch):
 def test_filled_coefficients_are_the_eager_ones(leg, seed):
     # pending steps filled one at a time on floats, and by a read at an
     # array of times and by a read of F: in one array pass from
-    # flows._ARRAY_MIN_ROWS pending steps on, on floats below.  All have
+    # flows._FILL_WIDTH pending steps on, on floats below.  All have
     # the bits computed at the step, though a step's y_new and f(y_new)
     # are read from the next step's row: rotating legs both ways, a third
     # of them planar with signed zeros in q3 and p3, and Moser-chart stays
@@ -630,7 +754,7 @@ def test_filled_coefficients_are_the_eager_ones(leg, seed):
         times(np.linspace(sol.ts[0], sol.ts[-1], 7))
         whole.F
     assert times._pending is None
-    wide = len(eager) >= flows._ARRAY_MIN_ROWS
+    wide = len(eager) >= flows._FILL_WIDTH
     assert len(passes) == (2 if wide else 0)
     assert leg != "moser" or wide
     for filled in (one, times, whole):
@@ -685,7 +809,7 @@ def test_array_fill_calls_no_counted_field(monkeypatch):
     vertical = integrate(vertical_seed(1e-3, C_TEST), 1e-3, CFG, 2.0)
     segments = [seg for traj in (lunar, vertical) for seg in traj.segments
                 if seg.sol._pending is not None
-                and seg.sol._pending.sum() >= flows._ARRAY_MIN_ROWS]
+                and seg.sol._pending.sum() >= flows._FILL_WIDTH]
     assert {seg.chart for seg in segments} == {"rot", "moser-moon"}
     calls = []
     for owner, name in ((flows, "vector_field_ode"), (MoserChart, "field")):
@@ -703,12 +827,18 @@ def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
     # the flight's closest approach to the Earth falls in an interpolant
     # stage: with the collision threshold between that stage's distance
     # and those of every stage the flight evaluates, the flight ends in a
-    # batch flown on solve_ivp (20) and on a lane (21) alike, and every
+    # batch flown on solve_ivp (one fewer than flows._LANE_WIDTH) and on a
+    # lane (flows._LANE_WIDTH) alike, and every
     # read of a step whose interpolant collided raises, the one-step read
-    # and the read of the segment.  On solve_ivp the segment read, of more
-    # than flows._ARRAY_MIN_ROWS pending steps, tries one array pass,
-    # which leaves the fill to the floats: they raise at the collided
-    # step, and it stays pending
+    # and the read of the segment.  On the lane the other members fly on
+    # for 5, 3 or 0.3 time units: the lane drains after the flight ends,
+    # after the collided step, or before it, so that the collided step is
+    # a lane step in the first two and a float step in the last.  The
+    # segment read, of more than flows._FILL_WIDTH pending steps, tries
+    # one array pass where the collided step is a float step, and the
+    # pass leaves the fill to the floats; they raise at the collided
+    # step, and it stays pending.  A read that takes in a collided lane
+    # step raises before any pass
     mu, span = 1e-3, 0.3
     cfg = IntegratorConfig(switching=False)
     y0 = np.array([0.3, 0.03, 0.01, -2.4, -0.2, -0.1])
@@ -729,16 +859,22 @@ def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
     monkeypatch.setattr(cr3bp, "COLLISION_THRESHOLD", threshold)
     monkeypatch.setattr(flows, "COLLISION_THRESHOLD", threshold)
     other = np.array([0.5, 0.0, 0.0, 0.0, 0.9, 0.0])
-    collided, sampled = {}, {}
+    width = flows._LANE_WIDTH
+    cases = {"solve_ivp": (width - 1, span), "lane": (width, 5.0),
+             "lane, then floats": (width, 3.0), "floats": (width, span)}
+    collided, sampled, handoff = {}, {}, {}
     passes = _array_fills(monkeypatch)
-    for size in (20, 21):
+    for case, (size, t_other) in cases.items():
         for read in ("one step", "segment", "F"):
             traj = integrate_many([y0] + [other] * (size - 1), mu, cfg,
-                                  [span] * size)[0]
+                                  [span] + [t_other] * (size - 1))[0]
             assert traj.t_end == span and len(traj.segments) == 1
             sol = traj.segments[0].sol
             mid = sol.ts[:-1] + 0.5 * np.diff(sol.ts)
             if read == "one step":
+                # the float steps, from the hand-off on, are all pending
+                handoff[case] = next((k for k in np.flatnonzero(sol._pending)
+                                      if sol._pending[k:].all()), len(mid))
                 bad = []
                 for k, t in enumerate(mid):
                     try:
@@ -747,24 +883,30 @@ def test_interpolant_collision_is_raised_at_the_read_in_every_batch(
                         bad.append(k)
                         with pytest.raises(CollisionError):
                             sol(t)
-                collided[size] = bad
+                collided[case] = bad
             elif read == "segment":
                 passes.clear()
                 with pytest.raises(CollisionError):
                     sol(mid)
-                assert passes == ([None] if size < 21 else [])
-                assert len(mid) >= flows._ARRAY_MIN_ROWS
-                assert sol._pending[collided[size]].all()
-                for k in collided[size]:
+                assert passes == ([None] if case in ("solve_ivp", "floats")
+                                  else [])
+                assert len(mid) >= flows._FILL_WIDTH
+                assert sol._pending[collided[case]].all()
+                for k in collided[case]:
                     with pytest.raises(CollisionError):
                         sol(mid[k])
             else:
                 # a sampled read raises only if it reads such a step
                 try:
-                    sampled[size] = traj.min_over(lambda s: s[0], rows=(0,))
+                    sampled[case] = traj.min_over(lambda s: s[0], rows=(0,))
                 except CollisionError:
-                    sampled[size] = "CollisionError"
+                    sampled[case] = "CollisionError"
                 with pytest.raises(CollisionError):
                     sol.F
-    assert collided[20] == collided[21] and collided[20]
-    assert sampled[20] == sampled[21]
+    bad = collided["solve_ivp"]
+    assert bad and len(bad) == 1
+    assert all(collided[case] == bad for case in cases)
+    assert all(sampled[case] == sampled["solve_ivp"] for case in cases)
+    assert handoff["solve_ivp"] == 0 and handoff["lane"] == len(mid)
+    assert 0 < handoff["floats"] < bad[0] < handoff["lane, then floats"] \
+        < len(mid)

@@ -557,14 +557,14 @@ def test_flight_jacobian_matches_the_recomputed_pass_on_a_chain(mu):
 
 
 def test_flight_jacobian_matches_the_recomputed_pass_on_lane_legs():
-    # a batch of _ARRAY_MIN_ROWS vertical flights: their rotating legs come
+    # a batch of _LANE_WIDTH vertical flights: their rotating legs come
     # from the lockstep lane, which logs no stages, and their chart stays
     # from solve_ivp, which does
     mu = 3e-3
     cfg = IntegratorConfig(max_time=5.0)
     rng = np.random.default_rng(5)
     starts = VERTICAL_APEX + rng.normal(scale=1e-3,
-                                        size=(flows._ARRAY_MIN_ROWS, 6))
+                                        size=(flows._LANE_WIDTH, 6))
     starts[:, [0, 4]] += mu
     trajs = flows.integrate_many(list(starts), mu, cfg,
                                  [0.7] * len(starts))

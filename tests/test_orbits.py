@@ -54,6 +54,32 @@ def test_vertical_fixed_point_newton():
             assert r1 < 10.0 * r0 ** 2 + 1e-12
 
 
+def test_classification_stops_at_the_first_spatial_flight(monkeypatch):
+    # the label reads a return's flights lead first and stops at the first
+    # one labelled 'spatial', which settles it: at mu > 0 the lead does,
+    # and the main flight is not read.  Over the shoot workload's (mu, c)
+    # box the label is the one that every main flight, read in full,
+    # gives: their one label, else 'spatial'
+    read = []
+
+    def counted(traj, _orig=orbits._classify_spatial):
+        read.append(traj)
+        return _orig(traj)
+    monkeypatch.setattr(orbits, "_classify_spatial", counted)
+    for mu in (0.0, 2e-3, 6e-3, 1e-2):
+        for c in (-1.80, -1.75, -1.70):
+            read.clear()
+            orbit = find_periodic_point(vertical_seed(mu, c), mu=mu, c=c,
+                                        tol=1e-10)
+            (lead, main), = orbit.flights
+            assert read == ([lead] if mu > 0 else [lead, main])
+            tags = {_classify_spatial(traj) for _, traj in orbit.flights}
+            assert orbit.symmetry == (tags.pop() if len(tags) == 1
+                                      else "spatial")
+            assert orbit.symmetry == ("spatial" if mu > 0
+                                      else "vertical-collision")
+
+
 def test_orbit_closes_under_reintegration():
     cfg = IntegratorConfig(max_time=5.0)
     orbit = find_periodic_point(vertical_seed(0.0, C_TEST), k=1, mu=0.0,

@@ -16,14 +16,13 @@ from sectionscope.errors import (ConfigError, NorthPoleError,
 from sectionscope import flows
 from sectionscope.regularize import (MoserChart, _q_gradient, chart_rows,
                                      chart_to_stereo, constraint_residual,
-                                     kepler_oracles,
-                                     lc_hamiltonian, levi_civita,
+                                     kepler_oracles, levi_civita,
                                      project_constraints,
                                      project_constraints_jacobian,
                                      q_field_jacobian_rows, q_rhs_rows,
                                      stereo_to_chart)
 
-from oracles import central_jacobian
+from oracles import central_jacobian, lc_hamiltonian
 
 
 def random_moser_states(rng, n):

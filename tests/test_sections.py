@@ -18,14 +18,14 @@ from sectionscope.sections import (BINDING_REFINE_BELOW, OMEGA4,
                                    SectionSpec, _return_setup, ellipsoid_flow,
                                    ellipsoid_page_point, ellipsoid_return,
                                    exactness_loop_check, geodesic_angle,
-                                   hopf_map, involution, involution_moser,
-                                   leaf_label, leaf_label_physical,
-                                   page_circle_loop, page_embed, page_frame,
-                                   page_coords, physical_angle, return_map,
-                                   return_map_iter, return_map_jacobian,
+                                   hopf_map, involution, leaf_label,
+                                   leaf_label_physical, page_embed,
+                                   page_frame, page_coords, physical_angle,
+                                   return_map, return_map_iter,
+                                   return_map_jacobian,
                                    transversality_value)
 
-from oracles import central_jacobian
+from oracles import central_jacobian, involution_moser, page_circle_loop
 
 C_TEST = -1.7
 VERTICAL_APEX = np.array([0.0, 0.0, 10.0 / 17.0, 0.0, 0.0, 0.0])

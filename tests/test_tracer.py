@@ -33,10 +33,13 @@ def _tracer_module():
      1),
     (["section-scan", "--mu", "1e-3", "--c", "-1.7", "--component", "earth",
       "--tol", "1e-12", "--n", "2", "--seed", "0"], 2),
+    # a lane that drains: its rows finish uncounted, as lane rows do
+    (["section-scan", "--mu", "1e-3", "--c", "-1.7", "--component", "earth",
+      "--tol", "1e-12", "--n", "21", "--seed", "0"], 21),
     (["section-scan", "--mu", repr(EARTH_MOON_MU), "--c", repr(_LUNAR_C),
       "--component", "moon", "--tol", "1e-12", "--n", "1", "--seed", "0"],
      1),
-], ids=["shoot", "scan", "lunar"])
+], ids=["shoot", "scan", "scan_lane", "lunar"])
 def test_traced_run_is_complete(tmp_path, argv, ops):
     tr = _tracer_module()
     tracer = tr.Tracer(op_boundary=None if argv[0] == "find-orbit"
